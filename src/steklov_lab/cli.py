@@ -10,11 +10,16 @@ import numpy as np
 from . import fem, geometry, graphs, harness, thickening
 
 
-def _add_common(parser):
-    parser.add_argument("--out", help="output directory (or file for single artifacts)")
-    parser.add_argument("--seed", type=int, help="random seed override")
-    parser.add_argument("--tol", type=float, help="tolerance override")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+_FLAGS = {
+    "--out": dict(help="output directory (or file for single artifacts)"),
+    "--seed": dict(type=int, help="random seed override"),
+    "--jobs": dict(type=int, default=1, help="parallel sweep workers"),
+}
+
+
+def _add_flags(parser, *names):
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _cmd_mesh(args):
@@ -74,11 +79,6 @@ def _cmd_thicken(args):
 def _cmd_run(args):
     overrides = {"seed": args.seed}
     config = harness.load_config(args.config, overrides)
-    if args.tol is not None:
-        config = harness.ExperimentConfig(
-            kind=config.kind, name=config.name, seed=config.seed,
-            params=config.params,
-            tolerances=dict(config.tolerances, cli_tol=args.tol))
     report = harness.run(config, out_dir=args.out, jobs=args.jobs)
     for c in report.checks:
         status = "PASS" if c["passed"] else "FAIL"
@@ -114,19 +114,23 @@ def main(argv=None):
     p.add_argument("--width", type=float, default=0.5)
     p.add_argument("--target-h", type=float, default=0.05)
     p.add_argument("--periodic", action="store_true")
-    _add_common(p)
+    _add_flags(p, "--out")
     p.set_defaults(func=_cmd_mesh)
 
     p = sub.add_parser("spectrum", help="solve the Steklov eigenproblem on a mesh")
     p.add_argument("--mesh", required=True)
     p.add_argument("--n-eigs", type=int, default=6)
-    _add_common(p)
+    p.add_argument("--tol", type=float,
+                   help="relative tolerance for grouping eigenvalues into clusters")
+    _add_flags(p, "--out")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("prescribe", help="fit complete-graph edge lengths to a spectrum")
     p.add_argument("--targets", required=True,
                    help="comma-separated target eigenvalues a_1,...,a_N")
-    _add_common(p)
+    p.add_argument("--tol", type=float,
+                   help="relative eigenvalue tolerance of the fit (default 1e-8)")
+    _add_flags(p, "--out", "--seed")
     p.set_defaults(func=_cmd_prescribe)
 
     p = sub.add_parser("thicken", help="thicken a metric graph into a domain mesh")
@@ -136,18 +140,18 @@ def main(argv=None):
     p.add_argument("--c", type=float, default=2.0)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--target-h", type=float)
-    _add_common(p)
+    _add_flags(p, "--out")
     p.set_defaults(func=_cmd_thicken)
 
     p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("--config", required=True)
     p.add_argument("--print-report", action="store_true")
-    _add_common(p)
+    _add_flags(p, "--out", "--seed", "--jobs")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("audit", help="run a randomized audit config")
     p.add_argument("--config", required=True)
-    _add_common(p)
+    _add_flags(p, "--out", "--seed", "--jobs")
     p.set_defaults(func=_cmd_audit)
 
     args = parser.parse_args(argv)

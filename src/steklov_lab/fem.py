@@ -19,7 +19,6 @@ from scipy.sparse.linalg import splu
 
 from . import geometry
 from .geometry import DIRICHLET, NEUMANN, STEKLOV, Mesh2D  # noqa: F401
-from .kernels import stiffness_local
 
 
 class AssemblyError(ValueError):
@@ -38,10 +37,29 @@ class ZeroBoundaryTraceError(ValueError):
     pass
 
 
+def _stiffness_local(coords, weights):
+    """Local 3x3 Dirichlet-energy matrices for P1 triangles, vectorized.
+
+    coords: (nt, 3, 2) triangle vertex coordinates (CCW), weights: (nt,).
+    Returns (nt, 3, 3) local matrices and the signed doubled areas (nt,).
+    """
+    x = coords[:, :, 0]
+    y = coords[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
+    # degenerate triangles are reported by the caller from area2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = weights / (2.0 * area2)
+    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+    local *= scale[:, None, None]
+    return local, area2
+
+
 def assemble_stiffness(mesh):
     """Weighted P1 Dirichlet-energy matrix over all mesh vertices (CSR)."""
     coords = geometry.triangle_coords(mesh)
-    local, area2 = stiffness_local(coords, np.asarray(mesh.tri_weight, float))
+    local, area2 = _stiffness_local(coords, np.asarray(mesh.tri_weight, float))
     if np.any(area2 <= 0):
         bad = int(np.argmin(area2))
         raise AssemblyError(f"triangle {bad} is degenerate (doubled area {area2[bad]:.3e})")

@@ -11,6 +11,8 @@ from dataclasses import dataclass, replace
 import math
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 STEKLOV = "steklov"
@@ -176,6 +178,16 @@ def interior_edges_with_triangles(mesh):
     same = np.all(e[1:] == e[:-1], axis=1)
     idx = np.nonzero(same)[0]
     return e[idx], owner[idx], owner[idx + 1]
+
+
+def label_components(n, a, b):
+    """Connected components of the undirected graph on 0..n-1 with edges a[k]-b[k].
+
+    Returns (n_components, labels).  Components are numbered in order of their
+    lowest vertex, so the first vertex carrying label k is that minimum.
+    """
+    adj = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    return connected_components(adj, directed=False)
 
 
 def boundary_loops(mesh):

@@ -8,7 +8,7 @@ environment stamp and wall-clock are excluded from the hash).
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 import csv
 import hashlib
 import json
@@ -142,7 +142,6 @@ def _apply_random_density(mesh, rng):
     rho, coeffs = random_boundary_density(angles, rng)
     dens = np.array(mesh.edge_density, float)
     dens[sel] = rho
-    from dataclasses import replace
     return replace(mesh, edge_density=dens), coeffs
 
 
@@ -260,7 +259,6 @@ def _run_density_sweep(config):
     fam = deformations.DensityFamily(mesh, rho_bar, n_dim)
     dens = np.array(mesh.edge_density, float)
     dens[sel] = rho_bar
-    from dataclasses import replace
     limit = fem.steklov_spectrum(replace(mesh, edge_density=dens), n_eigs)
     points = []
     errs = []

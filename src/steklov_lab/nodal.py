@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from . import fem, geometry, kernels
+from . import geometry
 from .geometry import DIRICHLET, NEUMANN, STEKLOV
 
 
@@ -65,21 +65,25 @@ def decompose_nodal(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
     piece_sign[:n_pos] = 1
     piece_sign[n_pos:] = -1
 
-    parent = np.arange(n_pieces, dtype=np.int64)
+    # pieces of sign s are glued across an interior edge carrying s
     edges, tri_a, tri_b = geometry.interior_edges_with_triangles(mesh)
-    kernels.union_sign_pieces(parent, piece_pos, piece_neg,
-                              tri_a.astype(np.int64), tri_b.astype(np.int64),
-                              signs[edges[:, 0]].astype(np.int64),
-                              signs[edges[:, 1]].astype(np.int64))
-    roots = kernels.resolve_roots(parent)
-    _, domain = np.unique(roots, return_inverse=True)
+    sign_a = signs[edges[:, 0]]
+    sign_b = signs[edges[:, 1]]
+    glue_a, glue_b = [], []
+    for s, piece in ((1, piece_pos), (-1, piece_neg)):
+        pa, pb = piece[tri_a], piece[tri_b]
+        glue = ((sign_a == s) | (sign_b == s)) & (pa >= 0) & (pb >= 0)
+        glue_a.append(pa[glue])
+        glue_b.append(pb[glue])
+    n_domains, domain = geometry.label_components(
+        n_pieces, np.concatenate(glue_a), np.concatenate(glue_b))
     return NodalDecomposition(
         vertex_signs=signs,
         piece_pos=piece_pos,
         piece_neg=piece_neg,
         piece_sign=piece_sign,
         piece_domain=domain,
-        n_domains=int(domain.max()) + 1 if n_pieces else 0,
+        n_domains=n_domains,
         zero_tol=float(zero_tol),
     )
 
@@ -236,23 +240,10 @@ def nodal_graph_stats(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
     nodes, segments = nodal_graph(mesh, field, zero_tol)
     keys = list(nodes)
     index = {k: i for i, k in enumerate(keys)}
-    parent = np.arange(len(keys), dtype=np.int64)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    degree = np.zeros(len(keys), int)
-    for ka, kb in segments:
-        degree[index[ka]] += 1
-        degree[index[kb]] += 1
-        ra, rb = find(index[ka]), find(index[kb])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = np.array([find(i) for i in range(len(keys))])
-    n_components = int(np.unique(roots).size)
+    pairs = np.array([(index[ka], index[kb]) for ka, kb in segments],
+                     np.int64).reshape(-1, 2)
+    degree = np.bincount(pairs.ravel(), minlength=len(keys))
+    n_components, labels = geometry.label_components(len(keys), pairs[:, 0], pairs[:, 1])
     cycle_rank = len(segments) - len(keys) + n_components
 
     bvert = np.zeros(mesh.n_vertices, bool)
@@ -269,7 +260,7 @@ def nodal_graph_stats(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
         if degree[i] == 0:
             continue  # isolated touch points carry no arc endpoints
         if on_boundary(key):
-            per_component[int(roots[i])] = per_component.get(int(roots[i]), 0) + 1
+            per_component[int(labels[i])] = per_component.get(int(labels[i]), 0) + 1
     counts = list(per_component.values())
     return {
         "n_nodes": len(keys),

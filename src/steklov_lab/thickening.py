@@ -9,7 +9,7 @@ the circle.  As eps -> 0 the first |V| eigenvalues converge to (1/c) times
 the graph Laplacian spectrum and a gap opens above them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -377,22 +377,11 @@ def build_thickened_mesh(embedding, eps, c=2.0, target_h=None,
 
     verts = np.vstack(all_verts)
     tris = np.vstack(all_tris)
-    tree = cKDTree(verts)
-    parent = np.arange(verts.shape[0])
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in tree.query_pairs(_WELD_TOL):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    roots = np.array([find(i) for i in range(verts.shape[0])])
-    uniq, new_ids = np.unique(roots, return_inverse=True)
-    mesh = geometry.build_mesh(verts[uniq], new_ids[tris], boundary_tag=NEUMANN)
+    pairs = cKDTree(verts).query_pairs(_WELD_TOL, output_type="ndarray")
+    _, new_ids = geometry.label_components(verts.shape[0], pairs[:, 0], pairs[:, 1])
+    # each welded vertex keeps the coordinates of its lowest-index duplicate
+    _, keep = np.unique(new_ids, return_index=True)
+    mesh = geometry.build_mesh(verts[keep], new_ids[tris], boundary_tag=NEUMANN)
 
     mids = geometry.boundary_edge_midpoints(mesh)
     tags = np.array(mesh.boundary_tags, object)
@@ -401,7 +390,6 @@ def build_thickened_mesh(embedding, eps, c=2.0, target_h=None,
         t = np.clip(((mids - e_minus) @ d) / (d @ d), 0.0, 1.0)
         dist = np.linalg.norm(mids - (e_minus + t[:, None] * d[None, :]), axis=1)
         tags[dist < 10 * _WELD_TOL] = STEKLOV
-    from dataclasses import replace
     mesh = geometry.validate_mesh(replace(mesh, boundary_tags=tags))
     expected = 2.0 * c * eps * g.n_vertices
     got = geometry.boundary_length(mesh, STEKLOV)

@@ -128,9 +128,27 @@ def test_cli_mesh_and_spectrum(tmp_path, capsys):
     mesh_path = str(tmp_path / "d.msh")
     assert cli.main(["mesh", "--kind", "disk", "--target-h", "0.2",
                      "--out", mesh_path]) == 0
-    assert cli.main(["spectrum", "--mesh", mesh_path, "--n-eigs", "3"]) == 0
+    spec_path = tmp_path / "spectrum.json"
+    assert cli.main(["spectrum", "--mesh", mesh_path, "--n-eigs", "3",
+                     "--out", str(spec_path)]) == 0
     out = capsys.readouterr().out
     assert "sigma_1" in out
+    spec = json.loads(spec_path.read_text())
+    assert spec["format"] == "steklov-spectrum v1"
+    assert len(spec["eigenvalues"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "c.json", "--tol", "0.1"],
+    ["audit", "--config", "c.json", "--tol", "0.1"],
+    ["mesh", "--jobs", "2"],
+    ["thicken", "--graph", "g.graph", "--eps", "0.05", "--seed", "1"],
+])
+def test_cli_rejects_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_prescribe_thicken_roundtrip(tmp_path, capsys):
