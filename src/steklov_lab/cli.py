@@ -17,6 +17,13 @@ _FLAGS = {
 }
 
 
+def positive_float(text):
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+    return value
+
+
 def _add_flags(parser, *names):
     for name in names:
         parser.add_argument(name, **_FLAGS[name])
@@ -52,8 +59,8 @@ def _cmd_spectrum(args):
 
 def _cmd_prescribe(args):
     targets = np.asarray([float(t) for t in args.targets.split(",")])
-    g = graphs.prescribe_spectrum(targets, tol=args.tol or 1e-8,
-                                  seed=args.seed or 0)
+    g = graphs.prescribe_spectrum(targets, tol=1e-8 if args.tol is None else args.tol,
+                                  seed=0 if args.seed is None else args.seed)
     spec = graphs.graph_laplacian_spectrum(g).eigenvalues
     print(f"K_{g.n_vertices} edge lengths:")
     for (a, b), l in zip(g.edges, g.lengths):
@@ -120,7 +127,7 @@ def main(argv=None):
     p = sub.add_parser("spectrum", help="solve the Steklov eigenproblem on a mesh")
     p.add_argument("--mesh", required=True)
     p.add_argument("--n-eigs", type=int, default=6)
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=positive_float,
                    help="relative tolerance for grouping eigenvalues into clusters")
     _add_flags(p, "--out")
     p.set_defaults(func=_cmd_spectrum)
@@ -128,7 +135,7 @@ def main(argv=None):
     p = sub.add_parser("prescribe", help="fit complete-graph edge lengths to a spectrum")
     p.add_argument("--targets", required=True,
                    help="comma-separated target eigenvalues a_1,...,a_N")
-    p.add_argument("--tol", type=float,
+    p.add_argument("--tol", type=positive_float,
                    help="relative eigenvalue tolerance of the fit (default 1e-8)")
     _add_flags(p, "--out", "--seed")
     p.set_defaults(func=_cmd_prescribe)

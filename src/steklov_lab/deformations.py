@@ -34,6 +34,10 @@ def _steklov_edge_mask(mesh):
     return mesh.boundary_tags == STEKLOV
 
 
+# bytes of one (rows, n_steklov_edges, 2) float temporary of the distance search
+_CHUNK_BYTES = 32 * 2 ** 20
+
+
 def _point_segment_distance(points, seg_a, seg_b):
     """Distances from (n,2) points to each of (m,2)x(m,2) segments -> (n,m)."""
     d = seg_b - seg_a                      # (m,2)
@@ -81,16 +85,23 @@ def density_family_at(family, eps):
     pa = mesh.vertices[edges[:, 0]].astype(float)
     d = geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
     pb = pa + d
-    # triangle centroids against the (locally unwrapped) steklov segments
+    # triangle centroids against the (locally unwrapped) steklov segments, a
+    # chunk of centroids at a time so the temporaries stay small
     cen = geometry.triangle_coords(mesh).mean(axis=1)
-    dist = _point_segment_distance(cen, pa, pb)
-    if mesh.period_x > 0:
-        for shift in (-mesh.period_x, mesh.period_x):
-            shifted = cen.copy()
-            shifted[:, 0] += shift
-            dist = np.minimum(dist, _point_segment_distance(shifted, pa, pb))
-    nearest = np.argmin(dist, axis=1)
-    dmin = dist[np.arange(cen.shape[0]), nearest]
+    nearest = np.empty(cen.shape[0], np.int64)
+    dmin = np.empty(cen.shape[0])
+    rows = max(1, _CHUNK_BYTES // (16 * len(edges)))
+    for lo in range(0, cen.shape[0], rows):
+        chunk = cen[lo:lo + rows]
+        dist = _point_segment_distance(chunk, pa, pb)
+        if mesh.period_x > 0:
+            for shift in (-mesh.period_x, mesh.period_x):
+                shifted = chunk.copy()
+                shifted[:, 0] += shift
+                dist = np.minimum(dist, _point_segment_distance(shifted, pa, pb))
+        k = np.argmin(dist, axis=1)
+        nearest[lo:lo + rows] = k
+        dmin[lo:lo + rows] = dist[np.arange(chunk.shape[0]), k]
     h = 1.0 + (factor_edge[nearest] - 1.0) * np.clip(1.0 - dmin / eps, 0.0, 1.0)
 
     new_weight = mesh.tri_weight * h ** (n - 2)
@@ -118,15 +129,11 @@ class SingularWeightFamily:
     def steklov_edges_in_subdomain(self):
         """Mask (over steklov edges) of edges owned by a subdomain triangle."""
         mesh = self.mesh
-        sel = _steklov_edge_mask(mesh)
-        edges = np.sort(mesh.boundary_edges[sel], axis=1)
-        owner = {}
-        tris = np.sort(np.stack([mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
-                                 mesh.triangles[:, [2, 0]]], axis=1), axis=2)
-        for t in range(mesh.n_triangles):
-            for e in range(3):
-                owner[tuple(tris[t, e])] = t
-        return np.array([self.in_subdomain[owner[tuple(e)]] for e in edges], bool)
+        table = mesh.edge_table
+        owner = np.empty(len(table.edges), np.int64)
+        owner[table.tri_edges.ravel()] = np.repeat(np.arange(mesh.n_triangles), 3)
+        ids = geometry.edge_ids(mesh, mesh.boundary_edges[_steklov_edge_mask(mesh)])
+        return self.in_subdomain[owner[ids]]
 
 
 def singular_family_at(family, eta):

@@ -232,7 +232,7 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
         "n_vertices": int(mesh.n_vertices),
         "n_steklov_vertices": int(sk.size),
         "has_dirichlet": bool(dirichlet.size),
-        "mesh_hash": hashlib.sha256(geometry.mesh_to_text(mesh).encode()).hexdigest(),
+        "mesh_hash": geometry.mesh_hash(mesh),
     }
     return SpectralResult(
         eigenvalues=w,

@@ -8,6 +8,8 @@ differences, so the strip [0, L) x [0, w] is an exactly flat cylinder.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+import hashlib
 import math
 
 import numpy as np
@@ -59,6 +61,29 @@ class Mesh2D:
     @property
     def n_triangles(self):
         return self.triangles.shape[0]
+
+    @cached_property
+    def edge_table(self):
+        """The mesh's EdgeTable, built on first use and kept on the instance."""
+        return _edge_table(self.triangles, self.n_vertices)
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """Unique edges of a triangulation and their incidences.
+
+    Edges are sorted vertex pairs in lexicographic order, so an edge id is its
+    rank in that order.  Interior edges are listed in edge-id order with their
+    two triangles; tri_a is the one whose (local edge, triangle) comes first
+    in the order 01, 12, 20 over all triangles.
+    """
+
+    edges: np.ndarray       # (ne, 2) sorted vertex pairs, lexicographic
+    tri_edges: np.ndarray   # (nt, 3) edge ids of local edges 01, 12, 20
+    boundary: np.ndarray    # (ne,) bool, edge has a single incident triangle
+    interior: np.ndarray    # (ni,) ids of edges shared by two triangles
+    tri_a: np.ndarray       # (ni,) first incident triangle
+    tri_b: np.ndarray       # (ni,) second incident triangle
 
 
 @dataclass(frozen=True)
@@ -167,17 +192,50 @@ def _all_edges(triangles):
     return np.sort(e, axis=1)
 
 
-def interior_edges_with_triangles(mesh):
-    """Interior edges (sorted pairs) with the two incident triangle indices."""
-    nt = mesh.n_triangles
-    e = _all_edges(mesh.triangles)
+def _edge_table(triangles, n_vertices):
+    nt = triangles.shape[0]
+    e = _all_edges(triangles).astype(np.int64)
     owner = np.tile(np.arange(nt), 3)
-    order = np.lexsort((e[:, 1], e[:, 0]))
+    # a stable sort keeps equal edges in (local edge, triangle) order
+    order = np.argsort(e[:, 0] * n_vertices + e[:, 1], kind="stable")
     e = e[order]
     owner = owner[order]
     same = np.all(e[1:] == e[:-1], axis=1)
+    first = np.ones(len(e), bool)
+    first[1:] = ~same
+    sorted_ids = np.cumsum(first) - 1
+    ids = np.empty_like(sorted_ids)
+    ids[order] = sorted_ids
     idx = np.nonzero(same)[0]
-    return e[idx], owner[idx], owner[idx + 1]
+    table = EdgeTable(
+        edges=e[first],
+        tri_edges=ids.reshape(3, nt).T.copy(),
+        boundary=np.bincount(sorted_ids, minlength=int(first.sum())) == 1,
+        interior=sorted_ids[idx],
+        tri_a=owner[idx],
+        tri_b=owner[idx + 1],
+    )
+    for arr in vars(table).values():
+        arr.flags.writeable = False
+    return table
+
+
+def edge_ids(mesh, pairs):
+    """Edge-table ids of (k, 2) vertex pairs given in either orientation."""
+    pairs = np.sort(np.asarray(pairs, np.int64).reshape(-1, 2), axis=1)
+    edges = mesh.edge_table.edges
+    keys = edges[:, 0] * mesh.n_vertices + edges[:, 1]
+    query = pairs[:, 0] * mesh.n_vertices + pairs[:, 1]
+    ids = np.searchsorted(keys, query)
+    if np.any(ids == len(keys)) or not np.array_equal(keys[ids], query):
+        raise MeshError("vertex pair is not an edge of the mesh")
+    return ids
+
+
+def interior_edges_with_triangles(mesh):
+    """Interior edges (sorted pairs) with the two incident triangle indices."""
+    table = mesh.edge_table
+    return table.edges[table.interior], table.tri_a, table.tri_b
 
 
 def label_components(n, a, b):
@@ -229,12 +287,10 @@ def validate_mesh(mesh):
     steklov = mesh.boundary_tags == STEKLOV
     if np.any(mesh.edge_density[steklov] <= 0):
         raise MeshError("all steklov edge densities must be positive")
-    # edge incidence counts
-    e = _all_edges(mesh.triangles)
-    uniq, counts = np.unique(e, axis=0, return_counts=True)
-    if np.any(counts > 2):
+    table = mesh.edge_table
+    if np.any(np.bincount(table.tri_edges.ravel()) > 2):
         raise MeshError("an edge belongs to more than two triangles")
-    once = uniq[counts == 1]
+    once = table.edges[table.boundary]
     declared = np.sort(np.asarray(mesh.boundary_edges), axis=1)
     set_once = {tuple(r) for r in once}
     set_decl = {tuple(r) for r in declared}
@@ -263,10 +319,9 @@ def _orient_ccw(vertices, triangles, period_x=0.0):
     return triangles
 
 
-def _boundary_edges_of(triangles):
-    e = _all_edges(triangles)
-    uniq, counts = np.unique(e, axis=0, return_counts=True)
-    return uniq[counts == 1]
+def _boundary_edges_of(triangles, n_vertices):
+    table = _edge_table(triangles, n_vertices)
+    return table.edges[table.boundary]
 
 
 def build_mesh(vertices, triangles, boundary_tag=STEKLOV, density=1.0,
@@ -274,7 +329,7 @@ def build_mesh(vertices, triangles, boundary_tag=STEKLOV, density=1.0,
     """Assemble a Mesh2D from raw arrays, deriving and tagging the boundary."""
     vertices = np.asarray(vertices, float)
     triangles = _orient_ccw(vertices, np.asarray(triangles, np.int32), period_x)
-    bedges = _boundary_edges_of(triangles).astype(np.int32)
+    bedges = _boundary_edges_of(triangles, vertices.shape[0]).astype(np.int32)
     nb = bedges.shape[0]
     mesh = Mesh2D(
         vertices=vertices,
@@ -441,8 +496,7 @@ def tag_boundary(mesh, arcs, by="angle", center=None):
 def refine(mesh):
     """Uniform midpoint refinement: 4x triangles, tags and weights inherited."""
     nv = mesh.n_vertices
-    edges = np.unique(_all_edges(mesh.triangles), axis=0)
-    edge_ids = {tuple(e): nv + i for i, e in enumerate(edges)}
+    edges = mesh.edge_table.edges
     p0 = mesh.vertices[edges[:, 0]].astype(float)
     d = edge_vector(mesh, edges[:, 0], edges[:, 1])
     mids = p0 + 0.5 * d
@@ -451,9 +505,7 @@ def refine(mesh):
     new_vertices = np.vstack([mesh.vertices, mids])
 
     tris = mesh.triangles
-    m01 = np.array([edge_ids[tuple(sorted((int(a), int(b))))] for a, b in zip(tris[:, 0], tris[:, 1])])
-    m12 = np.array([edge_ids[tuple(sorted((int(a), int(b))))] for a, b in zip(tris[:, 1], tris[:, 2])])
-    m20 = np.array([edge_ids[tuple(sorted((int(a), int(b))))] for a, b in zip(tris[:, 2], tris[:, 0])])
+    m01, m12, m20 = (nv + mesh.edge_table.tri_edges).T
     new_tris = np.concatenate([
         np.column_stack([tris[:, 0], m01, m20]),
         np.column_stack([tris[:, 1], m12, m01]),
@@ -462,20 +514,16 @@ def refine(mesh):
     ]).astype(np.int32)
     new_weight = np.tile(mesh.tri_weight, 4)
 
-    new_bedges = []
-    new_tags = []
-    new_dens = []
-    for (a, b), tag, dens in zip(mesh.boundary_edges, mesh.boundary_tags, mesh.edge_density):
-        m = edge_ids[tuple(sorted((int(a), int(b))))]
-        new_bedges.extend([(int(a), m), (m, int(b))])
-        new_tags.extend([tag, tag])
-        new_dens.extend([dens, dens])
+    a, b = mesh.boundary_edges.T
+    m = nv + edge_ids(mesh, mesh.boundary_edges)
+    # each boundary edge a-b splits into a-m, m-b in place
+    new_bedges = np.stack([a, m, m, b], axis=1).reshape(-1, 2)
     out = Mesh2D(
         vertices=new_vertices,
         triangles=new_tris,
-        boundary_edges=np.asarray(new_bedges, np.int32),
-        boundary_tags=np.asarray(new_tags, object),
-        edge_density=np.asarray(new_dens, float),
+        boundary_edges=new_bedges.astype(np.int32),
+        boundary_tags=np.repeat(mesh.boundary_tags, 2),
+        edge_density=np.repeat(np.asarray(mesh.edge_density, float), 2),
         tri_weight=new_weight,
         period_x=mesh.period_x,
     )
@@ -497,7 +545,7 @@ def extract_submesh(mesh, tri_mask, interface_tag=NEUMANN):
     old_tags = {}
     for (a, b), tag, dens in zip(mesh.boundary_edges, mesh.boundary_tags, mesh.edge_density):
         old_tags[tuple(sorted((int(a), int(b))))] = (tag, float(dens))
-    bedges = _boundary_edges_of(new_tris)
+    bedges = _boundary_edges_of(new_tris, keep.size)
     tags = []
     dens = []
     inv_map = keep  # new index -> old index
@@ -557,6 +605,21 @@ def mesh_to_text(mesh):
     for w in mesh.tri_weight:
         lines.append(_fmt(w))
     return "\n".join(lines) + "\n"
+
+
+def mesh_hash(mesh):
+    """sha256 hex digest of the mesh arrays in fixed little-endian dtypes."""
+    h = hashlib.sha256(b"steklov-mesh arrays v1")
+    for name, dtype in (("vertices", "<f8"), ("triangles", "<i8"),
+                        ("boundary_edges", "<i8"), ("edge_density", "<f8"),
+                        ("tri_weight", "<f8")):
+        arr = np.ascontiguousarray(getattr(mesh, name), dtype)
+        h.update(f"{name} {arr.shape}\n".encode())
+        h.update(arr.tobytes())
+    h.update(f"boundary_tags {len(mesh.boundary_tags)}\n".encode())
+    h.update("\n".join(map(str, mesh.boundary_tags)).encode())
+    h.update(b"period_x\n" + np.float64(mesh.period_x).astype("<f8").tobytes())
+    return h.hexdigest()
 
 
 def save_mesh(mesh, path):

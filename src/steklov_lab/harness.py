@@ -416,17 +416,29 @@ def _run_prescription_pipeline(config):
 
 
 def _audit_point(args):
-    """One randomized audit run; top-level for process-pool dispatch."""
+    """One randomized audit run; top-level for process-pool dispatch.
+
+    An exception from mesh build, solve or nodal steps is recorded on the
+    point as its type name and message; the point then has no check flags.
+    """
     kind, params, tolerances, seed, run_id = args
-    rng = np.random.default_rng(seed)
     if "domains" in params:
         params = dict(params, domain=params["domains"][run_id % len(params["domains"])])
+    point = {"run": run_id, "seed": seed, "domain": params.get("domain", "disk")}
+    try:
+        point.update(_audit_measurements(kind, params, seed))
+    except Exception as exc:
+        point.update(error=type(exc).__name__, message=str(exc))
+    return point
+
+
+def _audit_measurements(kind, params, seed):
+    rng = np.random.default_rng(seed)
     mesh = _make_domain(params, rng)
     mesh, coeffs = _apply_random_density(mesh, rng)
     n_eigs = int(params.get("k_max", 6)) + 1
     res = fem.steklov_spectrum(mesh, n_eigs, params.get("cluster_rel_tol"))
-    point = {"run": run_id, "seed": seed, "domain": params.get("domain", "disk"),
-             "density": coeffs,
+    point = {"density": coeffs,
              "eigenvalues": res.eigenvalues.tolist(),
              "clusters": [list(c) for c in res.clusters]}
     zero_tol = float(params.get("zero_tol", nodal.DEFAULT_ZERO_TOL))
@@ -469,12 +481,12 @@ def _run_audit(config, jobs=1):
     checks = []
     if config.kind == "nodal-audit":
         for name in ("courant_ok", "touch_ok", "cycle_rank_ok", "parity_ok"):
-            bad = [pt["run"] for pt in points if not pt[name]]
+            bad = [pt["run"] for pt in points if not pt.get(name)]
             checks.append(_check(name.replace("_", "-"), not bad,
                                  f"{len(points) - len(bad)}/{len(points)} runs",
                                  f"failures: {bad}" if bad else "none"))
     else:
-        bad = [pt["run"] for pt in points if not pt["bounds_ok"]]
+        bad = [pt["run"] for pt in points if not pt.get("bounds_ok")]
         checks.append(_check("multiplicity-bounds", not bad,
                              f"{len(points) - len(bad)}/{len(points)} runs",
                              f"failures: {bad}" if bad else "none"))

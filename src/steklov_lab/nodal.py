@@ -182,89 +182,88 @@ def multiplicity_bound_check(result, topology, mixed=False):
 # the zero set as a combinatorial graph
 # ---------------------------------------------------------------------------
 
-def _edge_key(i, j):
-    return ("e", int(min(i, j)), int(max(i, j)))
+@dataclass(frozen=True)
+class ZeroSetGraph:
+    """The zero set of a P1 field as a graph.
 
+    Node ids are v for a vertex in the dead zone and nv + e for an edge e of
+    the mesh's edge table with a strict sign change.  Nodes are listed in order
+    of first appearance: triangle order, vertex nodes before edge nodes inside
+    a triangle.  Segments index into `nodes`, one row per node pair, and are
+    ordered by (first end, second end) with edge nodes (by edge id) ranking
+    before vertex nodes (by vertex), the lower-ranked end first.
+    """
 
-def _node_position(mesh, key, field):
-    if key[0] == "v":
-        return mesh.vertices[key[1]].astype(float)
-    _, i, j = key
-    fi, fj = field[i], field[j]
-    t = fi / (fi - fj)
-    pi = mesh.vertices[i].astype(float)
-    d = geometry.edge_vector(mesh, np.array([i]), np.array([j]))[0]
-    return pi + t * d
+    nodes: np.ndarray      # (n,) node ids
+    positions: np.ndarray  # (n, 2) node coordinates
+    segments: np.ndarray   # (m, 2) indices into nodes
 
 
 def nodal_graph(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
     """Nodes and segments of the zero set, keyed combinatorially.
 
-    Node keys: ("v", i) for a vertex in the dead zone, ("e", i, j) for an
-    edge with a strict sign change.  Returns (nodes, segments) where nodes
-    maps key -> position and segments is a set of sorted key pairs.
+    Per triangle, the keys are its dead-zone vertices and its sign-changing
+    edges.  Two keys give one segment, three dead-zone vertices give the
+    triangle's three sides, and a single key is an isolated touch point: the
+    node is kept, no segment.
     """
     signs = vertex_signs(field, zero_tol)
     field = np.asarray(field, float)
-    nodes = {}
-    segments = set()
+    nv = mesh.n_vertices
+    table = mesh.edge_table
+    tri_signs = signs[mesh.triangles]
+    zero = tri_signs == 0
+    cross = tri_signs * np.roll(tri_signs, -1, axis=1) == -1   # edges 01, 12, 20
+    keys = np.concatenate([mesh.triangles, nv + table.tri_edges], axis=1)
+    mask = np.concatenate([zero, cross], axis=1)
 
-    def add_node(key):
-        if key not in nodes:
-            nodes[key] = _node_position(mesh, key, field)
-        return key
+    found = keys[mask]
+    ids, first = np.unique(found, return_index=True)
+    nodes = ids[np.argsort(first)]
+    index = np.empty(nv + len(table.edges), np.int64)
+    index[nodes] = np.arange(nodes.size)
 
-    def add_segment(ka, kb):
-        if ka != kb:
-            segments.add(tuple(sorted((ka, kb))))
+    two = mask.sum(axis=1) == 2
+    pairs = keys[two][mask[two]].reshape(-1, 2)
+    full = mesh.triangles[zero.all(axis=1)].astype(np.int64)
+    pairs = np.concatenate([pairs, full[:, [0, 1]], full[:, [1, 2]], full[:, [2, 0]]])
+    # edge nodes rank by edge id before vertex nodes; ordering segments by rank
+    # fixes the order in which nodal_svg draws them
+    rank = np.where(nodes >= nv, nodes - nv, len(table.edges) + nodes)
+    ends = index[pairs]
+    ends = np.where((rank[ends[:, 0]] > rank[ends[:, 1]])[:, None], ends[:, ::-1], ends)
+    _, keep = np.unique(rank[ends[:, 0]] * index.size + rank[ends[:, 1]], return_index=True)
+    segments = ends[keep]
 
-    for tri in mesh.triangles:
-        s = signs[tri]
-        zero = [int(v) for v, sv in zip(tri, s) if sv == 0]
-        cross = [(int(tri[i]), int(tri[j]))
-                 for i, j in ((0, 1), (1, 2), (2, 0))
-                 if s[i] * s[j] == -1]
-        keys = [add_node(("v", v)) for v in zero]
-        keys += [add_node(_edge_key(a, b)) for a, b in cross]
-        if len(zero) == 3:
-            for i in range(3):
-                add_segment(keys[i], keys[(i + 1) % 3])
-        elif len(keys) == 2:
-            add_segment(keys[0], keys[1])
-        # a single key is an isolated touch point; keep the node, no segment
-    return nodes, segments
+    positions = np.empty((nodes.size, 2))
+    on_edge = nodes >= nv
+    positions[~on_edge] = mesh.vertices[nodes[~on_edge]]
+    i, j = table.edges[nodes[on_edge] - nv].T
+    t = field[i] / (field[i] - field[j])
+    positions[on_edge] = (mesh.vertices[i].astype(float)
+                          + t[:, None] * geometry.edge_vector(mesh, i, j))
+    return ZeroSetGraph(nodes=nodes, positions=positions, segments=segments)
 
 
 def nodal_graph_stats(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
     """Component count, cycle rank, and boundary-endpoint parity of the zero set."""
-    nodes, segments = nodal_graph(mesh, field, zero_tol)
-    keys = list(nodes)
-    index = {k: i for i, k in enumerate(keys)}
-    pairs = np.array([(index[ka], index[kb]) for ka, kb in segments],
-                     np.int64).reshape(-1, 2)
-    degree = np.bincount(pairs.ravel(), minlength=len(keys))
-    n_components, labels = geometry.label_components(len(keys), pairs[:, 0], pairs[:, 1])
-    cycle_rank = len(segments) - len(keys) + n_components
+    graph = nodal_graph(mesh, field, zero_tol)
+    n_nodes, n_segments = graph.nodes.size, len(graph.segments)
+    a, b = graph.segments.T
+    degree = np.bincount(graph.segments.ravel(), minlength=n_nodes)
+    n_components, labels = geometry.label_components(n_nodes, a, b)
+    cycle_rank = n_segments - n_nodes + n_components
 
-    bvert = np.zeros(mesh.n_vertices, bool)
-    bvert[np.unique(mesh.boundary_edges)] = True
-    bedge = {tuple(sorted(e)) for e in mesh.boundary_edges.tolist()}
-
-    def on_boundary(key):
-        if key[0] == "v":
-            return bool(bvert[key[1]])
-        return (key[1], key[2]) in bedge
-
-    per_component = {}
-    for i, key in enumerate(keys):
-        if degree[i] == 0:
-            continue  # isolated touch points carry no arc endpoints
-        if on_boundary(key):
-            per_component[int(labels[i])] = per_component.get(int(labels[i]), 0) + 1
-    counts = list(per_component.values())
+    on_boundary = np.zeros(mesh.n_vertices, bool)
+    on_boundary[mesh.boundary_edges.ravel()] = True
+    on_boundary = np.concatenate([on_boundary, mesh.edge_table.boundary])
+    # isolated touch points carry no arc endpoints
+    hit = labels[(degree > 0) & on_boundary[graph.nodes]]
+    _, first, counts = np.unique(hit, return_index=True, return_counts=True)
+    counts = counts[np.argsort(first)].tolist()
     return {
-        "n_nodes": len(keys),
-        "n_segments": len(segments),
+        "n_nodes": n_nodes,
+        "n_segments": n_segments,
         "n_components": n_components,
         "cycle_rank": int(cycle_rank),
         "boundary_endpoints_per_component": counts,
@@ -307,9 +306,9 @@ def nodal_svg(mesh, field, zero_tol=DEFAULT_ZERO_TOL, width=640):
         pb = pa + geometry.edge_vector(mesh, np.array([a]), np.array([b]))[0]
         out.append(f'<polyline points="{pt(pa)} {pt(pb)}" fill="none" '
                    f'stroke="{_TAG_COLORS.get(tag, "#000")}" stroke-width="2"/>')
-    nodes, segments = nodal_graph(mesh, field, zero_tol)
-    for ka, kb in sorted(segments):
-        out.append(f'<polyline points="{pt(nodes[ka])} {pt(nodes[kb])}" '
+    graph = nodal_graph(mesh, field, zero_tol)
+    for pa, pb in graph.positions[graph.segments]:
+        out.append(f'<polyline points="{pt(pa)} {pt(pb)}" '
                    f'fill="none" stroke="#000" stroke-width="1.2"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -73,6 +73,59 @@ def test_density_family_requires_domination():
         dfm.DensityFamily(mesh, 2.0, virtual_dim=2)
 
 
+def _unchunked_weight(family, eps):
+    """density_family_at's weight with the distance search done in one piece."""
+    mesh, n = family.mesh, family.virtual_dim
+    sel = mesh.boundary_tags == geometry.STEKLOV
+    edges = mesh.boundary_edges[sel]
+    factor = (family.rho_bar / mesh.edge_density[sel]) ** (1.0 / (n - 1))
+    pa = mesh.vertices[edges[:, 0]].astype(float)
+    pb = pa + geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
+    cen = geometry.triangle_coords(mesh).mean(axis=1)
+    dist = dfm._point_segment_distance(cen, pa, pb)
+    if mesh.period_x > 0:
+        for shift in (-mesh.period_x, mesh.period_x):
+            shifted = cen.copy()
+            shifted[:, 0] += shift
+            dist = np.minimum(dist, dfm._point_segment_distance(shifted, pa, pb))
+    nearest = np.argmin(dist, axis=1)
+    dmin = dist[np.arange(cen.shape[0]), nearest]
+    h = 1.0 + (factor[nearest] - 1.0) * np.clip(1.0 - dmin / eps, 0.0, 1.0)
+    return mesh.tri_weight * h ** (n - 2)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["disk", "periodic-strip"])
+def test_density_family_chunks_match_unchunked(periodic, monkeypatch):
+    if periodic:
+        mesh = geometry.make_strip_mesh(2 * math.pi, 0.5, 0.1, periodic=True)
+        sel = mesh.boundary_tags == geometry.STEKLOV
+        x = geometry.boundary_edge_midpoints(mesh)[sel, 0]
+        fam = dfm.DensityFamily(mesh, 1.0 + 0.5 * np.sin(x) ** 2, 4)
+    else:
+        mesh, _, fam = make_density_family()
+    n_edges = int(np.count_nonzero(mesh.boundary_tags == geometry.STEKLOV))
+    # eleven centroids per chunk, with a short last chunk
+    monkeypatch.setattr(dfm, "_CHUNK_BYTES", 16 * n_edges * 11)
+    assert mesh.n_triangles % 11
+    for eps in (0.5, 0.1):
+        got = dfm.density_family_at(fam, eps).tri_weight
+        assert np.array_equal(got, _unchunked_weight(fam, eps))
+
+
+def test_density_family_memory_bounded_on_fine_disk():
+    import tracemalloc
+    mesh = geometry.make_disk_mesh(1.0, 0.01)
+    fam = dfm.DensityFamily(mesh, 2.0, 3)
+    tracemalloc.start()
+    try:
+        dfm.density_family_at(fam, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unchunked (n_tri, n_edges, 2) temporary alone was 0.63 GB here
+    assert peak < 200e6
+
+
 def make_singular_family(target_h=0.1):
     mesh = geometry.make_disk_mesh(1.0, target_h)
     cen = geometry.triangle_coords(mesh).mean(axis=1)

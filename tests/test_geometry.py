@@ -1,3 +1,5 @@
+import dataclasses
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -127,3 +129,66 @@ def test_topology_invariants():
     assert geometry.ANNULUS_TOPOLOGY.boundary_components == 2
     with pytest.raises(geometry.ParameterError):
         geometry.SurfaceTopology(orientable=True, genus=-1)
+
+
+def test_mesh_hash_covers_every_field():
+    mesh = geometry.make_strip_mesh(2.0, 0.5, 0.25, periodic=True)
+    base = geometry.mesh_hash(mesh)
+    again = geometry.make_strip_mesh(2.0, 0.5, 0.25, periodic=True)
+    assert geometry.mesh_hash(again) == base
+    # the dtype of the index arrays does not matter, only their values
+    assert geometry.mesh_hash(replace(mesh, triangles=mesh.triangles.astype(np.int64))) == base
+
+    def changed(name, index, value):
+        arr = np.array(getattr(mesh, name))
+        arr[index] = value
+        return replace(mesh, **{name: arr})
+
+    swap = [int(np.argmax(mesh.boundary_tags == STEKLOV)),
+            int(np.argmax(mesh.boundary_tags == NEUMANN))]
+    variants = [
+        changed("vertices", (3, 1), mesh.vertices[3, 1] + 1e-12),
+        changed("triangles", (0, slice(None)), mesh.triangles[0, [1, 2, 0]]),
+        changed("boundary_edges", (0, slice(None)), mesh.boundary_edges[0, ::-1]),
+        changed("boundary_tags", 2, DIRICHLET),
+        # the same tags on other edges
+        changed("boundary_tags", swap, mesh.boundary_tags[swap[::-1]]),
+        changed("edge_density", 1, 1.5),
+        changed("tri_weight", 4, 2.0),
+        replace(mesh, period_x=2.5),
+    ]
+    hashes = {geometry.mesh_hash(m) for m in variants}
+    assert len(hashes) == len(variants)
+    assert base not in hashes
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: geometry.make_disk_mesh(1.0, 0.2),
+    lambda: geometry.make_annulus_mesh(0.5, 1.0, 0.2),
+    lambda: geometry.make_strip_mesh(2.0, 0.5, 0.25, periodic=True),
+], ids=["disk", "annulus", "periodic-strip"])
+def test_edge_table_matches_sorted_incidence(make_mesh):
+    mesh = make_mesh()
+    table = mesh.edge_table
+    assert mesh.edge_table is table  # built once per mesh
+    assert "edge_table" not in {f.name for f in dataclasses.fields(mesh)}
+    tris = mesh.triangles
+    local = np.stack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=1)
+    assert np.array_equal(table.edges[table.tri_edges], np.sort(local, axis=2))
+    assert np.array_equal(table.edges, np.unique(np.sort(local.reshape(-1, 2), axis=1), axis=0))
+    declared = {tuple(e) for e in np.sort(mesh.boundary_edges, axis=1).tolist()}
+    assert {tuple(e) for e in table.edges[table.boundary].tolist()} == declared
+    # the interior pairs in the order of a stable lexicographic sort of all
+    # (local edge, triangle) incidences
+    e = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    owner = np.tile(np.arange(mesh.n_triangles), 3)
+    order = np.lexsort((e[:, 1], e[:, 0]))
+    e, owner = e[order], owner[order]
+    idx = np.nonzero(np.all(e[1:] == e[:-1], axis=1))[0]
+    edges, tri_a, tri_b = geometry.interior_edges_with_triangles(mesh)
+    assert np.array_equal(edges, e[idx])
+    assert np.array_equal(tri_a, owner[idx])
+    assert np.array_equal(tri_b, owner[idx + 1])
+    assert np.array_equal(geometry.edge_ids(mesh, edges[:, ::-1]), table.interior)
+    with pytest.raises(geometry.MeshError):
+        geometry.edge_ids(mesh, [[tris[0, 0], tris[0, 0]]])

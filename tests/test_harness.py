@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from steklov_lab import cli, geometry, harness
+from steklov_lab import cli, fem, geometry, harness
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -81,6 +81,38 @@ def test_mixed_disk_audit_point():
     assert all(pt["touch_ok"] for pt in report.points)
 
 
+@pytest.mark.parametrize("kind", ["nodal-audit", "multiplicity-audit"])
+def test_audit_records_point_error(kind, monkeypatch):
+    cfg = harness.ExperimentConfig(
+        kind=kind, name="err", seed=5,
+        params={"domains": ["disk", "annulus"], "target_h": 0.15, "runs": 3,
+                "k_max": 3, "n_rotations": 2})
+    clean = harness.run(cfg, jobs=1)
+    solve = fem.steklov_spectrum
+    calls = []
+
+    def failing_on_second_run(mesh, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise fem.FactorizationError("interior block factorization failed: test")
+        return solve(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "steklov_spectrum", failing_on_second_run)
+    report = harness.run(cfg, jobs=1)
+    assert not report.passed
+    assert report.points[1] == {"run": 1, "seed": 1005, "domain": "annulus",
+                                "error": "FactorizationError",
+                                "message": "interior block factorization failed: test"}
+    assert report.points[0] == clean.points[0]
+    assert report.points[2] == clean.points[2]
+    assert clean.passed
+    assert [c["name"] for c in report.checks] == [c["name"] for c in clean.checks]
+    for check in report.checks:
+        assert not check["passed"]
+        assert check["observed"] == "2/3 runs"
+        assert check["required"] == "failures: [1]"
+
+
 def test_domains_list_alternates():
     cfg = harness.ExperimentConfig(
         kind="multiplicity-audit", name="alt", seed=2,
@@ -149,6 +181,18 @@ def test_cli_rejects_flags_it_does_not_read(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--mesh", "d.msh", "--tol", "0"],
+    ["prescribe", "--targets", "1,2", "--tol", "-1"],
+    ["spectrum", "--mesh", "d.msh", "--tol", "nan"],
+])
+def test_cli_rejects_nonpositive_tol(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "argument --tol: must be a positive number" in capsys.readouterr().err
 
 
 def test_cli_prescribe_thicken_roundtrip(tmp_path, capsys):

@@ -1,0 +1,175 @@
+"""The zero-set graph against a tuple-keyed oracle.
+
+The oracle walks the triangles one by one and keys nodes as ("v", i) for a
+dead-zone vertex and ("e", i, j) for a sign-changing edge, in dicts and sets.
+It is slow and obviously correct; the array version must report exactly the
+same statistics, in the same order, and draw the same segments.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from steklov_lab import fem, geometry, graphs, nodal, thickening
+from steklov_lab.geometry import NEUMANN, STEKLOV
+
+
+def oracle_graph(mesh, field, zero_tol):
+    signs = nodal.vertex_signs(field, zero_tol)
+    field = np.asarray(field, float)
+    nodes = {}
+    segments = set()
+
+    def add_node(key):
+        if key not in nodes:
+            if key[0] == "v":
+                nodes[key] = mesh.vertices[key[1]].astype(float)
+            else:
+                _, i, j = key
+                t = field[i] / (field[i] - field[j])
+                d = geometry.edge_vector(mesh, np.array([i]), np.array([j]))[0]
+                nodes[key] = mesh.vertices[i].astype(float) + t * d
+        return key
+
+    for tri in mesh.triangles:
+        s = signs[tri]
+        zero = [int(v) for v, sv in zip(tri, s) if sv == 0]
+        cross = [(int(tri[i]), int(tri[j])) for i, j in ((0, 1), (1, 2), (2, 0))
+                 if s[i] * s[j] == -1]
+        keys = [add_node(("v", v)) for v in zero]
+        keys += [add_node(("e", min(a, b), max(a, b))) for a, b in cross]
+        if len(zero) == 3:
+            for i in range(3):
+                segments.add(tuple(sorted((keys[i], keys[(i + 1) % 3]))))
+        elif len(keys) == 2:
+            segments.add(tuple(sorted(keys)))
+    return nodes, segments
+
+
+def oracle_stats(mesh, field, zero_tol):
+    nodes, segments = oracle_graph(mesh, field, zero_tol)
+    keys = list(nodes)
+    index = {k: i for i, k in enumerate(keys)}
+    pairs = np.array([(index[a], index[b]) for a, b in segments], np.int64).reshape(-1, 2)
+    degree = np.bincount(pairs.ravel(), minlength=len(keys))
+    n_components, labels = geometry.label_components(len(keys), pairs[:, 0], pairs[:, 1])
+    bvert = set(mesh.boundary_edges.ravel().tolist())
+    bedge = {tuple(sorted(e)) for e in mesh.boundary_edges.tolist()}
+    per_component = {}
+    for i, key in enumerate(keys):
+        on_boundary = key[1] in bvert if key[0] == "v" else key[1:] in bedge
+        if degree[i] > 0 and on_boundary:
+            per_component[int(labels[i])] = per_component.get(int(labels[i]), 0) + 1
+    counts = list(per_component.values())
+    return {
+        "n_nodes": len(keys),
+        "n_segments": len(segments),
+        "n_components": n_components,
+        "cycle_rank": len(segments) - len(keys) + n_components,
+        "boundary_endpoints_per_component": counts,
+        "all_even": all(c % 2 == 0 for c in counts),
+    }
+
+
+def _node_id(mesh, key):
+    if key[0] == "v":
+        return key[1]
+    return mesh.n_vertices + int(geometry.edge_ids(mesh, [key[1:]])[0])
+
+
+def _svg_segments(text):
+    found = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="#000"', text)
+    return [frozenset(p.split()) for p in found]
+
+
+def _svg_point(mesh, width=640):
+    """The point formatter of nodal.nodal_svg, for drawing oracle segments."""
+    coords = geometry.triangle_coords(mesh).reshape(-1, 2)
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    span = np.maximum(hi - lo, 1e-12)
+    pad = 0.05 * span.max()
+    scale = width / (span[0] + 2 * pad)
+    height = (span[1] + 2 * pad) * scale
+    return lambda p: (f"{(p[0] - lo[0] + pad) * scale:.2f},"
+                      f"{height - (p[1] - lo[1] + pad) * scale:.2f}")
+
+
+def _mixed_disk():
+    cut = 0.3 + 1.2 * math.pi
+    arcs = [((0.3, cut), STEKLOV), ((cut, 0.3 + 2 * math.pi), NEUMANN)]
+    return geometry.tag_boundary(geometry.make_disk_mesh(1.0, 0.12), arcs,
+                                 by="angle", center=(0.0, 0.0))
+
+
+def _welded_five_cycle():
+    cycle = np.array([[i, (i + 1) % 5] for i in range(5)])
+    g = graphs.MetricGraph(5, cycle, np.array([1.0, 0.9, 1.1, 1.0, 1.0]))
+    emb = thickening.embed_graph(g, "convex-boundary", 2.0)
+    mesh, _ = thickening.build_thickened_mesh(emb, 0.05, 2.0, target_h=0.025)
+    return mesh
+
+
+MESHES = {
+    "disk": lambda: geometry.make_disk_mesh(1.0, 0.12),
+    "annulus": lambda: geometry.make_annulus_mesh(0.5, 1.0, 0.12),
+    "mixed-disk": _mixed_disk,
+    "periodic-strip": lambda: geometry.make_strip_mesh(2 * math.pi, 0.5, 0.15, periodic=True),
+    "five-cycle": _welded_five_cycle,
+}
+
+
+def _fields(mesh):
+    res = fem.steklov_spectrum(mesh, 7)
+    rng = np.random.default_rng(11)
+    fields = list(res.extensions)
+    for a, b in res.clusters:
+        if b - a > 1:  # random rotations inside a multiple eigenvalue
+            for _ in range(5):
+                coef = rng.normal(size=b - a)
+                fields.append(coef / np.linalg.norm(coef) @ res.extensions[a:b])
+    # a few levels only: whole triangles fall in the dead zone
+    for f in list(fields[:4]):
+        fields.append(np.round(3.0 * f / np.abs(f).max()))
+    # isolated touch points, one on the boundary and one inside
+    touch = np.ones(mesh.n_vertices)
+    touch[mesh.boundary_edges[0, 0]] = 0.0
+    touch[np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_edges)[0]] = 0.0
+    fields.append(touch)
+    # a cross of two lines and a separate chord: components with 4 and 2
+    # boundary endpoints, whose order in the report matters
+    x, y = (mesh.vertices - mesh.vertices.mean(axis=0)).T
+    for th in (0.0, math.pi / 4):
+        u = x * math.cos(th) + y * math.sin(th)
+        v = y * math.cos(th) - x * math.sin(th)
+        for q in range(4):
+            w = x * math.cos(th + (q + 0.5) * math.pi / 2) + y * math.sin(th + (q + 0.5) * math.pi / 2)
+            fields.append(u * v * (w - 0.85 * np.abs(w).max()))
+    return fields
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_zero_set_graph_matches_oracle(name):
+    mesh = MESHES[name]()
+    fields = _fields(mesh)
+    dead_triangles = 0
+    for field in fields:
+        zero_tol = nodal.DEFAULT_ZERO_TOL
+        signs = nodal.vertex_signs(field, zero_tol)
+        dead_triangles += int(np.all(signs[mesh.triangles] == 0, axis=1).sum())
+        nodes, segments = oracle_graph(mesh, field, zero_tol)
+        graph = nodal.nodal_graph(mesh, field, zero_tol)
+        assert graph.nodes.tolist() == [_node_id(mesh, k) for k in nodes]
+        assert np.array_equal(graph.positions, np.array(list(nodes.values())).reshape(-1, 2))
+        got = {frozenset(p) for p in graph.nodes[graph.segments].tolist()}
+        assert len(got) == len(graph.segments)
+        assert got == {frozenset(_node_id(mesh, k) for k in s) for s in segments}
+
+        assert nodal.nodal_graph_stats(mesh, field, zero_tol) == oracle_stats(mesh, field, zero_tol)
+
+        drawn = _svg_segments(nodal.nodal_svg(mesh, field, zero_tol))
+        pt = _svg_point(mesh)
+        assert len(drawn) == len(segments)
+        assert set(drawn) == {frozenset((pt(nodes[a]), pt(nodes[b]))) for a, b in segments}
+    assert dead_triangles > 0
