@@ -13,7 +13,8 @@ exponents n-2 (energy weight) and n-1 (boundary norm weight):
   sqrt(lambda)*tanh(eta*sqrt(lambda)) over the boundary Laplacian spectrum.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -64,6 +65,37 @@ class DensityFamily:
         if np.any(rho_bar < rho - 1e-14 * np.abs(rho)):
             raise FamilyError("target density must dominate the base density edge-wise")
 
+    @cached_property
+    def steklov_distance(self):
+        """(nearest steklov edge, distance to it) per triangle centroid.
+
+        The search does not depend on eps, so it runs once per family.  It
+        takes a chunk of centroids at a time against the (locally unwrapped)
+        steklov segments, so the temporaries stay small.
+        """
+        mesh = self.mesh
+        edges = mesh.boundary_edges[_steklov_edge_mask(mesh)]
+        pa = mesh.vertices[edges[:, 0]].astype(float)
+        pb = pa + geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
+        cen = geometry.triangle_coords(mesh).mean(axis=1)
+        nearest = np.empty(cen.shape[0], np.int64)
+        dmin = np.empty(cen.shape[0])
+        rows = max(1, _CHUNK_BYTES // (16 * len(edges)))
+        for lo in range(0, cen.shape[0], rows):
+            chunk = cen[lo:lo + rows]
+            dist = _point_segment_distance(chunk, pa, pb)
+            if mesh.period_x > 0:
+                for shift in (-mesh.period_x, mesh.period_x):
+                    shifted = chunk.copy()
+                    shifted[:, 0] += shift
+                    dist = np.minimum(dist, _point_segment_distance(shifted, pa, pb))
+            k = np.argmin(dist, axis=1)
+            nearest[lo:lo + rows] = k
+            dmin[lo:lo + rows] = dist[np.arange(chunk.shape[0]), k]
+        for arr in (nearest, dmin):
+            arr.flags.writeable = False
+        return nearest, dmin
+
 
 def density_family_at(family, eps):
     """Deformed mesh: energy weight h^(n-2), boundary density = target density.
@@ -78,36 +110,14 @@ def density_family_at(family, eps):
     mesh = family.mesh
     n = family.virtual_dim
     sel = _steklov_edge_mask(mesh)
-    edges = mesh.boundary_edges[sel]
-    rho = mesh.edge_density[sel]
-    factor_edge = (family.rho_bar / rho) ** (1.0 / (n - 1))
-
-    pa = mesh.vertices[edges[:, 0]].astype(float)
-    d = geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
-    pb = pa + d
-    # triangle centroids against the (locally unwrapped) steklov segments, a
-    # chunk of centroids at a time so the temporaries stay small
-    cen = geometry.triangle_coords(mesh).mean(axis=1)
-    nearest = np.empty(cen.shape[0], np.int64)
-    dmin = np.empty(cen.shape[0])
-    rows = max(1, _CHUNK_BYTES // (16 * len(edges)))
-    for lo in range(0, cen.shape[0], rows):
-        chunk = cen[lo:lo + rows]
-        dist = _point_segment_distance(chunk, pa, pb)
-        if mesh.period_x > 0:
-            for shift in (-mesh.period_x, mesh.period_x):
-                shifted = chunk.copy()
-                shifted[:, 0] += shift
-                dist = np.minimum(dist, _point_segment_distance(shifted, pa, pb))
-        k = np.argmin(dist, axis=1)
-        nearest[lo:lo + rows] = k
-        dmin[lo:lo + rows] = dist[np.arange(chunk.shape[0]), k]
+    factor_edge = (family.rho_bar / mesh.edge_density[sel]) ** (1.0 / (n - 1))
+    nearest, dmin = family.steklov_distance
     h = 1.0 + (factor_edge[nearest] - 1.0) * np.clip(1.0 - dmin / eps, 0.0, 1.0)
 
     new_weight = mesh.tri_weight * h ** (n - 2)
     new_density = np.array(mesh.edge_density, float)
     new_density[sel] = family.rho_bar
-    return replace(mesh, tri_weight=new_weight, edge_density=new_density)
+    return geometry.replace_mesh(mesh, tri_weight=new_weight, edge_density=new_density)
 
 
 @dataclass(frozen=True)
@@ -149,7 +159,7 @@ def singular_family_at(family, eta):
     on_u = family.steklov_edges_in_subdomain()
     density = np.array(mesh.edge_density, float)
     density[sel] = np.where(on_u, density[sel], density[sel] * eta ** (n - 1))
-    return replace(mesh, tri_weight=weight, edge_density=density)
+    return geometry.replace_mesh(mesh, tri_weight=weight, edge_density=density)
 
 
 def subdomain_limit_mesh(family):

@@ -1,10 +1,14 @@
 """P1 finite elements for the Steklov / Steklov-Neumann / Steklov-Dirichlet
-eigenproblems via a Dirichlet-to-Neumann reduction.
+eigenproblems.
 
-The Dirichlet energy is assembled over all vertices, reduced to the steklov
-boundary by a Schur complement (interior and neumann vertices eliminated,
-dirichlet vertices pinned to zero), and the resulting dense symmetric pencil
-(Lambda, B) is solved with a generalized symmetric-definite eigensolver.
+The Dirichlet energy K is assembled over all vertices and the steklov
+boundary mass M_Gamma is lifted onto them.  Dirichlet vertices are pinned to
+zero by removing them; the pencil (K_f, M_Gamma) over the remaining free
+vertices is solved by ARPACK in shift-invert mode with one sparse
+factorization of K_f - SHIFT * M_Gamma.  M_Gamma is only semidefinite, which
+shift-invert mode accepts: every Krylov vector lies in the range of
+(K_f - SHIFT * M_Gamma)^-1 M_Gamma, so the eigenvectors are the discrete
+harmonic extensions of their steklov traces.
 """
 
 from dataclasses import dataclass
@@ -12,10 +16,9 @@ import hashlib
 import json
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from . import geometry
 from .geometry import DIRICHLET, NEUMANN, STEKLOV, Mesh2D  # noqa: F401
@@ -99,30 +102,6 @@ def assemble_boundary_mass(mesh, tag=STEKLOV):
     return BoundaryMass(matrix=M.tocsr(), vertices=verts)
 
 
-@dataclass(frozen=True)
-class DtNMatrix:
-    """Discrete Dirichlet-to-Neumann operator on the steklov vertices."""
-
-    matrix: np.ndarray          # (ns, ns) dense symmetric PSD
-    steklov_vertices: np.ndarray
-    interior_vertices: np.ndarray
-    dirichlet_vertices: np.ndarray
-    _interior_solve: object     # factorization of K_ii, or None
-    _k_ib: object               # K_ib block (sparse), or None
-
-    def extend(self, boundary_values, n_vertices):
-        """Full vertex field of the energy-minimizing extension."""
-        boundary_values = np.asarray(boundary_values, float)
-        single = boundary_values.ndim == 1
-        vals = np.atleast_2d(boundary_values)
-        field = np.zeros((vals.shape[0], n_vertices))
-        field[:, self.steklov_vertices] = vals
-        if self.interior_vertices.size:
-            rhs = -(self._k_ib @ vals.T)
-            field[:, self.interior_vertices] = self._interior_solve(rhs).T
-        return field[0] if single else field
-
-
 def _check_connectivity(K, steklov_vertices, dirichlet_vertices):
     n = K.shape[0]
     keep = np.ones(n, bool)
@@ -146,44 +125,28 @@ def _check_connectivity(K, steklov_vertices, dirichlet_vertices):
             "its pure-neumann block is singular")
 
 
-def dtn_matrix(K, steklov_vertices, dirichlet_vertices=()):
-    """Schur-complement reduction of the stiffness matrix to the steklov set."""
-    steklov_vertices = np.asarray(steklov_vertices, np.int64)
-    dirichlet_vertices = np.asarray(dirichlet_vertices, np.int64)
-    if np.intersect1d(steklov_vertices, dirichlet_vertices).size:
-        raise ValueError("steklov and dirichlet vertex sets must be disjoint")
-    n = K.shape[0]
-    _check_connectivity(K, steklov_vertices, dirichlet_vertices)
-    interior = np.setdiff1d(np.arange(n), np.concatenate([steklov_vertices, dirichlet_vertices]))
-    K = K.tocsr()
-    K_bb = K[steklov_vertices][:, steklov_vertices].toarray()
-    if interior.size == 0:
-        return DtNMatrix(K_bb, steklov_vertices, interior, dirichlet_vertices, None, None)
-    K_ii = K[interior][:, interior].tocsc()
-    K_ib = K[interior][:, steklov_vertices].tocsc()
+def _factor(A):
+    """Sparse LU of a symmetric positive definite matrix with a symmetric
+    fill-reducing ordering and pivots kept on the diagonal."""
     try:
-        lu = splu(K_ii)
+        return splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                    options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise FactorizationError(f"interior block factorization failed: {exc}") from exc
-    X = lu.solve(K_ib.toarray())
-    lam = K_bb - K_ib.T @ X
-    solve = lu.solve
-    return DtNMatrix(lam, steklov_vertices, interior, dirichlet_vertices, solve, K_ib)
+        raise FactorizationError(f"factorization failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Eigenpairs of the boundary pencil (Lambda, B) plus interior extensions."""
+    """Eigenpairs of the pencil (K_f, M_Gamma); the eigenvectors are harmonic
+    extensions of their steklov traces."""
 
     eigenvalues: np.ndarray       # (n_eigs,) ascending
-    boundary_vectors: np.ndarray  # (ns, n_eigs), B-orthonormal columns
-    extensions: np.ndarray        # (n_eigs, nv) harmonic interior extensions
+    boundary_vectors: np.ndarray  # (ns, n_eigs), M_Gamma-orthonormal columns
+    extensions: np.ndarray        # (n_eigs, nv) eigenvectors over all vertices
     clusters: list                # list of (start, stop) index ranges, stop exclusive
     cluster_rel_tol: float
     steklov_vertices: np.ndarray
     problem: dict
-    dtn: np.ndarray               # dense DtN matrix (for residual checks)
-    boundary_mass: np.ndarray     # dense boundary mass (for residual checks)
 
 
 def multiplicity_clusters(eigenvalues, rel_tol):
@@ -208,52 +171,80 @@ def default_cluster_rel_tol(mesh):
     return max(1e-3, 2.0 * geometry.max_edge_length(mesh) ** 2)
 
 
+# shift of the pencil: every eigenvalue is >= 0, so K_f - SHIFT * M_Gamma is
+# positive definite once each component is anchored to the steklov or
+# dirichlet boundary
+SHIFT = -0.1
+
+
 def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
     """Solve the (mixed) Steklov eigenproblem on a tagged mesh."""
     if cluster_rel_tol is None:
         cluster_rel_tol = default_cluster_rel_tol(mesh)
     B = assemble_boundary_mass(mesh, STEKLOV)
     sk = B.vertices
-    if n_eigs > sk.size:
-        raise ValueError(f"n_eigs={n_eigs} exceeds the {sk.size} steklov vertices")
+    ns = sk.size
+    if n_eigs >= ns:
+        raise ValueError(f"n_eigs={n_eigs} must be below the {ns} steklov vertices")
     K = assemble_stiffness(mesh)
-    dirichlet = geometry.tagged_vertices(mesh, DIRICHLET)
-    dirichlet = np.setdiff1d(dirichlet, sk)
-    dtn = dtn_matrix(K, sk, dirichlet)
-    lam = 0.5 * (dtn.matrix + dtn.matrix.T)
-    B_dense = B.matrix.toarray()
-    w, v = sla.eigh(lam, B_dense)
-    w = w[:n_eigs]
-    v = v[:, :n_eigs]
-    extensions = dtn.extend(v.T, mesh.n_vertices)
+    dirichlet = np.setdiff1d(geometry.tagged_vertices(mesh, DIRICHLET), sk)
+    _check_connectivity(K, sk, dirichlet)
+    free = np.setdiff1d(np.arange(mesh.n_vertices), dirichlet)
+    K_f = K[free][:, free]
+    lift = sp.csr_matrix((np.ones(ns), (np.searchsorted(free, sk), np.arange(ns))),
+                         shape=(free.size, ns))
+    M = (lift @ B.matrix @ lift.T).tocsr()
+    lu = _factor(K_f - SHIFT * M)
+    # two pairs beyond n_eigs so the last wanted one converges like the
+    # others; M has rank ns, and a Krylov space wider than ns breaks down
+    k = min(n_eigs + 2, ns - 1)
+    # a seeded random start: the constant vector is an exact eigenvector of a
+    # pure steklov problem and would end the Krylov space at once.  The same
+    # generator serves any restart vector ARPACK asks for.
+    rng = np.random.default_rng(0)
+    w, x = eigsh(K_f, k=k, M=M, sigma=SHIFT, which="LM",
+                 OPinv=LinearOperator(K_f.shape, matvec=lu.solve, dtype=float),
+                 ncv=min(ns, max(2 * k + 1, 20)), tol=1e-10,
+                 v0=rng.standard_normal(free.size), rng=rng)
+    order = np.argsort(w, kind="stable")[:n_eigs]
+    w = w[order]
+    x = x[:, order]
+    x /= np.sqrt(np.einsum("ij,ij->j", x, M @ x))
+    extensions = np.zeros((n_eigs, mesh.n_vertices))
+    extensions[:, free] = x.T
     clusters = multiplicity_clusters(w, cluster_rel_tol)
     problem = {
         "n_eigs": int(n_eigs),
         "n_vertices": int(mesh.n_vertices),
-        "n_steklov_vertices": int(sk.size),
+        "n_steklov_vertices": int(ns),
         "has_dirichlet": bool(dirichlet.size),
         "mesh_hash": geometry.mesh_hash(mesh),
     }
     return SpectralResult(
         eigenvalues=w,
-        boundary_vectors=v,
+        boundary_vectors=extensions[:, sk].T.copy(),
         extensions=extensions,
         clusters=clusters,
         cluster_rel_tol=float(cluster_rel_tol),
         steklov_vertices=sk,
         problem=problem,
-        dtn=dtn.matrix,
-        boundary_mass=B_dense,
     )
 
 
 def harmonic_extension(mesh, boundary_values):
     """Energy-minimizing extension of steklov-boundary values (neumann natural)."""
-    B = assemble_boundary_mass(mesh, STEKLOV)
+    sk = assemble_boundary_mass(mesh, STEKLOV).vertices
     K = assemble_stiffness(mesh)
-    dirichlet = np.setdiff1d(geometry.tagged_vertices(mesh, DIRICHLET), B.vertices)
-    dtn = dtn_matrix(K, B.vertices, dirichlet)
-    return dtn.extend(np.asarray(boundary_values, float), mesh.n_vertices)
+    dirichlet = np.setdiff1d(geometry.tagged_vertices(mesh, DIRICHLET), sk)
+    _check_connectivity(K, sk, dirichlet)
+    interior = np.setdiff1d(np.arange(mesh.n_vertices), np.concatenate([sk, dirichlet]))
+    values = np.asarray(boundary_values, float)
+    field = np.zeros((np.atleast_2d(values).shape[0], mesh.n_vertices))
+    field[:, sk] = values
+    if interior.size:
+        rhs = -(K[interior][:, sk] @ field[:, sk].T)
+        field[:, interior] = _factor(K[interior][:, interior]).solve(rhs).T
+    return field[0] if values.ndim == 1 else field
 
 
 def rayleigh_quotient(mesh, field):

@@ -244,7 +244,13 @@ def label_components(n, a, b):
     Returns (n_components, labels).  Components are numbered in order of their
     lowest vertex, so the first vertex carrying label k is that minimum.
     """
-    adj = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    a = np.asarray(a, np.int64)
+    # CSR rows straight from a counting sort of the edge tails; going
+    # through COO costs more than the search on graphs of a few hundred nodes
+    indptr = np.zeros(n + 1, np.int32)
+    np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
+    indices = np.asarray(b, np.int32)[np.argsort(a, kind="stable")]
+    adj = sp.csr_matrix((np.ones(a.size), indices, indptr), shape=(n, n))
     return connected_components(adj, directed=False)
 
 
@@ -438,7 +444,7 @@ def make_strip_mesh(length_l, width_w, target_h, periodic,
     tags[bottom] = bottom_tag
     tags[top] = top_tag
     tags[~(bottom | top)] = side_tag
-    mesh = replace(mesh, boundary_tags=tags)
+    mesh = replace_mesh(mesh, boundary_tags=tags)
     return validate_mesh(mesh)
 
 
@@ -490,7 +496,7 @@ def tag_boundary(mesh, arcs, by="angle", center=None):
         tags[inside] = tag
     if not np.any(tags == STEKLOV):
         raise TaggingError("tagging removed the whole steklov boundary")
-    return validate_mesh(replace(mesh, boundary_tags=tags))
+    return validate_mesh(replace_mesh(mesh, boundary_tags=tags))
 
 
 def refine(mesh):
@@ -566,19 +572,30 @@ def extract_submesh(mesh, tri_mask, interface_tag=NEUMANN):
     return validate_mesh(out)
 
 
+def replace_mesh(mesh, **changes):
+    """dataclasses.replace for a Mesh2D that keeps the cached edge table when
+    the triangles and the vertex count are unchanged."""
+    out = replace(mesh, **changes)
+    table = mesh.__dict__.get("edge_table")
+    if (table is not None and out.n_vertices == mesh.n_vertices
+            and np.array_equal(out.triangles, mesh.triangles)):
+        out.__dict__["edge_table"] = table
+    return out
+
+
 def scale_mesh(mesh, factor):
-    return replace(mesh, vertices=mesh.vertices * factor,
-                   period_x=mesh.period_x * factor)
+    return replace_mesh(mesh, vertices=mesh.vertices * factor,
+                        period_x=mesh.period_x * factor)
 
 
 def with_edge_density(mesh, density):
     density = np.broadcast_to(np.asarray(density, float), mesh.boundary_tags.shape).copy()
-    return replace(mesh, edge_density=density)
+    return replace_mesh(mesh, edge_density=density)
 
 
 def with_tri_weight(mesh, weight):
     weight = np.broadcast_to(np.asarray(weight, float), mesh.tri_weight.shape).copy()
-    return replace(mesh, tri_weight=weight)
+    return replace_mesh(mesh, tri_weight=weight)
 
 
 # ---------------------------------------------------------------------------

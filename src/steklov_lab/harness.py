@@ -8,7 +8,7 @@ environment stamp and wall-clock are excluded from the hash).
 """
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 import csv
 import hashlib
 import json
@@ -142,7 +142,7 @@ def _apply_random_density(mesh, rng):
     rho, coeffs = random_boundary_density(angles, rng)
     dens = np.array(mesh.edge_density, float)
     dens[sel] = rho
-    return replace(mesh, edge_density=dens), coeffs
+    return geometry.replace_mesh(mesh, edge_density=dens), coeffs
 
 
 def _make_domain(params, rng=None):
@@ -259,7 +259,7 @@ def _run_density_sweep(config):
     fam = deformations.DensityFamily(mesh, rho_bar, n_dim)
     dens = np.array(mesh.edge_density, float)
     dens[sel] = rho_bar
-    limit = fem.steklov_spectrum(replace(mesh, edge_density=dens), n_eigs)
+    limit = fem.steklov_spectrum(geometry.replace_mesh(mesh, edge_density=dens), n_eigs)
     points = []
     errs = []
     for j in range(1, int(p.get("j_max", 7)) + 1):

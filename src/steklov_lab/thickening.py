@@ -9,7 +9,7 @@ the circle.  As eps -> 0 the first |V| eigenvalues converge to (1/c) times
 the graph Laplacian spectrum and a gap opens above them.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -390,7 +390,7 @@ def build_thickened_mesh(embedding, eps, c=2.0, target_h=None,
         t = np.clip(((mids - e_minus) @ d) / (d @ d), 0.0, 1.0)
         dist = np.linalg.norm(mids - (e_minus + t[:, None] * d[None, :]), axis=1)
         tags[dist < 10 * _WELD_TOL] = STEKLOV
-    mesh = geometry.validate_mesh(replace(mesh, boundary_tags=tags))
+    mesh = geometry.validate_mesh(geometry.replace_mesh(mesh, boundary_tags=tags))
     expected = 2.0 * c * eps * g.n_vertices
     got = geometry.boundary_length(mesh, STEKLOV)
     if abs(got - expected) > 1e-6 * expected:

@@ -112,6 +112,26 @@ def test_density_family_chunks_match_unchunked(periodic, monkeypatch):
         assert np.array_equal(got, _unchunked_weight(fam, eps))
 
 
+def test_density_family_searches_distances_once(monkeypatch):
+    mesh, _, fam = make_density_family()
+    calls = []
+    search = dfm._point_segment_distance
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(dfm, "_point_segment_distance", counted)
+    first = dfm.density_family_at(fam, 0.5)
+    assert calls
+    n_first = len(calls)
+    second = dfm.density_family_at(fam, 0.1)
+    assert len(calls) == n_first
+    assert np.array_equal(first.tri_weight, _unchunked_weight(fam, 0.5))
+    assert np.array_equal(second.tri_weight, _unchunked_weight(fam, 0.1))
+    assert second.edge_table is mesh.edge_table
+
+
 def test_density_family_memory_bounded_on_fine_disk():
     import tracemalloc
     mesh = geometry.make_disk_mesh(1.0, 0.01)

@@ -50,15 +50,17 @@ def test_disk_spectrum_oracle():
 def test_eigenpairs_satisfy_pencil():
     mesh = geometry.make_disk_mesh(1.0, 0.1)
     res = fem.steklov_spectrum(mesh, 5)
-    lam = res.dtn
-    B = res.boundary_mass
-    V = res.boundary_vectors
-    # B-orthonormal columns and small pencil residual
-    assert np.allclose(V.T @ B @ V, np.eye(5), atol=1e-10)
-    resid = lam @ V - B @ V @ np.diag(res.eigenvalues)
+    K = fem.assemble_stiffness(mesh)
+    B = fem.assemble_boundary_mass(mesh)
+    X = res.extensions.T
+    MX = np.zeros_like(X)
+    MX[B.vertices] = B.matrix @ X[B.vertices]
+    # M_Gamma-orthonormal columns and small residual on every vertex: the
+    # interior rows say the eigenvectors are harmonic, the boundary rows that
+    # their normal derivative is sigma times their trace
+    assert np.allclose(X.T @ MX, np.eye(5), atol=1e-10)
+    resid = K @ X - MX * res.eigenvalues
     assert np.max(np.abs(resid)) < 1e-10
-    # DtN is symmetric PSD up to roundoff
-    assert np.max(np.abs(lam - lam.T)) < 1e-10
 
 
 def test_extension_consistency_and_rayleigh():
@@ -113,9 +115,13 @@ def test_disconnected_component_raises():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                       [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
     tris = np.array([[0, 1, 2], [3, 4, 5]], np.int32)
-    K = fem.assemble_stiffness(geometry.build_mesh(verts, tris))
+    mesh = geometry.build_mesh(verts, tris)
+    tags = np.where(mesh.boundary_edges.min(axis=1) >= 3, NEUMANN, STEKLOV).astype(object)
+    mesh = geometry.replace_mesh(mesh, boundary_tags=tags)
     with pytest.raises(fem.FactorizationError):
-        fem.dtn_matrix(K, np.array([0, 1, 2]))
+        fem.steklov_spectrum(mesh, 2)
+    with pytest.raises(fem.FactorizationError):
+        fem.harmonic_extension(mesh, np.zeros(3))
 
 
 def test_degenerate_triangle_raises():

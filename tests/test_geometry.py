@@ -192,3 +192,18 @@ def test_edge_table_matches_sorted_incidence(make_mesh):
     assert np.array_equal(geometry.edge_ids(mesh, edges[:, ::-1]), table.interior)
     with pytest.raises(geometry.MeshError):
         geometry.edge_ids(mesh, [[tris[0, 0], tris[0, 0]]])
+
+
+def test_replace_mesh_keeps_edge_table_for_same_triangles():
+    mesh = geometry.make_disk_mesh(1.0, 0.2)
+    table = mesh.edge_table
+    dens = geometry.replace_mesh(mesh, edge_density=2.0 * mesh.edge_density)
+    assert dens.edge_table is table
+    tagged = geometry.tag_boundary(mesh, [((0.0, 1.0), geometry.NEUMANN)],
+                                   by="angle", center=(0.0, 0.0))
+    assert tagged.edge_table is table
+    flipped = mesh.triangles[:, [1, 2, 0]]
+    rolled = geometry.replace_mesh(mesh, triangles=flipped)
+    assert rolled.edge_table is not table
+    assert np.array_equal(rolled.edge_table.tri_edges,
+                          geometry._edge_table(flipped, mesh.n_vertices).tri_edges)

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +60,29 @@ def test_report_hash_deterministic_and_env_independent():
     r2 = harness.run(small_config())
     assert r1.report_hash() == r2.report_hash()
     assert r1.wallclock_s != r2.wallclock_s or True  # wallclock excluded anyway
+
+
+def _report_hash_in_child(config_path, threads):
+    """report_hash of a config run in a fresh interpreter with the given
+    number of BLAS/OpenMP threads, importing this checkout's package."""
+    env = dict(os.environ)
+    env.update({var: str(threads) for var in
+                ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([package_root] + [p for p in
+                                        env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys; from steklov_lab import harness; "
+            "print(harness.run(harness.load_config(sys.argv[1])).report_hash())")
+    out = subprocess.run([sys.executable, "-c", code, config_path], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return out.stdout.strip()
+
+
+def test_report_hash_independent_of_blas_threads():
+    path = os.path.join(CONFIG_DIR, "01-disk-oracle.json")
+    one = _report_hash_in_child(path, 1)
+    assert len(one) == 64
+    assert _report_hash_in_child(path, 2) == one
 
 
 def test_audit_determinism_and_jobs():
