@@ -10,18 +10,25 @@ import numpy as np
 from . import fem, geometry, graphs, harness, thickening
 
 
-_FLAGS = {
-    "--out": dict(help="output directory (or file for single artifacts)"),
-    "--seed": dict(type=int, help="random seed override"),
-    "--jobs": dict(type=int, default=1, help="parallel sweep workers"),
-}
-
-
 def positive_float(text):
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
     return value
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+_FLAGS = {
+    "--out": dict(help="output directory (or file for single artifacts)"),
+    "--seed": dict(type=int, help="random seed override"),
+    "--jobs": dict(type=positive_int, default=1, help="parallel sweep workers"),
+}
 
 
 def _add_flags(parser, *names):
@@ -101,8 +108,8 @@ def _cmd_run(args):
 
 def _cmd_audit(args):
     config = harness.load_config(args.config, {"seed": args.seed})
-    if config.kind not in ("nodal-audit", "multiplicity-audit"):
-        raise SystemExit("audit requires a nodal-audit or multiplicity-audit config")
+    if config.kind not in harness.AUDIT_KINDS:
+        raise SystemExit(f"audit requires a config of kind {' or '.join(harness.AUDIT_KINDS)}")
     args.print_report = False
     return _cmd_run(args)
 

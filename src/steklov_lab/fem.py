@@ -231,22 +231,6 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
     )
 
 
-def harmonic_extension(mesh, boundary_values):
-    """Energy-minimizing extension of steklov-boundary values (neumann natural)."""
-    sk = assemble_boundary_mass(mesh, STEKLOV).vertices
-    K = assemble_stiffness(mesh)
-    dirichlet = np.setdiff1d(geometry.tagged_vertices(mesh, DIRICHLET), sk)
-    _check_connectivity(K, sk, dirichlet)
-    interior = np.setdiff1d(np.arange(mesh.n_vertices), np.concatenate([sk, dirichlet]))
-    values = np.asarray(boundary_values, float)
-    field = np.zeros((np.atleast_2d(values).shape[0], mesh.n_vertices))
-    field[:, sk] = values
-    if interior.size:
-        rhs = -(K[interior][:, sk] @ field[:, sk].T)
-        field[:, interior] = _factor(K[interior][:, interior]).solve(rhs).T
-    return field[0] if values.ndim == 1 else field
-
-
 def rayleigh_quotient(mesh, field):
     """(f' K f) / (f_b' B f_b) over the steklov boundary."""
     field = np.asarray(field, float)

@@ -254,34 +254,6 @@ def label_components(n, a, b):
     return connected_components(adj, directed=False)
 
 
-def boundary_loops(mesh):
-    """Boundary edges grouped into closed loops; each loop a list of edge ids."""
-    nb = mesh.boundary_edges.shape[0]
-    nxt = {}
-    for i, (a, b) in enumerate(mesh.boundary_edges):
-        nxt.setdefault(int(a), []).append((int(b), i))
-        nxt.setdefault(int(b), []).append((int(a), i))
-    used = np.zeros(nb, bool)
-    loops = []
-    for start in range(nb):
-        if used[start]:
-            continue
-        loop = [start]
-        used[start] = True
-        a, b = (int(v) for v in mesh.boundary_edges[start])
-        head = b
-        while head != a:
-            options = [(v, i) for (v, i) in nxt[head] if not used[i]]
-            if not options:
-                raise MeshError("boundary edges do not form closed loops")
-            v, i = options[0]
-            loop.append(i)
-            used[i] = True
-            head = v
-        loops.append(loop)
-    return loops
-
-
 def validate_mesh(mesh):
     """Check the structural invariants; raises MeshError on violation."""
     areas = triangle_areas(mesh)
@@ -296,19 +268,14 @@ def validate_mesh(mesh):
     table = mesh.edge_table
     if np.any(np.bincount(table.tri_edges.ravel()) > 2):
         raise MeshError("an edge belongs to more than two triangles")
-    once = table.edges[table.boundary]
-    declared = np.sort(np.asarray(mesh.boundary_edges), axis=1)
-    set_once = {tuple(r) for r in once}
-    set_decl = {tuple(r) for r in declared}
-    if set_once != set_decl:
+    declared = np.sort(mesh.boundary_edges, axis=1)
+    declared = declared[np.lexsort((declared[:, 1], declared[:, 0]))]
+    if not np.array_equal(declared, table.edges[table.boundary]):
         raise MeshError("declared boundary edges do not match edges with a single incident triangle")
-    # boundary vertices have degree exactly 2 in the boundary graph
-    deg = np.zeros(mesh.n_vertices, int)
-    np.add.at(deg, mesh.boundary_edges.ravel(), 1)
-    bverts = np.unique(mesh.boundary_edges)
-    if np.any(deg[bverts] != 2):
+    # boundary vertices of degree exactly 2 make the boundary edges closed loops
+    deg = np.bincount(mesh.boundary_edges.ravel())
+    if np.any((deg != 0) & (deg != 2)):
         raise MeshError("boundary does not form closed polygonal curves")
-    boundary_loops(mesh)
     return mesh
 
 
@@ -325,17 +292,13 @@ def _orient_ccw(vertices, triangles, period_x=0.0):
     return triangles
 
 
-def _boundary_edges_of(triangles, n_vertices):
-    table = _edge_table(triangles, n_vertices)
-    return table.edges[table.boundary]
-
-
 def build_mesh(vertices, triangles, boundary_tag=STEKLOV, density=1.0,
                weight=1.0, period_x=0.0, validate=True):
     """Assemble a Mesh2D from raw arrays, deriving and tagging the boundary."""
     vertices = np.asarray(vertices, float)
     triangles = _orient_ccw(vertices, np.asarray(triangles, np.int32), period_x)
-    bedges = _boundary_edges_of(triangles, vertices.shape[0]).astype(np.int32)
+    table = _edge_table(triangles, vertices.shape[0])
+    bedges = table.edges[table.boundary].astype(np.int32)
     nb = bedges.shape[0]
     mesh = Mesh2D(
         vertices=vertices,
@@ -346,6 +309,7 @@ def build_mesh(vertices, triangles, boundary_tag=STEKLOV, density=1.0,
         tri_weight=np.full(triangles.shape[0], float(weight)),
         period_x=float(period_x),
     )
+    mesh.__dict__["edge_table"] = table  # seed the cached_property
     if validate:
         validate_mesh(mesh)
     return mesh
@@ -451,11 +415,12 @@ def make_strip_mesh(length_l, width_w, target_h, periodic,
 def tag_boundary(mesh, arcs, by="angle", center=None):
     """Retag boundary edges whose midpoint falls in one of the given intervals.
 
-    arcs: list of ((a, b), tag).  by="angle": intervals are angles (radians,
-    taken mod 2*pi) around `center` (default: vertex centroid).  by="arclength":
-    intervals are arclength positions along the single boundary loop, measured
-    from the start of the loop.  Edges outside every interval keep their tag.
+    arcs: list of ((a, b), tag).  by="angle", the only supported value: the
+    intervals are angles (radians, taken mod 2*pi) around `center` (default:
+    vertex centroid).  Edges outside every interval keep their tag.
     """
+    if by != "angle":
+        raise TaggingError("by must be 'angle'")
     intervals = []
     for (a, b), tag in arcs:
         if tag not in TAGS:
@@ -470,70 +435,16 @@ def tag_boundary(mesh, arcs, by="angle", center=None):
             if a0 < b1 and a1 < b0:
                 raise TaggingError("tagging intervals overlap")
 
-    if by == "angle":
-        center = np.mean(mesh.vertices, axis=0) if center is None else np.asarray(center, float)
-        mids = boundary_edge_midpoints(mesh)
-        theta = np.mod(np.arctan2(mids[:, 1] - center[1], mids[:, 0] - center[0]), 2 * np.pi)
-        position = theta
-        modulus = 2 * np.pi
-    elif by == "arclength":
-        loops = boundary_loops(mesh)
-        if len(loops) != 1:
-            raise TaggingError("arclength tagging requires a single boundary loop")
-        lens = boundary_edge_lengths(mesh)
-        position = np.zeros(len(lens))
-        s = 0.0
-        for eid in loops[0]:
-            position[eid] = s + 0.5 * lens[eid]
-            s += lens[eid]
-        modulus = s
-    else:
-        raise TaggingError("by must be 'angle' or 'arclength'")
-
+    center = np.mean(mesh.vertices, axis=0) if center is None else np.asarray(center, float)
+    mids = boundary_edge_midpoints(mesh)
+    theta = np.mod(np.arctan2(mids[:, 1] - center[1], mids[:, 0] - center[0]), 2 * np.pi)
     tags = np.array(mesh.boundary_tags, object)
     for a, b, tag in intervals:
-        inside = np.mod(position - a, modulus) < (b - a)
+        inside = np.mod(theta - a, 2 * np.pi) < (b - a)
         tags[inside] = tag
     if not np.any(tags == STEKLOV):
         raise TaggingError("tagging removed the whole steklov boundary")
     return validate_mesh(replace_mesh(mesh, boundary_tags=tags))
-
-
-def refine(mesh):
-    """Uniform midpoint refinement: 4x triangles, tags and weights inherited."""
-    nv = mesh.n_vertices
-    edges = mesh.edge_table.edges
-    p0 = mesh.vertices[edges[:, 0]].astype(float)
-    d = edge_vector(mesh, edges[:, 0], edges[:, 1])
-    mids = p0 + 0.5 * d
-    if mesh.period_x > 0:
-        mids[:, 0] = np.mod(mids[:, 0], mesh.period_x)
-    new_vertices = np.vstack([mesh.vertices, mids])
-
-    tris = mesh.triangles
-    m01, m12, m20 = (nv + mesh.edge_table.tri_edges).T
-    new_tris = np.concatenate([
-        np.column_stack([tris[:, 0], m01, m20]),
-        np.column_stack([tris[:, 1], m12, m01]),
-        np.column_stack([tris[:, 2], m20, m12]),
-        np.column_stack([m01, m12, m20]),
-    ]).astype(np.int32)
-    new_weight = np.tile(mesh.tri_weight, 4)
-
-    a, b = mesh.boundary_edges.T
-    m = nv + edge_ids(mesh, mesh.boundary_edges)
-    # each boundary edge a-b splits into a-m, m-b in place
-    new_bedges = np.stack([a, m, m, b], axis=1).reshape(-1, 2)
-    out = Mesh2D(
-        vertices=new_vertices,
-        triangles=new_tris,
-        boundary_edges=new_bedges.astype(np.int32),
-        boundary_tags=np.repeat(mesh.boundary_tags, 2),
-        edge_density=np.repeat(np.asarray(mesh.edge_density, float), 2),
-        tri_weight=new_weight,
-        period_x=mesh.period_x,
-    )
-    return validate_mesh(out)
 
 
 def extract_submesh(mesh, tri_mask, interface_tag=NEUMANN):
@@ -546,29 +457,22 @@ def extract_submesh(mesh, tri_mask, interface_tag=NEUMANN):
     remap = -np.ones(mesh.n_vertices, np.int64)
     remap[keep] = np.arange(keep.size)
     new_tris = remap[tris].astype(np.int32)
-    new_verts = mesh.vertices[keep]
-
-    old_tags = {}
-    for (a, b), tag, dens in zip(mesh.boundary_edges, mesh.boundary_tags, mesh.edge_density):
-        old_tags[tuple(sorted((int(a), int(b))))] = (tag, float(dens))
-    bedges = _boundary_edges_of(new_tris, keep.size)
-    tags = []
-    dens = []
-    inv_map = keep  # new index -> old index
-    for a, b in bedges:
-        key = tuple(sorted((int(inv_map[a]), int(inv_map[b]))))
-        tag, d = old_tags.get(key, (interface_tag, 1.0))
-        tags.append(tag)
-        dens.append(d)
+    table = _edge_table(new_tris, keep.size)
+    bedges = table.edges[table.boundary]
+    # a new boundary edge that was a boundary edge keeps its tag and density
+    slot = np.full(len(mesh.edge_table.edges), -1)
+    slot[edge_ids(mesh, mesh.boundary_edges)] = np.arange(len(mesh.boundary_edges))
+    old = slot[edge_ids(mesh, keep[bedges])]
     out = Mesh2D(
-        vertices=new_verts,
+        vertices=mesh.vertices[keep],
         triangles=new_tris,
         boundary_edges=bedges.astype(np.int32),
-        boundary_tags=np.asarray(tags, object),
-        edge_density=np.asarray(dens, float),
+        boundary_tags=np.where(old >= 0, mesh.boundary_tags[old], interface_tag),
+        edge_density=np.where(old >= 0, mesh.edge_density[old], 1.0),
         tri_weight=mesh.tri_weight[tri_mask].copy(),
         period_x=mesh.period_x,
     )
+    out.__dict__["edge_table"] = table
     return validate_mesh(out)
 
 
@@ -581,21 +485,6 @@ def replace_mesh(mesh, **changes):
             and np.array_equal(out.triangles, mesh.triangles)):
         out.__dict__["edge_table"] = table
     return out
-
-
-def scale_mesh(mesh, factor):
-    return replace_mesh(mesh, vertices=mesh.vertices * factor,
-                        period_x=mesh.period_x * factor)
-
-
-def with_edge_density(mesh, density):
-    density = np.broadcast_to(np.asarray(density, float), mesh.boundary_tags.shape).copy()
-    return replace_mesh(mesh, edge_density=density)
-
-
-def with_tri_weight(mesh, weight):
-    weight = np.broadcast_to(np.asarray(weight, float), mesh.tri_weight.shape).copy()
-    return replace_mesh(mesh, tri_weight=weight)
 
 
 # ---------------------------------------------------------------------------

@@ -143,69 +143,6 @@ def prescribe_spectrum(targets, max_iters=200, tol=1e-8, n_starts=8, seed=0):
         best_lengths=1.0 / best[1], best_residual=best[0])
 
 
-def stability_probe(g, k, n_perturbations=50, magnitude=1e-3, seed=0,
-                    reopt_tol=1e-8):
-    """Empirical eigenvalue-cluster stability under edge-length perturbation.
-
-    Perturbs lengths multiplicatively, records the spread of the eigenvalue
-    cluster containing index k, and whether a local re-optimization restricted
-    to the perturbation ball restores the original spectrum.
-    """
-    if not 0 <= k < g.n_vertices:
-        raise GraphError("eigenvalue index out of range")
-    rng = np.random.default_rng(seed)
-    base = graph_laplacian_spectrum(g).eigenvalues
-    ref = base[k]
-    gap = 1e-9 * max(1.0, base[-1])
-    members = np.nonzero(np.abs(base - ref) <= gap)[0]
-    spreads = []
-    restored = 0
-    for _ in range(n_perturbations):
-        factor = 1.0 + magnitude * rng.uniform(-1.0, 1.0, g.lengths.size)
-        lengths = g.lengths * factor
-        pert = graph_laplacian_spectrum(MetricGraph(g.n_vertices, g.edges, lengths))
-        vals = pert.eigenvalues[members]
-        spreads.append(float(vals.max() - vals.min()))
-        if magnitude > 0:
-            restored += int(_reoptimize_in_ball(g, lengths, base, magnitude, reopt_tol))
-        else:
-            restored += 1
-    return {
-        "k": int(k),
-        "cluster_indices": members.tolist(),
-        "cluster_size": int(members.size),
-        "magnitude": float(magnitude),
-        "spreads": spreads,
-        "max_spread": float(max(spreads)),
-        "restored_fraction": restored / max(1, n_perturbations),
-    }
-
-
-def _reoptimize_in_ball(g, lengths, target_spectrum, magnitude, tol):
-    n = g.n_vertices
-    edges = g.edges
-    targets = target_spectrum[1:]
-    scale = max(1.0, targets.max())
-    z0 = -np.log(lengths)
-    lo = -np.log(g.lengths * (1.0 + 2.0 * magnitude))
-    hi = -np.log(g.lengths / (1.0 + 2.0 * magnitude))
-
-    def residual(z):
-        lam, _ = eigenvalues_and_weight_jacobian(n, edges, np.exp(z))
-        return (lam[1:] - targets) / scale
-
-    def jacobian(z):
-        w = np.exp(z)
-        _, jac = eigenvalues_and_weight_jacobian(n, edges, w)
-        return jac[1:] * w[None, :] / scale
-
-    sol = least_squares(residual, np.clip(z0, lo, hi), jac=jacobian,
-                        bounds=(lo, hi), max_nfev=200,
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    lam, _ = eigenvalues_and_weight_jacobian(n, edges, np.exp(sol.x))
-    return bool(np.max(np.abs(lam[1:] - targets) / targets) <= tol)
-
-
 # ---------------------------------------------------------------------------
 # serialization: "steklov-graph v1"
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Experiment orchestration: configs, runners, reports, and table emission.
 
-Each experiment is a JSON config (kind + parameters + seed); ``run`` dispatches
-to the module operations, collects per-point results (capturing per-point
-errors instead of aborting the sweep), evaluates the configured checks, and
-returns a report whose hash is deterministic given config + seed (the
-environment stamp and wall-clock are excluded from the hash).
+Each experiment is a JSON config (kind + parameters + seed).  The registry at
+the end of this module maps every kind to its runner and to the columns of its
+CSV table; an audit kind also names the function that measures one randomized
+run and the point flags that become its checks.  ``_entry`` resolves a config
+to its entry, including the mode of prescription-pipeline.  ``run`` calls the
+runner, which collects per-point results (capturing per-point audit errors
+instead of aborting the sweep) and evaluates the checks, and returns a report
+whose hash is deterministic given config + seed (the environment stamp and
+wall-clock are excluded from the hash).
 """
 
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 import csv
@@ -21,17 +26,6 @@ import numpy as np
 
 from . import deformations, fem, geometry, graphs, nodal, thickening
 from .geometry import NEUMANN, STEKLOV
-
-KINDS = (
-    "spectrum",
-    "density-sweep",
-    "subdomain-sweep",
-    "collar-sweep",
-    "graph-limit",
-    "prescription-pipeline",
-    "nodal-audit",
-    "multiplicity-audit",
-)
 
 
 class ConfigError(ValueError):
@@ -131,15 +125,11 @@ def random_boundary_density(angles, rng):
     return np.exp(t), {"a": a.tolist(), "b": b.tolist()}
 
 
-def _steklov_midpoint_angles(mesh):
+def _apply_random_density(mesh, rng):
+    """A random density, by midpoint angle, on the steklov edges of the mesh."""
     mids = geometry.boundary_edge_midpoints(mesh)
     sel = mesh.boundary_tags == STEKLOV
-    return np.arctan2(mids[sel, 1], mids[sel, 0]), sel
-
-
-def _apply_random_density(mesh, rng):
-    angles, sel = _steklov_midpoint_angles(mesh)
-    rho, coeffs = random_boundary_density(angles, rng)
+    rho, coeffs = random_boundary_density(np.arctan2(mids[sel, 1], mids[sel, 0]), rng)
     dens = np.array(mesh.edge_density, float)
     dens[sel] = rho
     return geometry.replace_mesh(mesh, edge_density=dens), coeffs
@@ -169,18 +159,21 @@ def _make_domain(params, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each returns points, checks, artifacts)
+# experiment runners: runner(config, jobs) -> (points, checks, artifacts);
+# only the audits use jobs
 # ---------------------------------------------------------------------------
 
-def _run_spectrum(config):
+def _run_spectrum(config, jobs):
     p = config.params
-    mesh = geometry.load_mesh(p["mesh_file"]) if "mesh_file" in p else _make_domain(p)
     n_eigs = int(p.get("n_eigs", 6))
+    ref = np.asarray(p.get("reference", []), float)
+    if "reference" in p and not 0 < ref.size < n_eigs:
+        raise ConfigError(f"reference needs 1 to {n_eigs - 1} values when n_eigs = {n_eigs}")
+    mesh = geometry.load_mesh(p["mesh_file"]) if "mesh_file" in p else _make_domain(p)
     res = fem.steklov_spectrum(mesh, n_eigs, p.get("cluster_rel_tol"))
     points = [{"k": k, "sigma": float(res.eigenvalues[k])} for k in range(n_eigs)]
     checks = []
     if "reference" in p:
-        ref = np.asarray(p["reference"], float)
         tol = float(config.tolerances.get("rel_err", 0.01))
         err = float(np.max(np.abs(res.eigenvalues[1:ref.size + 1] - ref) / ref))
         checks.append(_check("spectrum-vs-reference", err <= tol, err, tol))
@@ -192,10 +185,12 @@ def _run_spectrum(config):
     return points, checks, {"spectral": res, "mesh": mesh}
 
 
-def _run_collar_sweep(config):
+def _run_collar_sweep(config, jobs):
     p = config.params
     length = float(p.get("circle_length", 2 * math.pi))
     widths = [float(w) for w in p["widths"]]
+    if not widths:
+        raise ConfigError("widths must not be empty")
     n_eigs = int(p.get("n_eigs", 7))
     mode = p.get("mode", "one-sided")
     tol = float(config.tolerances.get("final_rel_err", 0.02))
@@ -245,66 +240,32 @@ def _run_collar_sweep(config):
     return points, checks, {}
 
 
-def _run_density_sweep(config):
+def _family_sweep(config, param, family_at, limit, defaults):
+    """Spectra of family_at(2^-j), j = 1..j_max, against the limit mesh's.
+
+    One point per step and nonzero eigenvalue, keyed by `param`; the checks
+    are the final step's max relative error and a non-increasing second half.
+    defaults gives n_eigs, j_max and final_rel_err when the config does not.
+    """
     p = config.params
-    rng = np.random.default_rng(config.seed)
-    mesh = geometry.make_disk_mesh(float(p.get("radius", 1.0)),
-                                   float(p.get("target_h", 0.05)))
-    angles, sel = _steklov_midpoint_angles(mesh)
-    rho, coeffs = random_boundary_density(angles, rng)
-    # dominate the base density rho = 1 edge-wise
-    rho_bar = rho / rho.min()
-    n_eigs = int(p.get("n_eigs", 6))
-    n_dim = int(p.get("virtual_dim", 3))
-    fam = deformations.DensityFamily(mesh, rho_bar, n_dim)
-    dens = np.array(mesh.edge_density, float)
-    dens[sel] = rho_bar
-    limit = fem.steklov_spectrum(geometry.replace_mesh(mesh, edge_density=dens), n_eigs)
+    j_max = int(p.get("j_max", defaults["j_max"]))
+    if j_max < 1:
+        raise ConfigError("j_max must be at least 1")
+    n_eigs = int(p.get("n_eigs", defaults["n_eigs"]))
+    ref = fem.steklov_spectrum(limit, n_eigs).eigenvalues
     points = []
     errs = []
-    for j in range(1, int(p.get("j_max", 7)) + 1):
-        eps = 2.0 ** -j
-        res = fem.steklov_spectrum(deformations.density_family_at(fam, eps), n_eigs)
-        rel = np.abs(res.eigenvalues[1:] - limit.eigenvalues[1:]) / limit.eigenvalues[1:]
+    for j in range(1, j_max + 1):
+        t = 2.0 ** -j
+        sig = fem.steklov_spectrum(family_at(t), n_eigs).eigenvalues
+        rel = np.abs(sig[1:] - ref[1:]) / ref[1:]
         for k in range(1, n_eigs):
-            points.append({"eps": eps, "k": k, "sigma": float(res.eigenvalues[k]),
-                           "reference": float(limit.eigenvalues[k]),
-                           "abs_err": float(abs(res.eigenvalues[k] - limit.eigenvalues[k])),
+            points.append({param: t, "k": k, "sigma": float(sig[k]),
+                           "reference": float(ref[k]),
+                           "abs_err": float(abs(sig[k] - ref[k])),
                            "rel_err": float(rel[k - 1])})
         errs.append(float(rel.max()))
-    tol = float(config.tolerances.get("final_rel_err", 0.02))
-    tail = errs[len(errs) // 2:]
-    checks = [
-        _check("final-error", errs[-1] <= tol, errs[-1], tol),
-        _check("eventually-decreasing",
-               all(b <= a for a, b in zip(tail, tail[1:])), errs, "tail non-increasing"),
-    ]
-    return points, checks, {"density_coefficients": coeffs}
-
-
-def _run_subdomain_sweep(config):
-    p = config.params
-    mesh = geometry.make_disk_mesh(float(p.get("radius", 1.0)),
-                                   float(p.get("target_h", 0.05)))
-    cen = geometry.triangle_coords(mesh).mean(axis=1)
-    mask = cen[:, 1] > 0.0  # half-disk touching the boundary
-    n_dim = int(p.get("virtual_dim", 3))
-    fam = deformations.SingularWeightFamily(mesh, mask, n_dim)
-    n_eigs = int(p.get("n_eigs", 5))
-    oracle = fem.steklov_spectrum(deformations.subdomain_limit_mesh(fam), n_eigs)
-    points = []
-    errs = []
-    for j in range(1, int(p.get("j_max", 8)) + 1):
-        eta = 2.0 ** -j
-        res = fem.steklov_spectrum(deformations.singular_family_at(fam, eta), n_eigs)
-        rel = np.abs(res.eigenvalues[1:] - oracle.eigenvalues[1:]) / oracle.eigenvalues[1:]
-        for k in range(1, n_eigs):
-            points.append({"eta": eta, "k": k, "sigma": float(res.eigenvalues[k]),
-                           "reference": float(oracle.eigenvalues[k]),
-                           "abs_err": float(abs(res.eigenvalues[k] - oracle.eigenvalues[k])),
-                           "rel_err": float(rel[k - 1])})
-        errs.append(float(rel.max()))
-    tol = float(config.tolerances.get("final_rel_err", 0.05))
+    tol = float(config.tolerances.get("final_rel_err", defaults["final_rel_err"]))
     tail = errs[len(errs) // 2:]
     checks = [
         _check("final-error", errs[-1] <= tol, errs[-1], tol),
@@ -314,7 +275,38 @@ def _run_subdomain_sweep(config):
     return points, checks, {}
 
 
-def _load_or_build_graph(p):
+def _run_density_sweep(config, jobs):
+    p = config.params
+    rng = np.random.default_rng(config.seed)
+    mesh = geometry.make_disk_mesh(float(p.get("radius", 1.0)),
+                                   float(p.get("target_h", 0.05)))
+    rho = _apply_random_density(mesh, rng)[0].edge_density
+    # dominate the base density rho = 1 edge-wise; every edge of the disk is steklov
+    rho_bar = rho / rho.min()
+    fam = deformations.DensityFamily(mesh, rho_bar, int(p.get("virtual_dim", 3)))
+    limit = geometry.replace_mesh(mesh, edge_density=rho_bar)
+    return _family_sweep(config, "eps", lambda eps: deformations.density_family_at(fam, eps),
+                         limit, {"n_eigs": 6, "j_max": 7, "final_rel_err": 0.02})
+
+
+def _run_subdomain_sweep(config, jobs):
+    p = config.params
+    mesh = geometry.make_disk_mesh(float(p.get("radius", 1.0)),
+                                   float(p.get("target_h", 0.05)))
+    cen = geometry.triangle_coords(mesh).mean(axis=1)
+    mask = cen[:, 1] > 0.0  # half-disk touching the boundary
+    fam = deformations.SingularWeightFamily(mesh, mask, int(p.get("virtual_dim", 3)))
+    return _family_sweep(config, "eta", lambda eta: deformations.singular_family_at(fam, eta),
+                         deformations.subdomain_limit_mesh(fam),
+                         {"n_eigs": 5, "j_max": 8, "final_rel_err": 0.05})
+
+
+def _load_or_build_graph(config):
+    p = config.params
+    if "targets" in p:
+        tol = float(config.tolerances.get("prescriber_rel_err", 1e-8))
+        return graphs.prescribe_spectrum(np.asarray(p["targets"], float),
+                                         tol=tol, seed=config.seed)
     if "graph_file" in p:
         return graphs.load_graph(p["graph_file"])
     if "edges" in p:
@@ -326,9 +318,19 @@ def _load_or_build_graph(p):
     return graphs.MetricGraph(n, graphs.complete_graph_edges(n), lengths)
 
 
-def _graph_limit_points(out, g):
+def _run_graph_limit(config, jobs):
+    p = config.params
+    eps_values = [float(e) for e in p["eps_values"]]
+    if not eps_values:
+        raise ConfigError("eps_values must not be empty")
+    g = _load_or_build_graph(config)
+    c = float(p.get("c", 2.0))
+    emb = thickening.embed_graph(g, p.get("style", "convex-boundary"), c)
+    out = thickening.verify_graph_limit(emb, eps_values, c,
+                                        float(p.get("target_h_factor", 0.25)))
+    rows = out["rows"]
     points = []
-    for row in out["rows"]:
+    for row in rows:
         lam = row["lambda_graph"]
         for k in range(1, g.n_vertices):
             points.append({"eps": row["eps"], "k": k, "sigma": row["sigma"][k],
@@ -337,15 +339,10 @@ def _graph_limit_points(out, g):
         points.append({"eps": row["eps"], "k": g.n_vertices,
                        "sigma": row["sigma"][g.n_vertices],
                        "lambda": None, "ratio": None})
-    return points
-
-
-def _graph_limit_checks(out, tolerances):
-    rows = out["rows"]
-    spread_tol = float(tolerances.get("ratio_spread", 0.05))
+    spread_tol = float(config.tolerances.get("ratio_spread", 0.05))
     final = rows[-1]
     gaps = [r["gap"] for r in rows]
-    return [
+    checks = [
         _check("ratio-spread", final["ratio_spread"] <= spread_tol,
                final["ratio_spread"], spread_tol),
         _check("gap-monotone", all(b > a for a, b in zip(gaps, gaps[1:])),
@@ -355,64 +352,39 @@ def _graph_limit_checks(out, tolerances):
                 "candidates": out["candidates"],
                 "closest": out["closest_candidate"]}, "informational"),
     ]
+    artifacts = {"graph": g, "embedding": emb, "c": c, "final_eps": eps_values[-1]}
+    return points, checks, artifacts
 
 
-def _run_graph_limit(config):
-    p = config.params
-    g = _load_or_build_graph(p)
-    c = float(p.get("c", 2.0))
-    emb = thickening.embed_graph(g, p.get("style", "convex-boundary"), c)
-    eps_values = [float(e) for e in p["eps_values"]]
-    out = thickening.verify_graph_limit(emb, eps_values, c,
-                                        float(p.get("target_h_factor", 0.25)))
-    artifacts = {"graph_limit": out, "graph": g, "embedding": emb, "c": c,
-                 "final_eps": eps_values[-1]}
-    return _graph_limit_points(out, g), _graph_limit_checks(out, config.tolerances), artifacts
-
-
-def _run_prescription_pipeline(config):
+def _run_prescriber_audit(config, jobs):
     p = config.params
     tol = float(config.tolerances.get("prescriber_rel_err", 1e-8))
-    if p.get("mode", "full") == "audit":
-        rng = np.random.default_rng(config.seed)
-        n_trials = int(p.get("trials", 50))
-        lo, hi = p.get("n_range", [2, 6])
-        points = []
-        worst = 0.0
-        hom_worst = 0.0
-        for trial in range(n_trials):
-            n = int(rng.integers(lo, hi + 1))
-            targets = np.sort(rng.uniform(0.5, 5.0, n))
-            g = graphs.prescribe_spectrum(targets, seed=int(rng.integers(2 ** 32)))
-            got = graphs.graph_laplacian_spectrum(g).eigenvalues[1:]
-            rel = float(np.max(np.abs(got - targets) / targets))
-            # homogeneity: scaling lengths by 1/s scales the spectrum by s
-            s = 2.0
-            scaled = graphs.graph_laplacian_spectrum(
-                graphs.MetricGraph(g.n_vertices, g.edges, g.lengths / s)).eigenvalues[1:]
-            hom = float(np.max(np.abs(scaled - s * got) / (s * got)))
-            worst = max(worst, rel)
-            hom_worst = max(hom_worst, hom)
-            points.append({"trial": trial, "n_targets": n, "rel_err": rel,
-                           "homogeneity_err": hom})
-        checks = [
-            _check("prescriber-accuracy", worst <= tol, worst, tol),
-            _check("homogeneity", hom_worst <= 1e-12, hom_worst, 1e-12),
-        ]
-        return points, checks, {}
-    # full pipeline: prescribe -> embed -> thicken sweep -> compare
-    targets = np.asarray(p["targets"], float)
-    g = graphs.prescribe_spectrum(targets, tol=tol, seed=config.seed)
-    c = float(p.get("c", 2.0))
-    emb = thickening.embed_graph(g, p.get("style", "convex-boundary"), c)
-    eps_values = [float(e) for e in p["eps_values"]]
-    out = thickening.verify_graph_limit(emb, eps_values, c,
-                                        float(p.get("target_h_factor", 0.25)))
-    points = _graph_limit_points(out, g)
-    checks = _graph_limit_checks(out, config.tolerances)
-    artifacts = {"graph_limit": out, "graph": g, "embedding": emb, "c": c,
-                 "final_eps": eps_values[-1]}
-    return points, checks, artifacts
+    rng = np.random.default_rng(config.seed)
+    n_trials = int(p.get("trials", 50))
+    if n_trials < 1:
+        raise ConfigError("trials must be at least 1")
+    lo, hi = p.get("n_range", [2, 6])
+    points = []
+    for trial in range(n_trials):
+        n = int(rng.integers(lo, hi + 1))
+        targets = np.sort(rng.uniform(0.5, 5.0, n))
+        g = graphs.prescribe_spectrum(targets, seed=int(rng.integers(2 ** 32)))
+        got = graphs.graph_laplacian_spectrum(g).eigenvalues[1:]
+        rel = float(np.max(np.abs(got - targets) / targets))
+        # homogeneity: scaling lengths by 1/s scales the spectrum by s
+        s = 2.0
+        scaled = graphs.graph_laplacian_spectrum(
+            graphs.MetricGraph(g.n_vertices, g.edges, g.lengths / s)).eigenvalues[1:]
+        hom = float(np.max(np.abs(scaled - s * got) / (s * got)))
+        points.append({"trial": trial, "n_targets": n, "rel_err": rel,
+                       "homogeneity_err": hom})
+    worst = max(pt["rel_err"] for pt in points)
+    hom_worst = max(pt["homogeneity_err"] for pt in points)
+    checks = [
+        _check("prescriber-accuracy", worst <= tol, worst, tol),
+        _check("homogeneity", hom_worst <= 1e-12, hom_worst, 1e-12),
+    ]
+    return points, checks, {}
 
 
 def _audit_point(args):
@@ -441,36 +413,40 @@ def _audit_measurements(kind, params, seed):
     point = {"density": coeffs,
              "eigenvalues": res.eigenvalues.tolist(),
              "clusters": [list(c) for c in res.clusters]}
-    zero_tol = float(params.get("zero_tol", nodal.DEFAULT_ZERO_TOL))
-    if kind == "nodal-audit":
-        courant = nodal.courant_check(mesh, res,
-                                      int(params.get("n_rotations", 20)),
-                                      seed=seed, zero_tol=zero_tol)
-        point["courant"] = courant
-        point["courant_ok"] = all(r["ok"] for r in courant)
-        touches, graphs_ok, evens = [], [], []
-        for k in range(1, n_eigs):
-            decomp = nodal.decompose_nodal(mesh, res.extensions[k], zero_tol)
-            touches.append(nodal.boundary_touch_check(mesh, decomp)["all_touch"])
-            stats = nodal.nodal_graph_stats(mesh, res.extensions[k], zero_tol)
-            graphs_ok.append(stats["cycle_rank"] == 0)
-            evens.append(stats["all_even"])
-        point["touch_ok"] = all(touches)
-        point["cycle_rank_ok"] = all(graphs_ok)
-        point["parity_ok"] = all(evens)
-    else:  # multiplicity-audit
-        topo = (geometry.ANNULUS_TOPOLOGY if params.get("domain") == "annulus"
-                else geometry.DISK_TOPOLOGY)
-        mixed = params.get("domain") == "mixed-disk" or bool(params.get("mixed", False))
-        recs = nodal.multiplicity_bound_check(res, topo, mixed=mixed)
-        point["bounds"] = recs
-        point["bounds_ok"] = all(r["ok"] for r in recs)
+    point.update(_REGISTRY[kind].measure(mesh, res, params, seed))
     return point
 
 
-def _run_audit(config, jobs=1):
+def _measure_nodal(mesh, res, params, seed):
+    """Courant counts, boundary contact and zero-set structure of each mode."""
+    zero_tol = float(params.get("zero_tol", nodal.DEFAULT_ZERO_TOL))
+    courant = nodal.courant_check(mesh, res, int(params.get("n_rotations", 20)),
+                                  seed=seed, zero_tol=zero_tol)
+    modes = res.extensions[1:]
+    touches = [nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f, zero_tol))
+               for f in modes]
+    stats = [nodal.nodal_graph_stats(mesh, f, zero_tol) for f in modes]
+    return {"courant": courant,
+            "courant_ok": all(r["ok"] for r in courant),
+            "touch_ok": all(t["all_touch"] for t in touches),
+            "cycle_rank_ok": all(st["cycle_rank"] == 0 for st in stats),
+            "parity_ok": all(st["all_even"] for st in stats)}
+
+
+def _measure_multiplicity(mesh, res, params, seed):
+    """Cluster multiplicities against the bounds for the domain's topology."""
+    topo = (geometry.ANNULUS_TOPOLOGY if params.get("domain") == "annulus"
+            else geometry.DISK_TOPOLOGY)
+    mixed = params.get("domain") == "mixed-disk" or bool(params.get("mixed", False))
+    recs = nodal.multiplicity_bound_check(res, topo, mixed=mixed)
+    return {"bounds": recs, "bounds_ok": all(r["ok"] for r in recs)}
+
+
+def _run_audit(config, jobs):
     p = config.params
     n_runs = int(p.get("runs", 50))
+    if n_runs < 1:
+        raise ConfigError("an audit needs runs >= 1")
     seeds = [config.seed + 1000 * i for i in range(n_runs)]
     args = [(config.kind, p, config.tolerances, s, i) for i, s in enumerate(seeds)]
     if jobs > 1:
@@ -479,15 +455,9 @@ def _run_audit(config, jobs=1):
     else:
         points = [_audit_point(a) for a in args]
     checks = []
-    if config.kind == "nodal-audit":
-        for name in ("courant_ok", "touch_ok", "cycle_rank_ok", "parity_ok"):
-            bad = [pt["run"] for pt in points if not pt.get(name)]
-            checks.append(_check(name.replace("_", "-"), not bad,
-                                 f"{len(points) - len(bad)}/{len(points)} runs",
-                                 f"failures: {bad}" if bad else "none"))
-    else:
-        bad = [pt["run"] for pt in points if not pt.get("bounds_ok")]
-        checks.append(_check("multiplicity-bounds", not bad,
+    for flag, name in _REGISTRY[config.kind].flags:
+        bad = [pt["run"] for pt in points if not pt.get(flag)]
+        checks.append(_check(name, not bad,
                              f"{len(points) - len(bad)}/{len(points)} runs",
                              f"failures: {bad}" if bad else "none"))
     return points, checks, {}
@@ -510,23 +480,10 @@ def _jsonable(x):
     return x
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "collar-sweep": _run_collar_sweep,
-    "density-sweep": _run_density_sweep,
-    "subdomain-sweep": _run_subdomain_sweep,
-    "graph-limit": _run_graph_limit,
-    "prescription-pipeline": _run_prescription_pipeline,
-}
-
-
 def run(config, out_dir=None, jobs=1):
     """Execute an experiment and (optionally) persist its artifact tree."""
     start = time.monotonic()
-    if config.kind in ("nodal-audit", "multiplicity-audit"):
-        points, checks, artifacts = _run_audit(config, jobs)
-    else:
-        points, checks, artifacts = _RUNNERS[config.kind](config)
+    points, checks, artifacts = _entry(config.kind, config.params).runner(config, jobs)
     report = ExperimentReport(
         config=asdict(config),
         config_hash=config.content_hash(),
@@ -568,27 +525,12 @@ def _persist(report, artifacts, config, out_dir):
                              os.path.join(figures, f"{config.name}-mode1.svg"))
 
 
-_CSV_COLUMNS = {
-    "spectrum": ["k", "sigma"],
-    "collar-sweep": ["eta", "k", "sigma", "reference", "abs_err", "rel_err"],
-    "density-sweep": ["eps", "k", "sigma", "reference", "abs_err", "rel_err"],
-    "subdomain-sweep": ["eta", "k", "sigma", "reference", "abs_err", "rel_err"],
-    "graph-limit": ["eps", "k", "sigma", "lambda", "ratio"],
-    "prescription-pipeline": ["eps", "k", "sigma", "lambda", "ratio"],
-    "nodal-audit": ["run", "seed", "domain", "courant_ok", "touch_ok",
-                    "cycle_rank_ok", "parity_ok"],
-    "multiplicity-audit": ["run", "seed", "domain", "bounds_ok"],
-}
-
-
 def emit_tables(report, out_dir):
     """CSV per sweep plus a human-readable summary of every check."""
     tables = os.path.join(out_dir, "tables")
     os.makedirs(tables, exist_ok=True)
     kind = report.config["kind"]
-    columns = _CSV_COLUMNS[kind]
-    if kind == "prescription-pipeline" and report.config["params"].get("mode") == "audit":
-        columns = ["trial", "n_targets", "rel_err", "homogeneity_err"]
+    columns = _entry(kind, report.config["params"]).columns
     path = os.path.join(tables, "sweep.csv")
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -606,3 +548,49 @@ def emit_tables(report, out_dir):
                      f"required={c['required']}\n")
         fh.write(f"\noverall: {'PASS' if report.passed else 'FAIL'}\n")
     return [path, summary]
+
+
+# The registry.  runner(config, jobs) returns (points, checks, artifacts) and
+# columns are the point fields of tables/sweep.csv.  An audit kind also has
+# measure(mesh, spectral_result, params, seed), which returns its fields of one
+# randomized run's point, and flags: (point flag, check name) pairs, each flag
+# becoming one check over all runs.
+_Kind = namedtuple("_Kind", "runner columns measure flags", defaults=(None, ()))
+
+
+def _audit_kind(measure, flags):
+    return _Kind(_run_audit, ("run", "seed", "domain") + tuple(f for f, _ in flags),
+                 measure, flags)
+
+
+_SWEEP_COLUMNS = ("k", "sigma", "reference", "abs_err", "rel_err")
+_GRAPH_LIMIT = _Kind(_run_graph_limit, ("eps", "k", "sigma", "lambda", "ratio"))
+
+_REGISTRY = {
+    "spectrum": _Kind(_run_spectrum, ("k", "sigma")),
+    "density-sweep": _Kind(_run_density_sweep, ("eps",) + _SWEEP_COLUMNS),
+    "subdomain-sweep": _Kind(_run_subdomain_sweep, ("eta",) + _SWEEP_COLUMNS),
+    "collar-sweep": _Kind(_run_collar_sweep, ("eta",) + _SWEEP_COLUMNS),
+    "graph-limit": _GRAPH_LIMIT,
+    # the default "full" mode: graph limit of the graph prescribed by "targets"
+    "prescription-pipeline": _GRAPH_LIMIT,
+    "nodal-audit": _audit_kind(_measure_nodal, (
+        ("courant_ok", "courant-ok"), ("touch_ok", "touch-ok"),
+        ("cycle_rank_ok", "cycle-rank-ok"), ("parity_ok", "parity-ok"))),
+    "multiplicity-audit": _audit_kind(_measure_multiplicity,
+                                      (("bounds_ok", "multiplicity-bounds"),)),
+}
+_PRESCRIBER_AUDIT = _Kind(_run_prescriber_audit,
+                          ("trial", "n_targets", "rel_err", "homogeneity_err"))
+
+KINDS = tuple(_REGISTRY)
+AUDIT_KINDS = tuple(k for k, entry in _REGISTRY.items() if entry.measure is not None)
+
+
+def _entry(kind, params):
+    """Registry entry of a config; resolves the prescription-pipeline mode."""
+    if kind == "prescription-pipeline" and params.get("mode", "full") == "audit":
+        return _PRESCRIBER_AUDIT
+    if kind == "prescription-pipeline" and "targets" not in params:
+        raise ConfigError('prescription-pipeline needs "targets" unless its mode is "audit"')
+    return _REGISTRY[kind]

@@ -8,7 +8,6 @@ nodes are keyed combinatorially (mesh vertices and crossed edges).
 """
 
 from dataclasses import dataclass
-import json
 
 import numpy as np
 
@@ -86,11 +85,6 @@ def decompose_nodal(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
         n_domains=n_domains,
         zero_tol=float(zero_tol),
     )
-
-
-def domain_of_triangle_sign(decomp, tri, sign):
-    piece = decomp.piece_pos[tri] if sign > 0 else decomp.piece_neg[tri]
-    return -1 if piece < 0 else int(decomp.piece_domain[piece])
 
 
 def courant_check(mesh, result, n_rotations=20, seed=0, zero_tol=DEFAULT_ZERO_TOL):
@@ -317,22 +311,3 @@ def nodal_svg(mesh, field, zero_tol=DEFAULT_ZERO_TOL, width=640):
 def save_nodal_svg(mesh, field, path, zero_tol=DEFAULT_ZERO_TOL, width=640):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(nodal_svg(mesh, field, zero_tol, width))
-
-
-def nodal_report(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
-    """JSON-ready summary combining the decomposition and zero-set graph."""
-    decomp = decompose_nodal(mesh, field, zero_tol)
-    stats = nodal_graph_stats(mesh, field, zero_tol)
-    touch = boundary_touch_check(mesh, decomp)
-    return {
-        "n_domains": decomp.n_domains,
-        "zero_tol": decomp.zero_tol,
-        "graph": stats,
-        "boundary_touch": touch,
-    }
-
-
-def save_nodal_report(mesh, field, path, zero_tol=DEFAULT_ZERO_TOL):
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(nodal_report(mesh, field, zero_tol), fh, indent=2, sort_keys=True)
-        fh.write("\n")

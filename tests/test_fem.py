@@ -73,14 +73,6 @@ def test_extension_consistency_and_rayleigh():
     assert np.allclose(f[res.steklov_vertices], res.boundary_vectors[:, 2])
 
 
-def test_harmonic_extension_of_linear_is_linear():
-    mesh = geometry.make_disk_mesh(1.0, 0.1)
-    g = mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1]
-    sk = fem.assemble_boundary_mass(mesh).vertices
-    ext = fem.harmonic_extension(mesh, g[sk])
-    assert np.max(np.abs(ext - g)) < 1e-10
-
-
 def test_mixed_boundary_dirichlet_positive():
     mesh = geometry.make_disk_mesh(1.0, 0.1)
     arcs = [((0.0, math.pi), STEKLOV), ((math.pi, 2 * math.pi), DIRICHLET)]
@@ -120,8 +112,6 @@ def test_disconnected_component_raises():
     mesh = geometry.replace_mesh(mesh, boundary_tags=tags)
     with pytest.raises(fem.FactorizationError):
         fem.steklov_spectrum(mesh, 2)
-    with pytest.raises(fem.FactorizationError):
-        fem.harmonic_extension(mesh, np.zeros(3))
 
 
 def test_degenerate_triangle_raises():

@@ -9,6 +9,12 @@ from steklov_lab import geometry
 from steklov_lab.geometry import DIRICHLET, NEUMANN, STEKLOV
 
 
+def boundary_curve_count(mesh):
+    verts, ends = np.unique(mesh.boundary_edges, return_inverse=True)
+    n, _ = geometry.label_components(verts.size, *ends.reshape(-1, 2).T)
+    return n
+
+
 def test_disk_mesh_basic():
     mesh = geometry.make_disk_mesh(1.0, 0.1)
     geometry.validate_mesh(mesh)
@@ -36,7 +42,7 @@ def test_disk_mesh_rejects_bad_params():
 def test_annulus_mesh():
     mesh = geometry.make_annulus_mesh(0.5, 1.0, 0.07)
     geometry.validate_mesh(mesh)
-    assert len(geometry.boundary_loops(mesh)) == 2
+    assert boundary_curve_count(mesh) == 2
     expected = math.pi * (1.0 - 0.25)
     assert abs(geometry.mesh_area(mesh) - expected) < 0.03
 
@@ -47,7 +53,7 @@ def test_strip_mesh_periodic_is_flat():
     assert mesh.period_x == pytest.approx(2 * math.pi)
     # exactly flat: total area is L*w to rounding
     assert geometry.mesh_area(mesh) == pytest.approx(2 * math.pi * 0.5)
-    assert len(geometry.boundary_loops(mesh)) == 2
+    assert boundary_curve_count(mesh) == 2
     tags = set(mesh.boundary_tags)
     assert tags == {STEKLOV, NEUMANN}
 
@@ -76,16 +82,6 @@ def test_tag_boundary_requires_steklov():
     with pytest.raises(geometry.TaggingError):
         geometry.tag_boundary(mesh, [((0.0, 2 * math.pi), NEUMANN)],
                               by="angle", center=(0.0, 0.0))
-
-
-def test_refine_quadruples_triangles():
-    mesh = geometry.make_disk_mesh(1.0, 0.2)
-    fine = geometry.refine(mesh)
-    geometry.validate_mesh(fine)
-    assert fine.n_triangles == 4 * mesh.n_triangles
-    assert geometry.mesh_area(fine) == pytest.approx(geometry.mesh_area(mesh))
-    assert geometry.max_edge_length(fine) == pytest.approx(
-        0.5 * geometry.max_edge_length(mesh))
 
 
 def test_extract_submesh_interface_tag():
@@ -192,6 +188,21 @@ def test_edge_table_matches_sorted_incidence(make_mesh):
     assert np.array_equal(geometry.edge_ids(mesh, edges[:, ::-1]), table.interior)
     with pytest.raises(geometry.MeshError):
         geometry.edge_ids(mesh, [[tris[0, 0], tris[0, 0]]])
+
+
+def test_mesh_builders_build_the_edge_table_once(monkeypatch):
+    calls = []
+    build = geometry._edge_table
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(geometry, "_edge_table", counted)
+    mesh = geometry.make_disk_mesh(1.0, 0.3)
+    assert len(calls) == 1
+    geometry.extract_submesh(mesh, geometry.triangle_coords(mesh).mean(axis=1)[:, 1] > 0)
+    assert len(calls) == 2
 
 
 def test_replace_mesh_keeps_edge_table_for_same_triangles():

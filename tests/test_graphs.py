@@ -95,16 +95,6 @@ def test_prescribe_rejects_bad_targets():
         graphs.prescribe_spectrum([-1.0])
 
 
-def test_stability_probe():
-    g = graphs.prescribe_spectrum([1.0, 1.0, 1.0])
-    probe = graphs.stability_probe(g, 1, n_perturbations=10, magnitude=1e-3,
-                                   seed=4)
-    assert probe["cluster_size"] == 3
-    assert probe["max_spread"] < 0.05
-    # the triple eigenvalue is recoverable inside the perturbation ball
-    assert probe["restored_fraction"] == 1.0
-
-
 def test_graph_roundtrip(tmp_path):
     g = graphs.MetricGraph(3, graphs.complete_graph_edges(3),
                            np.array([1.0, 2.0, np.pi]))

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from steklov_lab import cli, fem, geometry, harness
+from steklov_lab import cli, fem, geometry, graphs, harness
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -83,6 +83,45 @@ def test_report_hash_independent_of_blas_threads():
     one = _report_hash_in_child(path, 1)
     assert len(one) == 64
     assert _report_hash_in_child(path, 2) == one
+
+
+def test_prescription_full_mode_is_graph_limit_on_prescribed_graph():
+    params = {"targets": [1.0, 1.0], "eps_values": [0.08, 0.04]}
+    full = harness.run(harness.ExperimentConfig(
+        kind="prescription-pipeline", name="full", seed=3, params=params))
+    g = graphs.prescribe_spectrum([1.0, 1.0], tol=1e-8, seed=3)
+    limit = harness.run(harness.ExperimentConfig(
+        kind="graph-limit", name="limit", seed=0,
+        params={"n_vertices": g.n_vertices, "edges": g.edges.tolist(),
+                "lengths": g.lengths.tolist(), "eps_values": [0.08, 0.04]}))
+    assert len(full.points) == 2 * g.n_vertices
+    assert full.points == limit.points
+    assert full.checks == limit.checks
+
+
+@pytest.mark.parametrize("kind, params", [
+    pytest.param("density-sweep", {"target_h": 0.3, "j_max": 0}, id="density-no-steps"),
+    pytest.param("subdomain-sweep", {"target_h": 0.3, "j_max": 0}, id="subdomain-no-steps"),
+    pytest.param("collar-sweep", {"mode": "one-sided", "widths": []},
+                 id="collar-one-sided-no-widths"),
+    pytest.param("collar-sweep", {"mode": "two-sided", "widths": []},
+                 id="collar-two-sided-no-widths"),
+    pytest.param("graph-limit", {"eps_values": []}, id="graph-limit-no-eps"),
+    pytest.param("spectrum", {"target_h": 0.3, "n_eigs": 3, "reference": [1.0, 1.0, 2.0]},
+                 id="spectrum-reference-too-long"),
+    pytest.param("spectrum", {"target_h": 0.3, "n_eigs": 3, "reference": []},
+                 id="spectrum-reference-empty"),
+    pytest.param("nodal-audit", {"target_h": 0.3, "runs": 0}, id="nodal-audit-no-runs"),
+    pytest.param("multiplicity-audit", {"target_h": 0.3, "runs": 0},
+                 id="multiplicity-audit-no-runs"),
+    pytest.param("prescription-pipeline", {"mode": "audit", "trials": 0},
+                 id="prescriber-audit-no-trials"),
+    pytest.param("prescription-pipeline", {"eps_values": [0.08]}, id="full-mode-no-targets"),
+])
+def test_run_rejects_empty_or_inconsistent_config(kind, params):
+    config = harness.ExperimentConfig(kind=kind, name="bad", seed=0, params=params)
+    with pytest.raises(harness.ConfigError):
+        harness.run(config)
 
 
 def test_audit_determinism_and_jobs():
@@ -212,12 +251,15 @@ def test_cli_rejects_flags_it_does_not_read(argv, capsys):
     ["spectrum", "--mesh", "d.msh", "--tol", "0"],
     ["prescribe", "--targets", "1,2", "--tol", "-1"],
     ["spectrum", "--mesh", "d.msh", "--tol", "nan"],
+    ["run", "--config", "c.json", "--jobs", "0"],
+    ["audit", "--config", "c.json", "--jobs", "-2"],
 ])
 def test_cli_rejects_nonpositive_tol(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert "argument --tol: must be a positive number" in capsys.readouterr().err
+    kind = "integer" if argv[-2] == "--jobs" else "number"
+    assert f"argument {argv[-2]}: must be a positive {kind}" in capsys.readouterr().err
 
 
 def test_cli_prescribe_thicken_roundtrip(tmp_path, capsys):

@@ -121,13 +121,6 @@ def test_svg_and_report_emission(tmp_path):
     text = svg_path.read_text()
     assert text.startswith("<svg")
     assert "polyline" in text
-    report_path = tmp_path / "report.json"
-    nodal.save_nodal_report(mesh, res.extensions[1], str(report_path))
-    import json
-    data = json.loads(report_path.read_text())
-    assert data["n_domains"] == 2
-    assert data["graph"]["cycle_rank"] == 0
-    assert data["boundary_touch"]["all_touch"]
 
 
 def test_periodic_mesh_decomposition():
