@@ -10,6 +10,7 @@ differences, so the strip [0, L) x [0, w] is an exactly flat cylinder.
 from dataclasses import dataclass, replace
 from functools import cached_property
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -496,21 +497,21 @@ def _fmt(x):
 
 
 def mesh_to_text(mesh):
-    lines = ["steklov-mesh v1"]
+    """The "steklov-mesh v1" text of a mesh, each block formatted in one go;
+    floats are written as %.17g, which reads back to the same bits."""
+    head = "steklov-mesh v1\n"
     if mesh.period_x > 0:
-        lines.append(f"period-x {_fmt(mesh.period_x)}")
-    lines.append(str(mesh.n_vertices))
-    for x, y in mesh.vertices:
-        lines.append(f"{_fmt(x)} {_fmt(y)}")
-    lines.append(str(mesh.n_triangles))
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
-    lines.append(str(mesh.boundary_edges.shape[0]))
-    for (a, b), tag, d in zip(mesh.boundary_edges, mesh.boundary_tags, mesh.edge_density):
-        lines.append(f"{a} {b} {tag} {_fmt(d)}")
-    for w in mesh.tri_weight:
-        lines.append(_fmt(w))
-    return "\n".join(lines) + "\n"
+        head += f"period-x {_fmt(mesh.period_x)}\n"
+    nv, nt, nb = mesh.n_vertices, mesh.n_triangles, mesh.boundary_edges.shape[0]
+    edges = zip(*mesh.boundary_edges.T.tolist(), mesh.boundary_tags.tolist(),
+                mesh.edge_density.tolist())
+    return "".join([
+        head,
+        f"{nv}\n", "%.17g %.17g\n" * nv % tuple(mesh.vertices.ravel().tolist()),
+        f"{nt}\n", "%d %d %d\n" * nt % tuple(mesh.triangles.ravel().tolist()),
+        f"{nb}\n", "%d %d %s %.17g\n" * nb % tuple(itertools.chain.from_iterable(edges)),
+        "%.17g\n" * len(mesh.tri_weight) % tuple(mesh.tri_weight.tolist()),
+    ])
 
 
 def mesh_hash(mesh):
@@ -533,33 +534,40 @@ def save_mesh(mesh, path):
         fh.write(mesh_to_text(mesh))
 
 
+def _block(lines, start, n, per_line, what):
+    """The whitespace-separated tokens of lines[start:start + n]."""
+    tokens = " ".join(lines[start:start + n]).split()
+    if len(tokens) != n * per_line:
+        raise MeshError(f"{what} block needs {n} lines of {per_line} fields")
+    return tokens
+
+
 def load_mesh(path):
     with open(path, encoding="ascii") as fh:
-        tokens = fh.read().split("\n")
-    it = iter([t for t in tokens if t.strip()])
-    header = next(it)
+        lines = [t for t in fh.read().split("\n") if t.strip()]
+    header = lines[0] if lines else ""
     if header.strip() != "steklov-mesh v1":
         raise MeshError(f"unexpected header {header!r}")
-    line = next(it)
+    i = 1
     period = 0.0
-    if line.startswith("period-x"):
-        period = float(line.split()[1])
-        line = next(it)
-    nv = int(line)
-    verts = np.array([[float(t) for t in next(it).split()] for _ in range(nv)])
-    nt = int(next(it))
-    tris = np.array([[int(t) for t in next(it).split()] for _ in range(nt)], np.int32)
-    nb = int(next(it))
-    bedges = np.empty((nb, 2), np.int32)
-    tags = np.empty(nb, object)
-    dens = np.empty(nb)
-    for i in range(nb):
-        a, b, tag, d = next(it).split()
-        bedges[i] = (int(a), int(b))
-        tags[i] = tag
-        dens[i] = float(d)
-    weights = np.array([float(next(it)) for _ in range(nt)])
-    mesh = Mesh2D(vertices=verts, triangles=tris, boundary_edges=bedges,
+    if lines[i].startswith("period-x"):
+        period = float(lines[i].split()[1])
+        i += 1
+    nv = int(lines[i])
+    verts = np.array(list(map(float, _block(lines, i + 1, nv, 2, "vertex"))))
+    i += 1 + nv
+    nt = int(lines[i])
+    tris = np.array(list(map(int, _block(lines, i + 1, nt, 3, "triangle"))), np.int32)
+    i += 1 + nt
+    nb = int(lines[i])
+    edges = _block(lines, i + 1, nb, 4, "boundary edge")
+    i += 1 + nb
+    bedges = np.array(list(map(int, edges[0::4] + edges[1::4])), np.int32)
+    tags = np.array(edges[2::4], object)
+    dens = np.array(list(map(float, edges[3::4])))
+    weights = np.array(list(map(float, _block(lines, i, nt, 1, "weight"))))
+    mesh = Mesh2D(vertices=verts.reshape(nv, 2), triangles=tris.reshape(nt, 3),
+                  boundary_edges=bedges.reshape(2, nb).T.copy(),
                   boundary_tags=tags, edge_density=dens, tri_weight=weights,
                   period_x=period)
     return validate_mesh(mesh)

@@ -15,6 +15,7 @@ from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -135,17 +136,27 @@ def _apply_random_density(mesh, rng):
     return geometry.replace_mesh(mesh, edge_density=dens), coeffs
 
 
+@functools.lru_cache(maxsize=4)
+def _base_mesh(domain, dims, h):
+    """The untagged disk (dims = (radius,)) or annulus (dims = (r_inner,
+    r_outer)) at target_h = h, built once per process; a Mesh2D is frozen
+    and its arrays read-only, so audit points can share it."""
+    if domain == "annulus":
+        return geometry.make_annulus_mesh(*dims, h)
+    return geometry.make_disk_mesh(*dims, h)
+
+
 def _make_domain(params, rng=None):
     """Build the audit domain named by params["domain"]."""
     domain = params.get("domain", "disk")
     h = float(params.get("target_h", 0.08))
     if domain == "disk":
-        return geometry.make_disk_mesh(float(params.get("radius", 1.0)), h)
+        return _base_mesh("disk", (float(params.get("radius", 1.0)),), h)
     if domain == "annulus":
-        return geometry.make_annulus_mesh(float(params.get("r_inner", 0.5)),
-                                          float(params.get("r_outer", 1.0)), h)
+        return _base_mesh("annulus", (float(params.get("r_inner", 0.5)),
+                                      float(params.get("r_outer", 1.0))), h)
     if domain == "mixed-disk":
-        mesh = geometry.make_disk_mesh(float(params.get("radius", 1.0)), h)
+        mesh = _base_mesh("disk", (float(params.get("radius", 1.0)),), h)
         frac = params.get("steklov_fraction")
         if frac is None:
             if rng is None:
@@ -307,8 +318,6 @@ def _load_or_build_graph(config):
         tol = float(config.tolerances.get("prescriber_rel_err", 1e-8))
         return graphs.prescribe_spectrum(np.asarray(p["targets"], float),
                                          tol=tol, seed=config.seed)
-    if "graph_file" in p:
-        return graphs.load_graph(p["graph_file"])
     if "edges" in p:
         return graphs.MetricGraph(int(p["n_vertices"]),
                                   np.asarray(p["edges"], np.int64),
@@ -352,8 +361,7 @@ def _run_graph_limit(config, jobs):
                 "candidates": out["candidates"],
                 "closest": out["closest_candidate"]}, "informational"),
     ]
-    artifacts = {"graph": g, "embedding": emb, "c": c, "final_eps": eps_values[-1]}
-    return points, checks, artifacts
+    return points, checks, {"graph": g, "thickened": out["final"]}
 
 
 def _run_prescriber_audit(config, jobs):
@@ -514,12 +522,11 @@ def _persist(report, artifacts, config, out_dir):
     if "graph" in artifacts:
         graphs.save_graph(artifacts["graph"],
                           os.path.join(out_dir, f"{config.name}.graph"))
-    if "embedding" in artifacts:
-        mesh, _ = thickening.build_thickened_mesh(
-            artifacts["embedding"], artifacts["final_eps"], artifacts["c"])
+    if "thickened" in artifacts:
+        # the final eps of the sweep: its mesh and mode 1 of its solve
+        mesh, res = artifacts["thickened"]
         os.makedirs(meshes, exist_ok=True)
         geometry.save_mesh(mesh, os.path.join(meshes, f"{config.name}-thickened.msh"))
-        res = fem.steklov_spectrum(mesh, 2)
         os.makedirs(figures, exist_ok=True)
         nodal.save_nodal_svg(mesh, res.extensions[1],
                              os.path.join(figures, f"{config.name}-mode1.svg"))

@@ -272,6 +272,17 @@ def nodal_graph_stats(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
 _TAG_COLORS = {STEKLOV: "#d62728", NEUMANN: "#1f77b4", DIRICHLET: "#7f7f7f"}
 
 
+def _rows(template, values, labels=None):
+    """template once per row of values (n, k), then labels (n,) as a last
+    field, formatted in a single %-operation."""
+    if labels is not None:
+        table = np.empty((values.shape[0], values.shape[1] + 1), object)
+        table[:, :-1] = values
+        table[:, -1] = labels
+        values = table
+    return template * values.shape[0] % tuple(values.ravel().tolist())
+
+
 def nodal_svg(mesh, field, zero_tol=DEFAULT_ZERO_TOL, width=640):
     """SVG figure: sign-shaded triangles, tagged boundary, zero-set segments."""
     coords = geometry.triangle_coords(mesh)
@@ -282,30 +293,34 @@ def nodal_svg(mesh, field, zero_tol=DEFAULT_ZERO_TOL, width=640):
     scale = width / (span[0] + 2 * pad)
     height = (span[1] + 2 * pad) * scale
 
-    def pt(p):
-        x = (p[0] - lo[0] + pad) * scale
-        y = height - (p[1] - lo[1] + pad) * scale
-        return f"{x:.2f},{y:.2f}"
+    def pixels(p):
+        """(n, k, 2) points to (n, 2k) pixel coordinates x0, y0, x1, ..."""
+        xy = np.empty(p.shape)
+        xy[..., 0] = (p[..., 0] - lo[0] + pad) * scale
+        xy[..., 1] = height - (p[..., 1] - lo[1] + pad) * scale
+        return xy.reshape(p.shape[0], 2 * p.shape[1])
 
     field = np.asarray(field, float)
     cen_val = field[mesh.triangles].mean(axis=1)
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-           f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">']
-    for t in range(mesh.n_triangles):
-        fill = "#fddcdc" if cen_val[t] > 0 else "#dce8fd"
-        pts = " ".join(pt(coords[t, i]) for i in range(3))
-        out.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        pa = mesh.vertices[a].astype(float)
-        pb = pa + geometry.edge_vector(mesh, np.array([a]), np.array([b]))[0]
-        out.append(f'<polyline points="{pt(pa)} {pt(pb)}" fill="none" '
-                   f'stroke="{_TAG_COLORS.get(tag, "#000")}" stroke-width="2"/>')
+    fills = np.where(cen_val > 0, "#fddcdc", "#dce8fd")
+    edges = mesh.boundary_edges
+    pa = mesh.vertices[edges[:, 0]].astype(float)
+    pb = pa + geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
+    colors = [_TAG_COLORS.get(tag, "#000") for tag in mesh.boundary_tags.tolist()]
     graph = nodal_graph(mesh, field, zero_tol)
-    for pa, pb in graph.positions[graph.segments]:
-        out.append(f'<polyline points="{pt(pa)} {pt(pb)}" '
-                   f'fill="none" stroke="#000" stroke-width="1.2"/>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return "".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n',
+        _rows('<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="%s" stroke="none"/>\n',
+              pixels(coords), fills),
+        _rows('<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" '
+              'stroke="%s" stroke-width="2"/>\n',
+              pixels(np.stack([pa, pb], axis=1)), colors),
+        _rows('<polyline points="%.2f,%.2f %.2f,%.2f" '
+              'fill="none" stroke="#000" stroke-width="1.2"/>\n',
+              pixels(graph.positions[graph.segments])),
+        "</svg>\n",
+    ])
 
 
 def save_nodal_svg(mesh, field, path, zero_tol=DEFAULT_ZERO_TOL, width=640):

@@ -410,7 +410,8 @@ def verify_graph_limit(embedding, eps_values, c=2.0, target_h_factor=0.25,
     For each eps: the first |V| eigenvalues rescaled by the graph spectrum
     give the empirical proportionality constant (candidates: c and 1/c), the
     (|V|+1)-st eigenvalue gives the spectral gap, and the eigenvector traces
-    are checked for near-constancy on each steklov diameter.
+    are checked for near-constancy on each steklov diameter.  "final" is
+    the (mesh, SpectralResult) of the last eps.
     """
     g = embedding.graph
     gspec = graphs.graph_laplacian_spectrum(g)
@@ -455,4 +456,4 @@ def verify_graph_limit(embedding, eps_values, c=2.0, target_h_factor=0.25,
     final = rows[-1]["ratio_mean"]
     closest = min(candidates, key=lambda k: abs(candidates[k] - final))
     return {"rows": rows, "candidates": candidates, "closest_candidate": closest,
-            "final_ratio": final}
+            "final_ratio": final, "final": (mesh, res)}

@@ -96,18 +96,46 @@ def test_extract_submesh_interface_tag():
     assert np.all(np.abs(mids[interface, 1]) < 0.1)
 
 
+def _three_tag_disk():
+    arcs = [((0.0, 2.0), STEKLOV), ((2.0, 4.0), NEUMANN), ((4.0, 2 * math.pi), DIRICHLET)]
+    mesh = geometry.tag_boundary(geometry.make_disk_mesh(1.0, 0.2), arcs,
+                                 by="angle", center=(0.0, 0.0))
+    rng = np.random.default_rng(7)
+    return geometry.replace_mesh(mesh, edge_density=rng.uniform(0.5, 2.0, len(mesh.edge_density)),
+                                 tri_weight=rng.uniform(0.5, 2.0, mesh.n_triangles))
+
+
 def test_mesh_text_roundtrip(tmp_path):
-    mesh = geometry.make_strip_mesh(1.0, 0.3, 0.1, periodic=True)
-    path = tmp_path / "strip.msh"
-    geometry.save_mesh(mesh, str(path))
-    back = geometry.load_mesh(str(path))
-    assert np.array_equal(mesh.vertices, back.vertices)
-    assert np.array_equal(mesh.triangles, back.triangles)
-    assert np.array_equal(mesh.boundary_edges, back.boundary_edges)
-    assert list(mesh.boundary_tags) == list(back.boundary_tags)
-    assert np.array_equal(mesh.edge_density, back.edge_density)
-    assert back.period_x == mesh.period_x
-    assert geometry.mesh_to_text(mesh) == geometry.mesh_to_text(back)
+    strip = geometry.make_strip_mesh(1.0, 0.3, 0.1, periodic=True)
+    for mesh in (strip, _three_tag_disk()):
+        path = tmp_path / "mesh.msh"
+        geometry.save_mesh(mesh, str(path))
+        back = geometry.load_mesh(str(path))
+        assert np.array_equal(mesh.vertices, back.vertices)
+        assert np.array_equal(mesh.triangles, back.triangles)
+        assert np.array_equal(mesh.boundary_edges, back.boundary_edges)
+        assert list(mesh.boundary_tags) == list(back.boundary_tags)
+        assert np.array_equal(mesh.edge_density, back.edge_density)
+        assert np.array_equal(mesh.tri_weight, back.tri_weight)
+        assert back.period_x == mesh.period_x
+        assert geometry.mesh_hash(back) == geometry.mesh_hash(mesh)
+        assert geometry.mesh_to_text(mesh) == geometry.mesh_to_text(back)
+
+
+def test_load_mesh_rejects_bad_text(tmp_path):
+    text = geometry.mesh_to_text(geometry.make_disk_mesh(1.0, 0.3))
+    path = tmp_path / "bad.msh"
+    path.write_text(text.replace("steklov-mesh v1", "steklov-mesh v2"))
+    with pytest.raises(geometry.MeshError, match="unexpected header"):
+        geometry.load_mesh(str(path))
+    path.write_text("")
+    with pytest.raises(geometry.MeshError, match="unexpected header"):
+        geometry.load_mesh(str(path))
+    lines = text.split("\n")
+    lines[2] += " 0.5"  # a vertex line with three fields
+    path.write_text("\n".join(lines))
+    with pytest.raises(geometry.MeshError, match="vertex block"):
+        geometry.load_mesh(str(path))
 
 
 def test_validate_rejects_inverted_triangle():

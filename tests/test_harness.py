@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from steklov_lab import cli, fem, geometry, graphs, harness
+from steklov_lab import cli, fem, geometry, graphs, harness, nodal, thickening
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -135,6 +136,32 @@ def test_audit_determinism_and_jobs():
     assert serial.passed
 
 
+def test_persist_writes_the_final_solve(tmp_path, monkeypatch):
+    calls = {"build": [], "solve": []}
+
+    def counted(key, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[key].append((args[0], out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(thickening, "build_thickened_mesh",
+                        counted("build", thickening.build_thickened_mesh))
+    monkeypatch.setattr(fem, "steklov_spectrum", counted("solve", fem.steklov_spectrum))
+    eps_values = [0.08, 0.04]
+    cfg = harness.ExperimentConfig(kind="graph-limit", name="k3", seed=0,
+                                   params={"complete": 3, "eps_values": eps_values})
+    assert harness.run(cfg, out_dir=str(tmp_path)).passed
+    assert len(calls["build"]) == len(calls["solve"]) == len(eps_values)
+    mesh, res = calls["solve"][-1]
+    assert mesh is calls["build"][-1][1][0]
+    text = (tmp_path / "meshes" / "k3-thickened.msh").read_text()
+    assert text == geometry.mesh_to_text(mesh)
+    svg = (tmp_path / "figures" / "k3-mode1.svg").read_text()
+    assert svg == nodal.nodal_svg(mesh, res.extensions[1])
+
+
 def test_mixed_disk_audit_point():
     cfg = harness.ExperimentConfig(
         kind="nodal-audit", name="mix", seed=2,
@@ -184,6 +211,28 @@ def test_domains_list_alternates():
                 "runs": 4, "k_max": 3})
     report = harness.run(cfg)
     assert [pt["domain"] for pt in report.points] == ["disk", "annulus"] * 2
+
+
+def test_audit_points_share_one_base_mesh(monkeypatch):
+    harness._base_mesh.cache_clear()
+    built = []
+    make = geometry.make_disk_mesh
+    monkeypatch.setattr(geometry, "make_disk_mesh",
+                        lambda *args: built.append(args) or make(*args))
+    params = {"domain": "mixed-disk", "target_h": 0.15}
+    mixed = [harness._make_domain(params, np.random.default_rng(s)) for s in (1, 2)]
+    disk = harness._make_domain(dict(params, domain="disk"))
+    assert disk is harness._make_domain(dict(params, domain="disk"))
+    assert built == [(1.0, 0.15)]
+    # the arcs are drawn after the cache, one pair per point
+    assert list(mixed[0].boundary_tags) != list(mixed[1].boundary_tags)
+    assert set(disk.boundary_tags) == {geometry.STEKLOV}
+    # sharing is safe: the mesh is frozen and its arrays are read-only
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        disk.vertices = disk.vertices.copy()
+    for f in dataclasses.fields(disk):
+        if f.name != "period_x":
+            assert not getattr(disk, f.name).flags.writeable, f.name
 
 
 def test_random_density_positive_and_seeded():

@@ -90,6 +90,12 @@ def test_graph_limit_converges_to_inverse_c():
     # the double graph eigenvalue stays numerically double on the domain
     assert rows[1]["ratio_spread"] < 1e-6
     assert rows[1]["trace_spread"] < 0.1
+    # the final solve, which a graph-limit run draws: mode 1 lies in the
+    # double eigenspace of sigma_1
+    mesh, res = out["final"]
+    assert mesh.n_vertices == rows[1]["n_vertices_mesh"]
+    assert res.eigenvalues.tolist() == rows[1]["sigma"]
+    assert abs(fem.rayleigh_quotient(mesh, res.extensions[1]) - res.eigenvalues[1]) < 1e-10
 
 
 def test_circumscribed_radius_square():

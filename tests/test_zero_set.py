@@ -1,9 +1,12 @@
-"""The zero-set graph against a tuple-keyed oracle.
+"""The zero-set graph against a tuple-keyed oracle, and the mesh text and
+SVG writers against per-line oracles.
 
-The oracle walks the triangles one by one and keys nodes as ("v", i) for a
-dead-zone vertex and ("e", i, j) for a sign-changing edge, in dicts and sets.
-It is slow and obviously correct; the array version must report exactly the
-same statistics, in the same order, and draw the same segments.
+The graph oracle walks the triangles one by one and keys nodes as ("v", i)
+for a dead-zone vertex and ("e", i, j) for a sign-changing edge, in dicts and
+sets.  It is slow and obviously correct; the array version must report
+exactly the same statistics, in the same order, and draw the same segments.
+The writer oracles format one vertex, triangle or boundary edge at a time;
+the array-at-once writers must give the same bytes on every mesh here.
 """
 
 import math
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 from steklov_lab import fem, geometry, graphs, nodal, thickening
-from steklov_lab.geometry import NEUMANN, STEKLOV
+from steklov_lab.geometry import DIRICHLET, NEUMANN, STEKLOV, TAGS
 
 
 def oracle_graph(mesh, field, zero_tol):
@@ -103,6 +106,13 @@ def _mixed_disk():
                                  by="angle", center=(0.0, 0.0))
 
 
+def _three_tag_disk():
+    arcs = [((0.3, 2.5), STEKLOV), ((2.5, 4.4), NEUMANN),
+            ((4.4, 0.3 + 2 * math.pi), DIRICHLET)]
+    return geometry.tag_boundary(geometry.make_disk_mesh(1.0, 0.12), arcs,
+                                 by="angle", center=(0.0, 0.0))
+
+
 def _welded_five_cycle():
     cycle = np.array([[i, (i + 1) % 5] for i in range(5)])
     g = graphs.MetricGraph(5, cycle, np.array([1.0, 0.9, 1.1, 1.0, 1.0]))
@@ -115,6 +125,7 @@ MESHES = {
     "disk": lambda: geometry.make_disk_mesh(1.0, 0.12),
     "annulus": lambda: geometry.make_annulus_mesh(0.5, 1.0, 0.12),
     "mixed-disk": _mixed_disk,
+    "three-tag-disk": _three_tag_disk,
     "periodic-strip": lambda: geometry.make_strip_mesh(2 * math.pi, 0.5, 0.15, periodic=True),
     "five-cycle": _welded_five_cycle,
 }
@@ -173,3 +184,81 @@ def test_zero_set_graph_matches_oracle(name):
         assert len(drawn) == len(segments)
         assert set(drawn) == {frozenset((pt(nodes[a]), pt(nodes[b]))) for a, b in segments}
     assert dead_triangles > 0
+
+
+def oracle_mesh_text(mesh):
+    fmt = geometry._fmt
+    lines = ["steklov-mesh v1"]
+    if mesh.period_x > 0:
+        lines.append(f"period-x {fmt(mesh.period_x)}")
+    lines.append(str(mesh.n_vertices))
+    for x, y in mesh.vertices:
+        lines.append(f"{fmt(x)} {fmt(y)}")
+    lines.append(str(mesh.n_triangles))
+    for a, b, c in mesh.triangles:
+        lines.append(f"{a} {b} {c}")
+    lines.append(str(mesh.boundary_edges.shape[0]))
+    for (a, b), tag, d in zip(mesh.boundary_edges, mesh.boundary_tags, mesh.edge_density):
+        lines.append(f"{a} {b} {tag} {fmt(d)}")
+    for w in mesh.tri_weight:
+        lines.append(fmt(w))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_svg(mesh, field, zero_tol=nodal.DEFAULT_ZERO_TOL, width=640):
+    coords = geometry.triangle_coords(mesh)
+    lo = coords.reshape(-1, 2).min(axis=0)
+    hi = coords.reshape(-1, 2).max(axis=0)
+    span = np.maximum(hi - lo, 1e-12)
+    pad = 0.05 * span.max()
+    height = (span[1] + 2 * pad) * (width / (span[0] + 2 * pad))
+    pt = _svg_point(mesh, width)
+    field = np.asarray(field, float)
+    cen_val = field[mesh.triangles].mean(axis=1)
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
+           f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">']
+    for t in range(mesh.n_triangles):
+        fill = "#fddcdc" if cen_val[t] > 0 else "#dce8fd"
+        pts = " ".join(pt(coords[t, i]) for i in range(3))
+        out.append(f'<polygon points="{pts}" fill="{fill}" stroke="none"/>')
+    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        pa = mesh.vertices[a].astype(float)
+        pb = pa + geometry.edge_vector(mesh, np.array([a]), np.array([b]))[0]
+        out.append(f'<polyline points="{pt(pa)} {pt(pb)}" fill="none" '
+                   f'stroke="{nodal._TAG_COLORS.get(tag, "#000")}" stroke-width="2"/>')
+    graph = nodal.nodal_graph(mesh, field, zero_tol)
+    for pa, pb in graph.positions[graph.segments]:
+        out.append(f'<polyline points="{pt(pa)} {pt(pb)}" '
+                   f'fill="none" stroke="#000" stroke-width="1.2"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def test_meshes_cover_every_tag_and_periodicity():
+    meshes = [make() for make in MESHES.values()]
+    assert {t for m in meshes for t in m.boundary_tags} == set(TAGS)
+    assert any(m.period_x > 0 for m in meshes)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_mesh_text_matches_oracle(name):
+    mesh = MESHES[name]()
+    rng = np.random.default_rng(3)
+    # irregular densities and weights exercise every digit of %.17g
+    varied = geometry.replace_mesh(
+        mesh, edge_density=rng.uniform(0.1, 10.0, len(mesh.edge_density)),
+        tri_weight=np.exp(rng.normal(size=mesh.n_triangles)))
+    for m in (mesh, varied):
+        assert geometry.mesh_to_text(m) == oracle_mesh_text(m)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_nodal_svg_matches_oracle(name):
+    mesh = MESHES[name]()
+    fields = _fields(mesh)
+    dead = [f for f in fields
+            if np.any(nodal.vertex_signs(f, nodal.DEFAULT_ZERO_TOL) == 0)]
+    assert dead
+    for field in fields:
+        assert nodal.nodal_svg(mesh, field) == oracle_svg(mesh, field)
+    assert nodal.nodal_svg(mesh, fields[1], width=333) == oracle_svg(mesh, fields[1], width=333)
