@@ -82,8 +82,7 @@ def _cmd_prescribe(args):
 def _cmd_thicken(args):
     g = graphs.load_graph(args.graph)
     emb = thickening.embed_graph(g, args.style, args.c)
-    mesh, _ = thickening.build_thickened_mesh(emb, args.eps, args.c,
-                                              target_h=args.target_h)
+    mesh = thickening.build_thickened_mesh(emb, args.eps, args.c, target_h=args.target_h)
     out = args.out or "thickened.msh"
     geometry.save_mesh(mesh, out)
     print(f"wrote {out}: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")
@@ -91,8 +90,7 @@ def _cmd_thicken(args):
 
 
 def _cmd_run(args):
-    overrides = {"seed": args.seed}
-    config = harness.load_config(args.config, overrides)
+    config = harness.load_config(args.config, args.seed)
     report = harness.run(config, out_dir=args.out, jobs=args.jobs)
     for c in report.checks:
         status = "PASS" if c["passed"] else "FAIL"
@@ -107,7 +105,7 @@ def _cmd_run(args):
 
 
 def _cmd_audit(args):
-    config = harness.load_config(args.config, {"seed": args.seed})
+    config = harness.load_config(args.config, args.seed)
     if config.kind not in harness.AUDIT_KINDS:
         raise SystemExit(f"audit requires a config of kind {' or '.join(harness.AUDIT_KINDS)}")
     args.print_report = False

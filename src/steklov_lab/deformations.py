@@ -39,16 +39,6 @@ def _steklov_edge_mask(mesh):
 _CHUNK_BYTES = 32 * 2 ** 20
 
 
-def _point_segment_distance(points, seg_a, seg_b):
-    """Distances from (n,2) points to each of (m,2)x(m,2) segments -> (n,m)."""
-    d = seg_b - seg_a                      # (m,2)
-    rel = points[:, None, :] - seg_a[None, :, :]
-    denom = np.einsum("md,md->m", d, d)
-    t = np.clip(np.einsum("nmd,md->nm", rel, d) / denom, 0.0, 1.0)
-    proj = seg_a[None] + t[..., None] * d[None]
-    return np.hypot(points[:, None, 0] - proj[..., 0], points[:, None, 1] - proj[..., 1])
-
-
 @dataclass(frozen=True)
 class DensityFamily:
     mesh: geometry.Mesh2D
@@ -83,12 +73,13 @@ class DensityFamily:
         rows = max(1, _CHUNK_BYTES // (16 * len(edges)))
         for lo in range(0, cen.shape[0], rows):
             chunk = cen[lo:lo + rows]
-            dist = _point_segment_distance(chunk, pa, pb)
+            dist = geometry.point_segment_distances(chunk, pa, pb)
             if mesh.period_x > 0:
                 for shift in (-mesh.period_x, mesh.period_x):
                     shifted = chunk.copy()
                     shifted[:, 0] += shift
-                    dist = np.minimum(dist, _point_segment_distance(shifted, pa, pb))
+                    dist = np.minimum(
+                        dist, geometry.point_segment_distances(shifted, pa, pb))
             k = np.argmin(dist, axis=1)
             nearest[lo:lo + rows] = k
             dmin[lo:lo + rows] = dist[np.arange(chunk.shape[0]), k]
@@ -191,8 +182,7 @@ def circle_laplacian_eigenvalues(circle_length, count):
     return np.array(vals[:count])
 
 
-def collar_convergence_run(circle_length, widths, n_eigs, elements_across=8,
-                           cluster_rel_tol=None):
+def collar_convergence_run(circle_length, widths, n_eigs, elements_across=8):
     """Steklov-Neumann spectra of shrinking flat collars, rescaled by 1/eta
     and compared against the circle Laplacian spectrum.
 
@@ -212,7 +202,7 @@ def collar_convergence_run(circle_length, widths, n_eigs, elements_across=8,
         target_h = eta / elements_across
         mesh = geometry.make_strip_mesh(circle_length, eta, target_h, periodic=True,
                                         bottom_tag=STEKLOV, top_tag=NEUMANN)
-        result = fem.steklov_spectrum(mesh, n_eigs, cluster_rel_tol)
+        result = fem.steklov_spectrum(mesh, n_eigs)
         rescaled = result.eigenvalues / eta
         err = np.zeros(n_eigs)
         nz = reference > 0

@@ -17,7 +17,6 @@ import json
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from . import geometry
@@ -102,24 +101,21 @@ def assemble_boundary_mass(mesh, tag=STEKLOV):
     return BoundaryMass(matrix=M.tocsr(), vertices=verts)
 
 
-def _check_connectivity(K, steklov_vertices, dirichlet_vertices):
-    n = K.shape[0]
-    keep = np.ones(n, bool)
-    keep[dirichlet_vertices] = False
-    sub = K[keep][:, keep]
-    n_comp, labels = connected_components(sub, directed=False)
+def _check_connectivity(mesh, steklov_vertices, dirichlet_vertices):
+    """Every component of the mesh without its dirichlet vertices must reach
+    the steklov boundary or be adjacent to a dirichlet vertex."""
+    edges = mesh.edge_table.edges
+    pinned = np.zeros(mesh.n_vertices, bool)
+    pinned[dirichlet_vertices] = True
+    ends_pinned = pinned[edges]
+    free = edges[~ends_pinned.any(axis=1)]
+    n_comp, labels = geometry.label_components(mesh.n_vertices, free[:, 0], free[:, 1])
     anchored = np.zeros(n_comp, bool)
-    local_ids = np.cumsum(keep) - 1
-    sk = steklov_vertices[keep[steklov_vertices]]
-    anchored[labels[local_ids[sk]]] = True
-    if dirichlet_vertices.size:
-        # components touching a removed dirichlet vertex are anchored too
-        pattern = K.tocoo()
-        dmask = np.zeros(n, bool)
-        dmask[dirichlet_vertices] = True
-        touch = dmask[pattern.row] & keep[pattern.col]
-        anchored[labels[local_ids[pattern.col[touch]]]] = True
-    if not anchored.all():
+    anchored[labels[steklov_vertices]] = True
+    # the free end of an edge with one dirichlet end anchors its component
+    touch = edges[ends_pinned.sum(axis=1) == 1]
+    anchored[labels[touch[~pinned[touch]]]] = True
+    if not anchored[labels[~pinned]].all():
         raise FactorizationError(
             "mesh has a component disconnected from the steklov/dirichlet boundary; "
             "its pure-neumann block is singular")
@@ -188,7 +184,7 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
         raise ValueError(f"n_eigs={n_eigs} must be below the {ns} steklov vertices")
     K = assemble_stiffness(mesh)
     dirichlet = np.setdiff1d(geometry.tagged_vertices(mesh, DIRICHLET), sk)
-    _check_connectivity(K, sk, dirichlet)
+    _check_connectivity(mesh, sk, dirichlet)
     free = np.setdiff1d(np.arange(mesh.n_vertices), dirichlet)
     K_f = K[free][:, free]
     lift = sp.csr_matrix((np.ones(ns), (np.searchsorted(free, sk), np.arange(ns))),

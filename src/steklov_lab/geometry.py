@@ -120,6 +120,20 @@ def _wrap_delta(dx, period):
     return dx
 
 
+def _unwrapped_coords(vertices, triangles, period_x):
+    coords = vertices[triangles].astype(float)
+    if period_x > 0:
+        anchor = coords[:, :1, 0]
+        coords[:, :, 0] = anchor[:, 0][:, None] + _wrap_delta(coords[:, :, 0] - anchor, period_x)
+    return coords
+
+
+def _doubled_areas(c):
+    """Signed doubled areas of (nt, 3, 2) triangle coordinates."""
+    return ((c[:, 1, 0] - c[:, 0, 0]) * (c[:, 2, 1] - c[:, 0, 1])
+            - (c[:, 2, 0] - c[:, 0, 0]) * (c[:, 1, 1] - c[:, 0, 1]))
+
+
 def triangle_coords(mesh):
     """Per-triangle local vertex coordinates (nt, 3, 2), unwrapped.
 
@@ -127,17 +141,11 @@ def triangle_coords(mesh):
     minimum-image rule so seam triangles of periodic meshes are geometrically
     correct.
     """
-    coords = mesh.vertices[mesh.triangles].astype(float)
-    if mesh.period_x > 0:
-        anchor = coords[:, :1, 0]
-        coords[:, :, 0] = anchor[:, 0][:, None] + _wrap_delta(coords[:, :, 0] - anchor, mesh.period_x)
-    return coords
+    return _unwrapped_coords(mesh.vertices, mesh.triangles, mesh.period_x)
 
 
 def triangle_areas(mesh):
-    c = triangle_coords(mesh)
-    return 0.5 * ((c[:, 1, 0] - c[:, 0, 0]) * (c[:, 2, 1] - c[:, 0, 1])
-                  - (c[:, 2, 0] - c[:, 0, 0]) * (c[:, 1, 1] - c[:, 0, 1]))
+    return 0.5 * _doubled_areas(triangle_coords(mesh))
 
 
 def mesh_area(mesh):
@@ -186,6 +194,16 @@ def max_edge_length(mesh):
         d = c[:, j] - c[:, i]
         lens.append(np.hypot(d[:, 0], d[:, 1]))
     return float(np.max(lens))
+
+
+def point_segment_distances(points, seg_a, seg_b):
+    """Distances from (n, 2) points to the (m, 2) x (m, 2) segments -> (n, m)."""
+    d = seg_b - seg_a
+    rel = points[:, None, :] - seg_a[None, :, :]
+    denom = np.einsum("md,md->m", d, d)
+    t = np.clip(np.einsum("nmd,md->nm", rel, d) / denom, 0.0, 1.0)
+    proj = seg_a[None] + t[..., None] * d[None]
+    return np.hypot(points[:, None, 0] - proj[..., 0], points[:, None, 1] - proj[..., 1])
 
 
 def _all_edges(triangles):
@@ -281,13 +299,7 @@ def validate_mesh(mesh):
 
 
 def _orient_ccw(vertices, triangles, period_x=0.0):
-    c = vertices[triangles].astype(float)
-    if period_x > 0:
-        anchor = c[:, :1, 0]
-        c[:, :, 0] = anchor[:, 0][:, None] + _wrap_delta(c[:, :, 0] - anchor, period_x)
-    area2 = ((c[:, 1, 0] - c[:, 0, 0]) * (c[:, 2, 1] - c[:, 0, 1])
-             - (c[:, 2, 0] - c[:, 0, 0]) * (c[:, 1, 1] - c[:, 0, 1]))
-    flip = area2 < 0
+    flip = _doubled_areas(_unwrapped_coords(vertices, triangles, period_x)) < 0
     triangles = triangles.copy()
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     return triangles
@@ -319,6 +331,19 @@ def build_mesh(vertices, triangles, boundary_tag=STEKLOV, density=1.0,
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
+
+def grid_triangles(n_rows, n_cols, wrap_rows):
+    """Triangles of an n_rows x n_cols grid of cells, two per cell.
+
+    Vertex (i, j) has id i * (n_cols + 1) + j; with wrap_rows, row n_rows is
+    row 0.  Cell (i, j), taken row by row, gives (a, b, c) and (a, c, d) with
+    a = (i, j), b = (i + 1, j), c = (i + 1, j + 1) and d = (i, j + 1).
+    """
+    i, j = np.meshgrid(np.arange(n_rows), np.arange(n_cols), indexing="ij")
+    a = i * (n_cols + 1) + j
+    b = ((i + 1) % n_rows if wrap_rows else i + 1) * (n_cols + 1) + j
+    return np.stack([a, b, b + 1, a, b + 1, a + 1], axis=-1).reshape(-1, 3)
+
 
 def make_disk_mesh(radius, target_h):
     """Deterministic ring-based triangulation of a disk, all-steklov boundary."""
@@ -389,18 +414,9 @@ def make_strip_mesh(length_l, width_w, target_h, periodic,
     ys = width_w * np.arange(ny + 1) / ny
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return (i % nx if periodic else i) * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
     period = length_l if periodic else 0.0
-    mesh = build_mesh(verts, np.asarray(tris, np.int32), period_x=period, validate=False)
+    mesh = build_mesh(verts, grid_triangles(nx, ny, periodic), period_x=period,
+                      validate=False)
     # retag sides
     tags = np.array(mesh.boundary_tags, object)
     mids = boundary_edge_midpoints(mesh)

@@ -92,7 +92,12 @@ def eigenvalues_and_weight_jacobian(n, edges, weights):
     return w, jac
 
 
-def prescribe_spectrum(targets, max_iters=200, tol=1e-8, n_starts=8, seed=0):
+# least-squares evaluations per start, and starts (symmetric plus random)
+_MAX_ITERS = 200
+_N_STARTS = 8
+
+
+def prescribe_spectrum(targets, tol=1e-8, seed=0):
     """Edge lengths on K_{N+1} whose Laplacian spectrum is (0, a_1..a_N).
 
     Least-squares over log-weights (positivity by construction) with analytic
@@ -123,10 +128,10 @@ def prescribe_spectrum(targets, max_iters=200, tol=1e-8, n_starts=8, seed=0):
     # uniform weights give the constant spectrum mean(targets); good basin
     z_uniform = np.full(m, np.log(targets.mean() / n))
     best = None
-    for start in range(max(1, n_starts)):
+    for start in range(_N_STARTS):
         z0 = z_uniform if start == 0 else z_uniform + rng.normal(0.0, 0.5, m)
         sol = least_squares(residual, z0, jac=jacobian, method="trf",
-                            max_nfev=max_iters, xtol=1e-15, ftol=1e-15, gtol=1e-15)
+                            max_nfev=_MAX_ITERS, xtol=1e-15, ftol=1e-15, gtol=1e-15)
         w = np.exp(sol.x)
         lam, _ = eigenvalues_and_weight_jacobian(n, edges, w)
         rel = np.max(np.abs(lam[1:] - targets) / targets)
@@ -138,7 +143,7 @@ def prescribe_spectrum(targets, max_iters=200, tol=1e-8, n_starts=8, seed=0):
             if np.max(np.abs(check[1:] - targets) / targets) <= tol:
                 return g
     raise PrescriptionError(
-        f"no start reached tol={tol} within {max_iters} evaluations "
+        f"no start reached tol={tol} within {_MAX_ITERS} evaluations "
         f"(best max relative error {best[0]:.3e})",
         best_lengths=1.0 / best[1], best_residual=best[0])
 

@@ -52,17 +52,12 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def load_config(path, overrides=None):
+def load_config(path, seed=None):
+    """The config in a JSON file; a seed that is not None replaces its seed."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if overrides:
-        for key, val in overrides.items():
-            if val is None:
-                continue
-            if key in ("kind", "name", "seed"):
-                data[key] = val
-            else:
-                data.setdefault("params", {})[key] = val
+    if seed is not None:
+        data["seed"] = seed
     return ExperimentConfig(
         kind=data["kind"],
         name=data.get("name", os.path.splitext(os.path.basename(path))[0]),
@@ -523,13 +518,28 @@ def _persist(report, artifacts, config, out_dir):
         graphs.save_graph(artifacts["graph"],
                           os.path.join(out_dir, f"{config.name}.graph"))
     if "thickened" in artifacts:
-        # the final eps of the sweep: its mesh and mode 1 of its solve
+        # the final eps of the sweep: its mesh and the mode-1 field of its solve
         mesh, res = artifacts["thickened"]
         os.makedirs(meshes, exist_ok=True)
         geometry.save_mesh(mesh, os.path.join(meshes, f"{config.name}-thickened.msh"))
         os.makedirs(figures, exist_ok=True)
-        nodal.save_nodal_svg(mesh, res.extensions[1],
+        nodal.save_nodal_svg(mesh, _mode1_field(res),
                              os.path.join(figures, f"{config.name}-mode1.svg"))
+
+
+def _mode1_field(res):
+    """The kernel X'X[:, v] of the eigenspace of sigma_1 at one steklov vertex v.
+
+    X holds the M_Gamma-orthonormal eigenvectors of the cluster of index 1, so
+    the field lies in that eigenspace and depends neither on the basis an
+    eigensolver returns for a multiple sigma_1 nor on the signs.  v is the
+    first steklov vertex whose kernel diagonal is at least half its largest.
+    """
+    start, stop = next(c for c in res.clusters if c[0] <= 1 < c[1])
+    diag = np.sum(res.boundary_vectors[:, start:stop] ** 2, axis=1)
+    v = res.steklov_vertices[np.argmax(diag >= 0.5 * diag.max())]
+    X = res.extensions[start:stop]
+    return X.T @ X[:, v]
 
 
 def emit_tables(report, out_dir):

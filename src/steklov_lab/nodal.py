@@ -117,11 +117,11 @@ def courant_check(mesh, result, n_rotations=20, seed=0, zero_tol=DEFAULT_ZERO_TO
     return records
 
 
-def boundary_touch_check(mesh, decomp, tag=STEKLOV):
-    """Whether every nodal domain reaches the tagged part of the boundary."""
+def boundary_touch_check(mesh, decomp):
+    """Whether every nodal domain reaches the steklov boundary."""
     touched = np.zeros(decomp.n_domains, bool)
     tagged = np.zeros(mesh.n_vertices, bool)
-    tagged[geometry.tagged_vertices(mesh, tag)] = True
+    tagged[geometry.tagged_vertices(mesh, STEKLOV)] = True
     tri_tagged = tagged[mesh.triangles]
     tri_signs = decomp.vertex_signs[mesh.triangles]
     for sign, pieces in ((1, decomp.piece_pos), (-1, decomp.piece_neg)):

@@ -28,6 +28,8 @@ class ThickeningError(ValueError):
 
 
 _WELD_TOL = 1e-9
+# least angle between an incident strip and the end of its vertex's diameter
+_MARGIN = math.radians(2.0)
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,6 @@ class GraphEmbedding:
                            axis=1)
         if np.any(np.abs(d - self.graph.lengths) > 1e-9 * np.maximum(1.0, self.graph.lengths)):
             raise EmbeddingError("embedded chord lengths do not match the edge lengths")
-
-
-def _vertex_degrees(g):
-    deg = np.zeros(g.n_vertices, int)
-    for a, b in g.edges:
-        deg[a] += 1
-        deg[b] += 1
-    return deg
 
 
 def _walk_order(g, start):
@@ -89,16 +83,16 @@ def embed_graph(g, style="convex-boundary", c=2.0):
     """
     if c <= 1.0:
         raise EmbeddingError("need c > 1")
-    deg = _vertex_degrees(g)
+    deg = np.bincount(g.edges.ravel(), minlength=g.n_vertices)
     pos = np.zeros((g.n_vertices, 2))
+    lookup = {tuple(sorted((int(a), int(b)))): float(l)
+              for (a, b), l in zip(g.edges, g.lengths)}
 
     if style == "convex-boundary":
         if np.any(deg != 2):
             raise EmbeddingError("convex-boundary embedding needs a single cycle "
                                  "(every vertex of degree 2)")
         order = _walk_order(g, 0)
-        lookup = {tuple(sorted((int(a), int(b)))): float(l)
-                  for (a, b), l in zip(g.edges, g.lengths)}
         lens = [lookup[tuple(sorted((order[i], order[(i + 1) % len(order)])))]
                 for i in range(len(order))]
         radius = _circumscribed_radius(lens)
@@ -110,8 +104,6 @@ def embed_graph(g, style="convex-boundary", c=2.0):
         if np.sum(deg == 1) != 2 or np.any(deg > 2):
             raise EmbeddingError("path embedding needs a path graph")
         order = _walk_order(g, int(np.nonzero(deg == 1)[0][0]))
-        lookup = {tuple(sorted((int(a), int(b)))): float(l)
-                  for (a, b), l in zip(g.edges, g.lengths)}
         p = np.zeros(2)
         s = math.sqrt(0.5)
         for i in range(len(order) - 1):
@@ -125,7 +117,7 @@ def embed_graph(g, style="convex-boundary", c=2.0):
             raise EmbeddingError("star embedding needs a star graph")
         center = int(centers[0])
         beta = math.asin(1.0 / c)
-        # strictly inside the builder's default angular margin
+        # strictly inside the builder's angular margin
         margin = math.radians(3.0)
         k = g.n_vertices - 1
         if k == 1:
@@ -178,14 +170,9 @@ def _seg_seg_distance(p1, p2, p3, p4):
     if (orient(p1, p2, p3) * orient(p1, p2, p4) < 0
             and orient(p3, p4, p1) * orient(p3, p4, p2) < 0):
         return 0.0
-
-    def pt_seg(p, a, b):
-        d = b - a
-        t = np.clip(np.dot(p - a, d) / np.dot(d, d), 0.0, 1.0)
-        return float(np.linalg.norm(p - (a + t * d)))
-
-    return min(pt_seg(p1, p3, p4), pt_seg(p2, p3, p4),
-               pt_seg(p3, p1, p2), pt_seg(p4, p1, p2))
+    ends = np.array([p1, p2, p3, p4])
+    return float(min(geometry.point_segment_distances(ends[:2], ends[2:3], ends[3:]).min(),
+                     geometry.point_segment_distances(ends[2:], ends[:1], ends[1:2]).min()))
 
 
 def _check_clearances(embedding, eps, c):
@@ -196,14 +183,13 @@ def _check_clearances(embedding, eps, c):
         for j in range(i + 1, n):
             if np.linalg.norm(pos[i] - pos[j]) <= 2.0 * c * eps:
                 raise ThickeningError(f"vertex disks {i} and {j} overlap")
-    for k, (a, b) in enumerate(edges):
-        for v in range(n):
-            if v in (int(a), int(b)):
-                continue
-            d = pos[b] - pos[a]
-            t = np.clip(np.dot(pos[v] - pos[a], d) / np.dot(d, d), 0.0, 1.0)
-            if np.linalg.norm(pos[v] - (pos[a] + t * d)) <= (c + 1.0) * eps:
-                raise ThickeningError(f"strip {k} runs into vertex disk {v}")
+    # (edge, vertex) distances; a strip's own end vertices do not count
+    dist = geometry.point_segment_distances(pos, pos[edges[:, 0]], pos[edges[:, 1]]).T
+    dist[np.arange(edges.shape[0])[:, None], edges] = np.inf
+    hits = np.argwhere(dist <= (c + 1.0) * eps)
+    if hits.size:
+        k, v = hits[0]
+        raise ThickeningError(f"strip {k} runs into vertex disk {v}")
     for k1 in range(edges.shape[0]):
         for k2 in range(k1 + 1, edges.shape[0]):
             if set(edges[k1].tolist()) & set(edges[k2].tolist()):
@@ -213,9 +199,9 @@ def _check_clearances(embedding, eps, c):
                 raise ThickeningError(f"strips {k1} and {k2} overlap")
 
 
-def _junction_polyline(x, dirs, us, eps, c, target_h, margin):
-    """Closed CCW boundary polyline of the convex vertex region, plus the
-    diameter endpoints.
+def _junction_polyline(x, dirs, us, eps, c, target_h):
+    """Closed CCW boundary polyline of the convex vertex region, and n_diam:
+    the steklov diameter is point 0 plus the last n_diam points.
 
     The region is disk(x, c*eps) cut by the diameter half-plane and by one
     chord per incident edge at distance t0; chord subdivision points are the
@@ -231,7 +217,7 @@ def _junction_polyline(x, dirs, us, eps, c, target_h, margin):
     psi = math.atan2(mean[1], mean[0])
 
     rel = np.mod(thetas - psi + math.pi, 2.0 * math.pi) - math.pi
-    if np.any(np.abs(rel) + beta > 0.5 * math.pi - margin):
+    if np.any(np.abs(rel) + beta > 0.5 * math.pi - _MARGIN):
         raise ThickeningError(
             "an incident edge leaves too close to the diameter; reduce c or re-embed")
     order = np.argsort(rel)
@@ -256,10 +242,10 @@ def _junction_polyline(x, dirs, us, eps, c, target_h, margin):
     e_plus = circle(psi + 0.5 * math.pi)
     pts.append(e_minus)
     cursor = psi - 0.5 * math.pi
-    for idx in order:
+    for idx, rel_idx in zip(order, rel):
         d = np.asarray(dirs[idx], float)
         d_perp = np.array([-d[1], d[0]])
-        a_in = psi + rel[np.nonzero(order == idx)[0][0]] - beta
+        a_in = psi + rel_idx - beta
         pts.extend(arc_points(cursor, a_in))
         chord = [x + t0 * d + u * eps * d_perp for u in us]
         if pts and np.linalg.norm(pts[-1] - chord[0]) < 10 * _WELD_TOL:
@@ -275,7 +261,7 @@ def _junction_polyline(x, dirs, us, eps, c, target_h, margin):
     poly = np.asarray(pts)
     keep = np.ones(len(poly), bool)
     keep[1:] = np.linalg.norm(np.diff(poly, axis=0), axis=1) > 10 * _WELD_TOL
-    return poly[keep], (e_minus, e_plus)
+    return poly[keep], int(keep[-n_d:].sum())
 
 
 def _ring_triangulate(poly, target_h):
@@ -309,26 +295,14 @@ def _strip_mesh(a, d, t0, length, us, eps, target_h):
     s = np.linspace(0.0, 1.0, n_long + 1)
     cols = a[None, :] + (t0 + s * length)[:, None] * d[None, :]
     verts = (cols[:, None, :] + (np.asarray(us) * eps)[None, :, None] * d_perp[None, None, :])
-    nu = len(us)
-    verts = verts.reshape(-1, 2)
-    tris = []
-    for i in range(n_long):
-        for j in range(nu - 1):
-            v00 = i * nu + j
-            v01 = i * nu + j + 1
-            v10 = (i + 1) * nu + j
-            v11 = (i + 1) * nu + j + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return verts, np.asarray(tris, np.int64)
+    return verts.reshape(-1, 2), geometry.grid_triangles(n_long, len(us) - 1, False)
 
 
-def build_thickened_mesh(embedding, eps, c=2.0, target_h=None,
-                         margin=math.radians(2.0)):
+def build_thickened_mesh(embedding, eps, c=2.0, target_h=None):
     """Mesh of the thickened domain with steklov diameters and neumann walls.
 
-    Returns (mesh, diameters) where diameters[v] = (end_minus, end_plus) of
-    the flat steklov segment of vertex v.
+    A boundary edge is steklov when both of its ends lie on the diameter of
+    the same graph vertex, as the junction polylines lay the diameters out.
     """
     if eps <= 0 or c <= 1.0:
         raise ThickeningError("need eps > 0 and c > 1")
@@ -353,17 +327,21 @@ def build_thickened_mesh(embedding, eps, c=2.0, target_h=None,
     all_verts = []
     all_tris = []
     offset = 0
-    diameters = {}
+    # diameter point ids before welding, and the graph vertex of each
+    diam_ids = []
+    diam_owner = []
     for v in range(g.n_vertices):
         if not incident[v]:
             raise ThickeningError(f"vertex {v} is isolated")
-        poly, diam = _junction_polyline(pos[v], incident[v], us, eps, c,
-                                        target_h, margin)
+        poly, n_diam = _junction_polyline(pos[v], incident[v], us, eps, c, target_h)
+        # the outer ring of the triangulation is the polyline itself
         verts, tris = _ring_triangulate(poly, target_h)
+        m = poly.shape[0]
+        diam_ids.append(offset + np.r_[0, m - n_diam:m])
+        diam_owner.append(np.full(n_diam + 1, v))
         all_verts.append(verts)
         all_tris.append(tris + offset)
         offset += verts.shape[0]
-        diameters[v] = diam
     for k, (a, b) in enumerate(g.edges):
         delta = pos[b] - pos[a]
         full = np.linalg.norm(delta)
@@ -378,40 +356,38 @@ def build_thickened_mesh(embedding, eps, c=2.0, target_h=None,
     verts = np.vstack(all_verts)
     tris = np.vstack(all_tris)
     pairs = cKDTree(verts).query_pairs(_WELD_TOL, output_type="ndarray")
-    _, new_ids = geometry.label_components(verts.shape[0], pairs[:, 0], pairs[:, 1])
+    n_welded, new_ids = geometry.label_components(verts.shape[0], pairs[:, 0], pairs[:, 1])
     # each welded vertex keeps the coordinates of its lowest-index duplicate
     _, keep = np.unique(new_ids, return_index=True)
     mesh = geometry.build_mesh(verts[keep], new_ids[tris], boundary_tag=NEUMANN)
 
-    mids = geometry.boundary_edge_midpoints(mesh)
-    tags = np.array(mesh.boundary_tags, object)
-    for e_minus, e_plus in diameters.values():
-        d = e_plus - e_minus
-        t = np.clip(((mids - e_minus) @ d) / (d @ d), 0.0, 1.0)
-        dist = np.linalg.norm(mids - (e_minus + t[:, None] * d[None, :]), axis=1)
-        tags[dist < 10 * _WELD_TOL] = STEKLOV
-    mesh = geometry.validate_mesh(geometry.replace_mesh(mesh, boundary_tags=tags))
+    owner = np.full(n_welded, -1)
+    owner[new_ids[np.concatenate(diam_ids)]] = np.concatenate(diam_owner)
+    ends = owner[mesh.boundary_edges]
+    tags = np.where((ends[:, 0] >= 0) & (ends[:, 0] == ends[:, 1]), STEKLOV, NEUMANN)
+    mesh = geometry.validate_mesh(
+        geometry.replace_mesh(mesh, boundary_tags=tags.astype(object)))
     expected = 2.0 * c * eps * g.n_vertices
     got = geometry.boundary_length(mesh, STEKLOV)
     if abs(got - expected) > 1e-6 * expected:
         raise ThickeningError(
             f"steklov tagging inconsistent: length {got} vs expected {expected}")
-    return mesh, diameters
+    return mesh
 
 
 # ---------------------------------------------------------------------------
 # spectral verification
 # ---------------------------------------------------------------------------
 
-def verify_graph_limit(embedding, eps_values, c=2.0, target_h_factor=0.25,
-                       margin=math.radians(2.0)):
+def verify_graph_limit(embedding, eps_values, c=2.0, target_h_factor=0.25):
     """Compare thickened-domain spectra against the graph Laplacian spectrum.
 
     For each eps: the first |V| eigenvalues rescaled by the graph spectrum
     give the empirical proportionality constant (candidates: c and 1/c), the
     (|V|+1)-st eigenvalue gives the spectral gap, and the eigenvector traces
-    are checked for near-constancy on each steklov diameter.  "final" is
-    the (mesh, SpectralResult) of the last eps.
+    are checked for near-constancy on each steklov diameter, a connected
+    component of the steklov boundary.  "final" is the (mesh, SpectralResult)
+    of the last eps.
     """
     g = embedding.graph
     gspec = graphs.graph_laplacian_spectrum(g)
@@ -419,28 +395,20 @@ def verify_graph_limit(embedding, eps_values, c=2.0, target_h_factor=0.25,
     nv = g.n_vertices
     rows = []
     for eps in eps_values:
-        mesh, diameters = build_thickened_mesh(embedding, eps, c,
-                                               target_h=target_h_factor * eps,
-                                               margin=margin)
+        mesh = build_thickened_mesh(embedding, eps, c, target_h=target_h_factor * eps)
         res = fem.steklov_spectrum(mesh, nv + 1)
         sig = res.eigenvalues
         nz = lam > 1e-12
         nz[0] = False
         ratios = sig[:nv][nz] / lam[nz]
-        # membership of steklov vertices per diameter, for trace constancy
-        sk_pos = mesh.vertices[res.steklov_vertices]
-        spread = 0.0
-        for k in range(1, nv):
-            vec = res.boundary_vectors[:, k]
-            scale = np.abs(vec).max()
-            for e_minus, e_plus in diameters.values():
-                d = e_plus - e_minus
-                t = ((sk_pos - e_minus) @ d) / (d @ d)
-                on = (t > -1e-9) & (t < 1.0 + 1e-9)
-                on &= (np.linalg.norm(sk_pos - (e_minus + t[:, None] * d[None, :]),
-                                      axis=1) < 10 * _WELD_TOL)
-                if np.any(on):
-                    spread = max(spread, float(np.ptp(vec[on]) / scale))
+        sk = res.steklov_vertices
+        ends = np.searchsorted(sk, mesh.boundary_edges[mesh.boundary_tags == STEKLOV])
+        n_diam, diam = geometry.label_components(sk.size, ends[:, 0], ends[:, 1])
+        # spread of each nonconstant trace over each diameter, over its max
+        vecs = res.boundary_vectors[:, 1:nv]
+        scale = np.abs(vecs).max(axis=0)
+        spread = max(float(np.max(np.ptp(vecs[diam == j], axis=0) / scale))
+                     for j in range(n_diam))
         rows.append({
             "eps": float(eps),
             "sigma": sig.tolist(),

@@ -82,12 +82,12 @@ def _unchunked_weight(family, eps):
     pa = mesh.vertices[edges[:, 0]].astype(float)
     pb = pa + geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
     cen = geometry.triangle_coords(mesh).mean(axis=1)
-    dist = dfm._point_segment_distance(cen, pa, pb)
+    dist = geometry.point_segment_distances(cen, pa, pb)
     if mesh.period_x > 0:
         for shift in (-mesh.period_x, mesh.period_x):
             shifted = cen.copy()
             shifted[:, 0] += shift
-            dist = np.minimum(dist, dfm._point_segment_distance(shifted, pa, pb))
+            dist = np.minimum(dist, geometry.point_segment_distances(shifted, pa, pb))
     nearest = np.argmin(dist, axis=1)
     dmin = dist[np.arange(cen.shape[0]), nearest]
     h = 1.0 + (factor[nearest] - 1.0) * np.clip(1.0 - dmin / eps, 0.0, 1.0)
@@ -115,13 +115,13 @@ def test_density_family_chunks_match_unchunked(periodic, monkeypatch):
 def test_density_family_searches_distances_once(monkeypatch):
     mesh, _, fam = make_density_family()
     calls = []
-    search = dfm._point_segment_distance
+    search = geometry.point_segment_distances
 
     def counted(*args):
         calls.append(1)
         return search(*args)
 
-    monkeypatch.setattr(dfm, "_point_segment_distance", counted)
+    monkeypatch.setattr(geometry, "point_segment_distances", counted)
     first = dfm.density_family_at(fam, 0.5)
     assert calls
     n_first = len(calls)

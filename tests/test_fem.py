@@ -114,6 +114,24 @@ def test_disconnected_component_raises():
         fem.steklov_spectrum(mesh, 2)
 
 
+def test_dirichlet_edge_anchors_a_second_component():
+    # a steklov disk and a disjoint square whose only anchor is one dirichlet edge
+    disk = geometry.make_disk_mesh(1.0, 0.3)
+    n = disk.n_vertices
+    verts = np.vstack([disk.vertices, [[3.0, 0.0], [4.0, 0.0], [4.0, 1.0], [3.0, 1.0]]])
+    tris = np.vstack([disk.triangles, [[n, n + 1, n + 2], [n, n + 2, n + 3]]])
+    mesh = geometry.build_mesh(verts, tris)
+    square = mesh.boundary_edges.min(axis=1) >= n
+    bottom = np.all(np.sort(mesh.boundary_edges, axis=1) == [n, n + 1], axis=1)
+    tags = np.where(square, NEUMANN, STEKLOV).astype(object)
+    tags[bottom] = DIRICHLET
+    mesh = geometry.replace_mesh(mesh, boundary_tags=tags)
+    res = fem.steklov_spectrum(mesh, 4)
+    assert np.allclose(res.eigenvalues, fem.steklov_spectrum(disk, 4).eigenvalues,
+                       rtol=1e-8, atol=1e-10)
+    assert np.max(np.abs(res.extensions[:, n:])) < 1e-10
+
+
 def test_degenerate_triangle_raises():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     mesh = geometry.build_mesh(verts, np.array([[0, 1, 2]], np.int32),

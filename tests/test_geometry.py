@@ -233,6 +233,46 @@ def test_mesh_builders_build_the_edge_table_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("n_rows,n_cols,wrap", [(1, 1, False), (4, 3, False),
+                                                 (3, 1, True), (5, 4, True)])
+def test_grid_triangles_match_cell_loops(n_rows, n_cols, wrap):
+    def vid(i, j):
+        return (i % n_rows if wrap else i) * (n_cols + 1) + j
+
+    tris = []
+    for i in range(n_rows):
+        for j in range(n_cols):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    assert np.array_equal(geometry.grid_triangles(n_rows, n_cols, wrap), tris)
+
+
+def test_point_segment_distances_match_scalar_reference():
+    rng = np.random.default_rng(4)
+    points = rng.uniform(-2.0, 2.0, (7, 2))
+    seg_a = rng.uniform(-1.0, 1.0, (5, 2))
+    seg_b = rng.uniform(-1.0, 1.0, (5, 2))
+    # a point on a segment, and one beyond each end of it
+    points[0] = 0.3 * seg_a[0] + 0.7 * seg_b[0]
+    points[1] = seg_a[1] + 2.0 * (seg_a[1] - seg_b[1])
+    points[2] = seg_b[2] + 0.5 * (seg_b[2] - seg_a[2])
+
+    def reference(p, a, b):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
+        t = min(1.0, max(0.0, t))
+        return math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
+
+    got = geometry.point_segment_distances(points, seg_a, seg_b)
+    want = [[reference(p, a, b) for a, b in zip(seg_a, seg_b)] for p in points]
+    assert got.shape == (7, 5)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+    assert got[0, 0] < 1e-14
+    assert got[1, 1] == pytest.approx(np.linalg.norm(points[1] - seg_a[1]), rel=1e-12)
+    assert got[2, 2] == pytest.approx(np.linalg.norm(points[2] - seg_b[2]), rel=1e-12)
+
+
 def test_replace_mesh_keeps_edge_table_for_same_triangles():
     mesh = geometry.make_disk_mesh(1.0, 0.2)
     table = mesh.edge_table

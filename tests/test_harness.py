@@ -41,10 +41,9 @@ def test_load_config_with_overrides(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"kind": "spectrum", "seed": 3,
                                 "params": {"target_h": 0.2}}))
-    cfg = harness.load_config(str(path), {"seed": 9, "n_eigs": 2})
+    cfg = harness.load_config(str(path), seed=9)
     assert cfg.name == "c"
     assert cfg.seed == 9
-    assert cfg.params["n_eigs"] == 2
     assert cfg.params["target_h"] == 0.2
 
 
@@ -155,11 +154,28 @@ def test_persist_writes_the_final_solve(tmp_path, monkeypatch):
     assert harness.run(cfg, out_dir=str(tmp_path)).passed
     assert len(calls["build"]) == len(calls["solve"]) == len(eps_values)
     mesh, res = calls["solve"][-1]
-    assert mesh is calls["build"][-1][1][0]
+    assert mesh is calls["build"][-1][1]
     text = (tmp_path / "meshes" / "k3-thickened.msh").read_text()
     assert text == geometry.mesh_to_text(mesh)
     svg = (tmp_path / "figures" / "k3-mode1.svg").read_text()
-    assert svg == nodal.nodal_svg(mesh, res.extensions[1])
+    assert svg == nodal.nodal_svg(mesh, harness._mode1_field(res))
+
+
+@pytest.mark.parametrize("name", ["k3", "5-cycle"])
+def test_mode1_figure_does_not_depend_on_the_solve_size(name):
+    if name == "k3":
+        g = graphs.MetricGraph(3, graphs.complete_graph_edges(3), np.ones(3))
+    else:
+        lengths = np.random.default_rng(1).uniform(0.9, 1.1, 5)
+        g = graphs.MetricGraph(5, [[i, (i + 1) % 5] for i in range(5)],
+                               lengths * 5.0 / lengths.sum())
+    mesh = thickening.build_thickened_mesh(thickening.embed_graph(g), 0.04)
+    nv = g.n_vertices
+    fields = [harness._mode1_field(fem.steklov_spectrum(mesh, n)) for n in (nv + 1, nv + 3)]
+    assert nodal.nodal_svg(mesh, fields[0]) == nodal.nodal_svg(mesh, fields[1])
+    sigma_1 = fem.steklov_spectrum(mesh, nv + 1).eigenvalues[1]
+    for f in fields:
+        assert abs(fem.rayleigh_quotient(mesh, f) - sigma_1) < 1e-10
 
 
 def test_mixed_disk_audit_point():

@@ -59,18 +59,60 @@ def test_embedding_must_realize_lengths():
 def test_thickened_mesh_structure():
     eps, c = 0.06, 2.0
     emb = thk.embed_graph(unit_k3(), "convex-boundary")
-    mesh, diameters = thk.build_thickened_mesh(emb, eps, c)
+    mesh = thk.build_thickened_mesh(emb, eps, c)
     geometry.validate_mesh(mesh)
     # steklov boundary = three flat diameters of length 2*c*eps
     assert geometry.boundary_length(mesh, geometry.STEKLOV) == pytest.approx(
         3 * 2 * c * eps)
-    assert len(diameters) == 3
-    for e_minus, e_plus in diameters.values():
-        assert np.linalg.norm(e_plus - e_minus) == pytest.approx(2 * c * eps)
     # total area close to three strips plus three cut half-disks
     t0 = eps * math.sqrt(c * c - 1.0)
     assert geometry.mesh_area(mesh) == pytest.approx(
         3 * 2 * eps * (1 - 2 * t0), rel=0.25)
+
+
+def seeded_cycle(seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.uniform(0.9, 1.1, 5)
+    lengths *= 5.0 / lengths.sum()
+    return graphs.MetricGraph(5, [[i, (i + 1) % 5] for i in range(5)], lengths)
+
+
+EMBEDDINGS = {
+    "k3": (unit_k3(), "convex-boundary", 2.0),
+    "5-cycle": (seeded_cycle(1), "convex-boundary", 2.0),
+    "path": (graphs.MetricGraph(4, [[0, 1], [1, 2], [2, 3]], [1.0, 0.8, 1.2]), "path", 2.0),
+    "star": (graphs.MetricGraph(4, [[0, 1], [0, 2], [0, 3]], [1.0, 0.9, 1.1]), "star", 4.0),
+}
+
+
+@pytest.mark.parametrize("name", list(EMBEDDINGS))
+def test_steklov_boundary_is_one_diameter_per_vertex(name):
+    g, style, c = EMBEDDINGS[name]
+    emb = thk.embed_graph(g, style, c)
+    eps = 0.04
+    mesh = thk.build_thickened_mesh(emb, eps, c)
+    edges = mesh.boundary_edges[mesh.boundary_tags == geometry.STEKLOV]
+    lengths = geometry.boundary_edge_lengths(mesh)[mesh.boundary_tags == geometry.STEKLOV]
+    _, labels = geometry.label_components(mesh.n_vertices, edges[:, 0], edges[:, 1])
+    comps = np.unique(labels[edges[:, 0]])
+    assert comps.size == g.n_vertices
+    centers = []
+    for comp in comps:
+        on = labels[edges[:, 0]] == comp
+        pts = mesh.vertices[np.unique(edges[on])]
+        # extreme points: the farthest from any point, then the farthest from it
+        a = pts[np.argmax(np.linalg.norm(pts - pts[0], axis=1))]
+        b = pts[np.argmax(np.linalg.norm(pts - a, axis=1))]
+        u = (b - a) / np.linalg.norm(b - a)
+        off_line = (pts - a) @ np.array([-u[1], u[0]])
+        assert np.max(np.abs(off_line)) < 1e-12
+        assert np.linalg.norm(b - a) == pytest.approx(2 * c * eps, rel=1e-12)
+        assert lengths[on].sum() == pytest.approx(2 * c * eps, rel=1e-12)
+        centers.append(0.5 * (a + b))
+    # the midpoints are the vertex positions, one diameter per vertex
+    dist = np.linalg.norm(np.asarray(centers)[:, None] - emb.positions[None], axis=2)
+    assert sorted(np.argmin(dist, axis=1).tolist()) == list(range(g.n_vertices))
+    assert np.max(np.min(dist, axis=1)) < 1e-12
 
 
 def test_overlapping_disks_rejected():

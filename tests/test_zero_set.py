@@ -117,7 +117,7 @@ def _welded_five_cycle():
     cycle = np.array([[i, (i + 1) % 5] for i in range(5)])
     g = graphs.MetricGraph(5, cycle, np.array([1.0, 0.9, 1.1, 1.0, 1.0]))
     emb = thickening.embed_graph(g, "convex-boundary", 2.0)
-    mesh, _ = thickening.build_thickened_mesh(emb, 0.05, 2.0, target_h=0.025)
+    mesh = thickening.build_thickened_mesh(emb, 0.05, 2.0, target_h=0.025)
     return mesh
 
 
