@@ -131,7 +131,7 @@ def main(argv=None):
 
     p = sub.add_parser("spectrum", help="solve the Steklov eigenproblem on a mesh")
     p.add_argument("--mesh", required=True)
-    p.add_argument("--n-eigs", type=int, default=6)
+    p.add_argument("--n-eigs", type=positive_int, default=6)
     p.add_argument("--tol", type=positive_float,
                    help="relative tolerance for grouping eigenvalues into clusters")
     _add_flags(p, "--out")

@@ -175,6 +175,8 @@ SHIFT = -0.1
 
 def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
     """Solve the (mixed) Steklov eigenproblem on a tagged mesh."""
+    if n_eigs < 1:
+        raise ValueError(f"n_eigs={n_eigs} must be at least 1")
     if cluster_rel_tol is None:
         cluster_rel_tol = default_cluster_rel_tol(mesh)
     B = assemble_boundary_mass(mesh, STEKLOV)

@@ -87,29 +87,6 @@ class EdgeTable:
     tri_b: np.ndarray       # (ni,) second incident triangle
 
 
-@dataclass(frozen=True)
-class SurfaceTopology:
-    """Topological metadata used by the multiplicity bound formulas."""
-
-    orientable: bool
-    genus: int = 0
-    boundary_components: int = 1
-    p_invariant: int = 0
-
-    def __post_init__(self):
-        if self.genus < 0 or self.boundary_components < 1:
-            raise ParameterError("genus must be >= 0 and boundary components >= 1")
-        if self.orientable:
-            # chi = 2 - 2*genus - l, so p = 1 - chi - l = 2*genus + 2*l - l - 1
-            expected = 2 * self.genus + self.boundary_components - 1
-            if self.p_invariant not in (0, expected):
-                raise ParameterError("p_invariant inconsistent with orientable genus/boundary data")
-
-
-DISK_TOPOLOGY = SurfaceTopology(orientable=True, genus=0, boundary_components=1)
-ANNULUS_TOPOLOGY = SurfaceTopology(orientable=True, genus=0, boundary_components=2)
-
-
 # ---------------------------------------------------------------------------
 # geometric helpers (periodicity-aware)
 # ---------------------------------------------------------------------------

@@ -3,12 +3,11 @@
 Each experiment is a JSON config (kind + parameters + seed).  The registry at
 the end of this module maps every kind to its runner and to the columns of its
 CSV table; an audit kind also names the function that measures one randomized
-run and the point flags that become its checks.  ``_entry`` resolves a config
-to its entry, including the mode of prescription-pipeline.  ``run`` calls the
-runner, which collects per-point results (capturing per-point audit errors
-instead of aborting the sweep) and evaluates the checks, and returns a report
-whose hash is deterministic given config + seed (the environment stamp and
-wall-clock are excluded from the hash).
+run and the point flags that become its checks.  ``run`` calls the runner,
+which collects per-point results (capturing per-point audit errors instead of
+aborting the sweep) and evaluates the checks, and returns a report whose hash
+is deterministic given config + seed (the environment stamp and wall-clock
+are excluded from the hash).
 """
 
 from collections import namedtuple
@@ -56,12 +55,14 @@ def load_config(path, seed=None):
     """The config in a JSON file; a seed that is not None replaces its seed."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if "kind" not in data:
+        raise ConfigError(f"{path} has no experiment kind")
     if seed is not None:
         data["seed"] = seed
     return ExperimentConfig(
         kind=data["kind"],
         name=data.get("name", os.path.splitext(os.path.basename(path))[0]),
-        seed=int(data.get("seed", 0)),
+        seed=data.get("seed", 0),
         params=data.get("params", {}),
         tolerances=data.get("tolerances", {}),
     )
@@ -141,8 +142,9 @@ def _base_mesh(domain, dims, h):
     return geometry.make_disk_mesh(*dims, h)
 
 
-def _make_domain(params, rng=None):
-    """Build the audit domain named by params["domain"]."""
+def _make_domain(params, rng):
+    """Build the domain named by params["domain"]; rng places the steklov arc
+    of a mixed disk."""
     domain = params.get("domain", "disk")
     h = float(params.get("target_h", 0.08))
     if domain == "disk":
@@ -152,14 +154,10 @@ def _make_domain(params, rng=None):
                                       float(params.get("r_outer", 1.0))), h)
     if domain == "mixed-disk":
         mesh = _base_mesh("disk", (float(params.get("radius", 1.0)),), h)
-        frac = params.get("steklov_fraction")
-        if frac is None:
-            if rng is None:
-                raise ConfigError("mixed-disk needs a steklov_fraction or a seed")
-            frac = rng.uniform(0.25, 0.75)
-        start = rng.uniform(0.0, 2 * math.pi) if rng is not None else 0.0
-        arcs = [((start, start + 2 * math.pi * float(frac)), STEKLOV),
-                ((start + 2 * math.pi * float(frac), start + 2 * math.pi), NEUMANN)]
+        frac = rng.uniform(0.25, 0.75)
+        start = rng.uniform(0.0, 2 * math.pi)
+        arcs = [((start, start + 2 * math.pi * frac), STEKLOV),
+                ((start + 2 * math.pi * frac, start + 2 * math.pi), NEUMANN)]
         return geometry.tag_boundary(mesh, arcs, by="angle", center=(0.0, 0.0))
     raise ConfigError(f"unknown domain {domain!r}")
 
@@ -175,7 +173,7 @@ def _run_spectrum(config, jobs):
     ref = np.asarray(p.get("reference", []), float)
     if "reference" in p and not 0 < ref.size < n_eigs:
         raise ConfigError(f"reference needs 1 to {n_eigs - 1} values when n_eigs = {n_eigs}")
-    mesh = geometry.load_mesh(p["mesh_file"]) if "mesh_file" in p else _make_domain(p)
+    mesh = _make_domain(p, np.random.default_rng(config.seed))
     res = fem.steklov_spectrum(mesh, n_eigs, p.get("cluster_rel_tol"))
     points = [{"k": k, "sigma": float(res.eigenvalues[k])} for k in range(n_eigs)]
     checks = []
@@ -309,10 +307,6 @@ def _run_subdomain_sweep(config, jobs):
 
 def _load_or_build_graph(config):
     p = config.params
-    if "targets" in p:
-        tol = float(config.tolerances.get("prescriber_rel_err", 1e-8))
-        return graphs.prescribe_spectrum(np.asarray(p["targets"], float),
-                                         tol=tol, seed=config.seed)
     if "edges" in p:
         return graphs.MetricGraph(int(p["n_vertices"]),
                                   np.asarray(p["edges"], np.int64),
@@ -361,6 +355,11 @@ def _run_graph_limit(config, jobs):
 
 def _run_prescriber_audit(config, jobs):
     p = config.params
+    if p.get("mode") != "audit":
+        raise ConfigError(
+            'prescription-pipeline runs only the prescriber audit and needs mode "audit"; '
+            "for the graph limit of a prescribed graph, write the graph with "
+            "`steklov-lab prescribe --out` and run a graph-limit config on its edges")
     tol = float(config.tolerances.get("prescriber_rel_err", 1e-8))
     rng = np.random.default_rng(config.seed)
     n_trials = int(p.get("trials", 50))
@@ -412,7 +411,7 @@ def _audit_measurements(kind, params, seed):
     mesh = _make_domain(params, rng)
     mesh, coeffs = _apply_random_density(mesh, rng)
     n_eigs = int(params.get("k_max", 6)) + 1
-    res = fem.steklov_spectrum(mesh, n_eigs, params.get("cluster_rel_tol"))
+    res = fem.steklov_spectrum(mesh, n_eigs)
     point = {"density": coeffs,
              "eigenvalues": res.eigenvalues.tolist(),
              "clusters": [list(c) for c in res.clusters]}
@@ -422,13 +421,10 @@ def _audit_measurements(kind, params, seed):
 
 def _measure_nodal(mesh, res, params, seed):
     """Courant counts, boundary contact and zero-set structure of each mode."""
-    zero_tol = float(params.get("zero_tol", nodal.DEFAULT_ZERO_TOL))
-    courant = nodal.courant_check(mesh, res, int(params.get("n_rotations", 20)),
-                                  seed=seed, zero_tol=zero_tol)
+    courant = nodal.courant_check(mesh, res, int(params.get("n_rotations", 20)), seed=seed)
     modes = res.extensions[1:]
-    touches = [nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f, zero_tol))
-               for f in modes]
-    stats = [nodal.nodal_graph_stats(mesh, f, zero_tol) for f in modes]
+    touches = [nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f)) for f in modes]
+    stats = [nodal.nodal_graph_stats(mesh, f) for f in modes]
     return {"courant": courant,
             "courant_ok": all(r["ok"] for r in courant),
             "touch_ok": all(t["all_touch"] for t in touches),
@@ -437,11 +433,8 @@ def _measure_nodal(mesh, res, params, seed):
 
 
 def _measure_multiplicity(mesh, res, params, seed):
-    """Cluster multiplicities against the bounds for the domain's topology."""
-    topo = (geometry.ANNULUS_TOPOLOGY if params.get("domain") == "annulus"
-            else geometry.DISK_TOPOLOGY)
-    mixed = params.get("domain") == "mixed-disk" or bool(params.get("mixed", False))
-    recs = nodal.multiplicity_bound_check(res, topo, mixed=mixed)
+    """Cluster multiplicities against the bounds for the mesh's topology."""
+    recs = nodal.multiplicity_bound_check(mesh, res)
     return {"bounds": recs, "bounds_ok": all(r["ok"] for r in recs)}
 
 
@@ -486,7 +479,7 @@ def _jsonable(x):
 def run(config, out_dir=None, jobs=1):
     """Execute an experiment and (optionally) persist its artifact tree."""
     start = time.monotonic()
-    points, checks, artifacts = _entry(config.kind, config.params).runner(config, jobs)
+    points, checks, artifacts = _REGISTRY[config.kind].runner(config, jobs)
     report = ExperimentReport(
         config=asdict(config),
         config_hash=config.content_hash(),
@@ -547,7 +540,7 @@ def emit_tables(report, out_dir):
     tables = os.path.join(out_dir, "tables")
     os.makedirs(tables, exist_ok=True)
     kind = report.config["kind"]
-    columns = _entry(kind, report.config["params"]).columns
+    columns = _REGISTRY[kind].columns
     path = os.path.join(tables, "sweep.csv")
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -581,33 +574,22 @@ def _audit_kind(measure, flags):
 
 
 _SWEEP_COLUMNS = ("k", "sigma", "reference", "abs_err", "rel_err")
-_GRAPH_LIMIT = _Kind(_run_graph_limit, ("eps", "k", "sigma", "lambda", "ratio"))
 
 _REGISTRY = {
     "spectrum": _Kind(_run_spectrum, ("k", "sigma")),
     "density-sweep": _Kind(_run_density_sweep, ("eps",) + _SWEEP_COLUMNS),
     "subdomain-sweep": _Kind(_run_subdomain_sweep, ("eta",) + _SWEEP_COLUMNS),
     "collar-sweep": _Kind(_run_collar_sweep, ("eta",) + _SWEEP_COLUMNS),
-    "graph-limit": _GRAPH_LIMIT,
-    # the default "full" mode: graph limit of the graph prescribed by "targets"
-    "prescription-pipeline": _GRAPH_LIMIT,
+    "graph-limit": _Kind(_run_graph_limit, ("eps", "k", "sigma", "lambda", "ratio")),
+    "prescription-pipeline": _Kind(_run_prescriber_audit,
+                                   ("trial", "n_targets", "rel_err", "homogeneity_err")),
     "nodal-audit": _audit_kind(_measure_nodal, (
         ("courant_ok", "courant-ok"), ("touch_ok", "touch-ok"),
         ("cycle_rank_ok", "cycle-rank-ok"), ("parity_ok", "parity-ok"))),
     "multiplicity-audit": _audit_kind(_measure_multiplicity,
                                       (("bounds_ok", "multiplicity-bounds"),)),
 }
-_PRESCRIBER_AUDIT = _Kind(_run_prescriber_audit,
-                          ("trial", "n_targets", "rel_err", "homogeneity_err"))
 
 KINDS = tuple(_REGISTRY)
 AUDIT_KINDS = tuple(k for k, entry in _REGISTRY.items() if entry.measure is not None)
 
-
-def _entry(kind, params):
-    """Registry entry of a config; resolves the prescription-pipeline mode."""
-    if kind == "prescription-pipeline" and params.get("mode", "full") == "audit":
-        return _PRESCRIBER_AUDIT
-    if kind == "prescription-pipeline" and "targets" not in params:
-        raise ConfigError('prescription-pipeline needs "targets" unless its mode is "audit"')
-    return _REGISTRY[kind]

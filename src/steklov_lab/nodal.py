@@ -132,34 +132,33 @@ def boundary_touch_check(mesh, decomp):
             "n_domains": decomp.n_domains}
 
 
-def multiplicity_bound(topology, k, mixed=False):
+def multiplicity_bound(mesh, k):
     """Best applicable bound on the multiplicity of the k-th eigenvalue.
 
-    Returns a dict with the enforced bound and, for non-orientable surfaces,
-    both the stated constant (+1) and the larger computation-backed constant
-    (+3), the larger one being enforced.
+    A planar or x-periodic mesh with positive areas is orientable of genus 0,
+    so its topology is the number of its boundary curves.  A disk (one curve)
+    has the bound k+1 when mixed (some boundary edge is not steklov) or when
+    k is 1 or 2; every other case has the orientable bound 2k+1.
     """
     if k < 1:
         raise NodalError("bounds apply to k >= 1")
-    if topology.orientable:
-        is_disk = topology.genus == 0 and topology.boundary_components == 1
-        if is_disk and mixed:
-            return {"bound": k + 1, "rule": "mixed-disk"}
-        if is_disk and k in (1, 2):
-            return {"bound": k + 1, "rule": "disk-low"}
-        return {"bound": 4 * topology.genus + 2 * k + 1, "rule": "orientable"}
-    stated = 4 * topology.p_invariant + 4 * k + 1
-    backed = 4 * topology.p_invariant + 4 * k + 3
-    return {"bound": backed, "stated_bound": stated, "rule": "non-orientable"}
+    verts, ends = np.unique(mesh.boundary_edges, return_inverse=True)
+    n_curves, _ = geometry.label_components(verts.size, *ends.reshape(-1, 2).T)
+    mixed = bool(np.any(mesh.boundary_tags != STEKLOV))
+    if n_curves == 1 and mixed:
+        return {"bound": k + 1, "rule": "mixed-disk"}
+    if n_curves == 1 and k in (1, 2):
+        return {"bound": k + 1, "rule": "disk-low"}
+    return {"bound": 2 * k + 1, "rule": "orientable"}
 
 
-def multiplicity_bound_check(result, topology, mixed=False):
-    """Observed cluster multiplicities against the applicable bounds."""
+def multiplicity_bound_check(mesh, result):
+    """Observed cluster multiplicities of a solve on mesh against the bounds."""
     records = []
     for a, b in result.clusters:
         if a == 0:
             continue  # the zero eigenvalue is simple by connectivity
-        info = multiplicity_bound(topology, a, mixed)
+        info = multiplicity_bound(mesh, a)
         mult = b - a
         records.append({
             "cluster": (int(a), int(b)),

@@ -148,13 +148,6 @@ def test_validate_rejects_inverted_triangle():
         geometry.validate_mesh(bad)
 
 
-def test_topology_invariants():
-    assert geometry.DISK_TOPOLOGY.orientable
-    assert geometry.ANNULUS_TOPOLOGY.boundary_components == 2
-    with pytest.raises(geometry.ParameterError):
-        geometry.SurfaceTopology(orientable=True, genus=-1)
-
-
 def test_mesh_hash_covers_every_field():
     mesh = geometry.make_strip_mesh(2.0, 0.5, 0.25, periodic=True)
     base = geometry.mesh_hash(mesh)

@@ -22,11 +22,16 @@ def small_config(**kw):
     return harness.ExperimentConfig(**base)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(harness.ConfigError):
         small_config(kind="nope")
     with pytest.raises(harness.ConfigError):
         small_config(seed=-1)
+    path = tmp_path / "c.json"
+    for data in ({"params": {}}, {"kind": "spectrum", "seed": 1.5}):
+        path.write_text(json.dumps(data))
+        with pytest.raises(harness.ConfigError):
+            harness.load_config(str(path))
 
 
 def test_config_hash_stable():
@@ -85,20 +90,6 @@ def test_report_hash_independent_of_blas_threads():
     assert _report_hash_in_child(path, 2) == one
 
 
-def test_prescription_full_mode_is_graph_limit_on_prescribed_graph():
-    params = {"targets": [1.0, 1.0], "eps_values": [0.08, 0.04]}
-    full = harness.run(harness.ExperimentConfig(
-        kind="prescription-pipeline", name="full", seed=3, params=params))
-    g = graphs.prescribe_spectrum([1.0, 1.0], tol=1e-8, seed=3)
-    limit = harness.run(harness.ExperimentConfig(
-        kind="graph-limit", name="limit", seed=0,
-        params={"n_vertices": g.n_vertices, "edges": g.edges.tolist(),
-                "lengths": g.lengths.tolist(), "eps_values": [0.08, 0.04]}))
-    assert len(full.points) == 2 * g.n_vertices
-    assert full.points == limit.points
-    assert full.checks == limit.checks
-
-
 @pytest.mark.parametrize("kind, params", [
     pytest.param("density-sweep", {"target_h": 0.3, "j_max": 0}, id="density-no-steps"),
     pytest.param("subdomain-sweep", {"target_h": 0.3, "j_max": 0}, id="subdomain-no-steps"),
@@ -116,11 +107,22 @@ def test_prescription_full_mode_is_graph_limit_on_prescribed_graph():
                  id="multiplicity-audit-no-runs"),
     pytest.param("prescription-pipeline", {"mode": "audit", "trials": 0},
                  id="prescriber-audit-no-trials"),
-    pytest.param("prescription-pipeline", {"eps_values": [0.08]}, id="full-mode-no-targets"),
+    pytest.param("prescription-pipeline", {"targets": [1.0, 2.0], "eps_values": [0.04, 0.02]},
+                 id="prescription-targets-no-mode"),
+    pytest.param("prescription-pipeline",
+                 {"mode": "full", "targets": [1.0, 1.0], "eps_values": [0.04, 0.02]},
+                 id="prescription-full-mode"),
 ])
 def test_run_rejects_empty_or_inconsistent_config(kind, params):
     config = harness.ExperimentConfig(kind=kind, name="bad", seed=0, params=params)
     with pytest.raises(harness.ConfigError):
+        harness.run(config)
+
+
+def test_prescription_pipeline_names_graph_limit_for_a_prescribed_graph():
+    config = harness.ExperimentConfig(kind="prescription-pipeline", name="full", seed=0,
+                                      params={"targets": [1.0, 2.0], "eps_values": [0.04]})
+    with pytest.raises(harness.ConfigError, match="graph-limit"):
         harness.run(config)
 
 
@@ -237,8 +239,8 @@ def test_audit_points_share_one_base_mesh(monkeypatch):
                         lambda *args: built.append(args) or make(*args))
     params = {"domain": "mixed-disk", "target_h": 0.15}
     mixed = [harness._make_domain(params, np.random.default_rng(s)) for s in (1, 2)]
-    disk = harness._make_domain(dict(params, domain="disk"))
-    assert disk is harness._make_domain(dict(params, domain="disk"))
+    disk = harness._make_domain(dict(params, domain="disk"), np.random.default_rng(1))
+    assert disk is harness._make_domain(dict(params, domain="disk"), np.random.default_rng(2))
     assert built == [(1.0, 0.15)]
     # the arcs are drawn after the cache, one pair per point
     assert list(mixed[0].boundary_tags) != list(mixed[1].boundary_tags)
@@ -325,6 +327,16 @@ def test_cli_rejects_nonpositive_tol(argv, capsys):
     assert exc.value.code == 2
     kind = "integer" if argv[-2] == "--jobs" else "number"
     assert f"argument {argv[-2]}: must be a positive {kind}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_eigs", [0, -1])
+def test_n_eigs_must_be_positive(n_eigs, capsys):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        fem.steklov_spectrum(geometry.make_disk_mesh(1.0, 0.3), n_eigs)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--mesh", "d.msh", "--n-eigs", str(n_eigs)])
+    assert exc.value.code == 2
+    assert "argument --n-eigs: must be a positive integer" in capsys.readouterr().err
 
 
 def test_cli_prescribe_thicken_roundtrip(tmp_path, capsys):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from steklov_lab import fem, geometry, nodal
-from steklov_lab.geometry import (ANNULUS_TOPOLOGY, DISK_TOPOLOGY, NEUMANN,
-                                  STEKLOV, SurfaceTopology)
+from steklov_lab.geometry import NEUMANN, STEKLOV
 
 
 def disk(h=0.08):
@@ -90,25 +89,27 @@ def test_nodal_graph_stats_closed_circle_has_cycle():
 
 
 def test_multiplicity_bounds_rules():
-    assert nodal.multiplicity_bound(DISK_TOPOLOGY, 1) == {"bound": 2, "rule": "disk-low"}
-    assert nodal.multiplicity_bound(DISK_TOPOLOGY, 2)["bound"] == 3
-    assert nodal.multiplicity_bound(DISK_TOPOLOGY, 3)["bound"] == 7
-    assert nodal.multiplicity_bound(DISK_TOPOLOGY, 2, mixed=True)["bound"] == 3
-    assert nodal.multiplicity_bound(DISK_TOPOLOGY, 4, mixed=True)["bound"] == 5
-    assert nodal.multiplicity_bound(ANNULUS_TOPOLOGY, 1)["bound"] == 3
-    genus2 = SurfaceTopology(orientable=True, genus=2)
-    assert nodal.multiplicity_bound(genus2, 1)["bound"] == 11
-    moebius = SurfaceTopology(orientable=False, p_invariant=1)
-    info = nodal.multiplicity_bound(moebius, 1)
-    assert info["stated_bound"] == 9
-    assert info["bound"] == 11  # the computation-backed constant is enforced
+    plain = disk(0.3)
+    assert nodal.multiplicity_bound(plain, 1) == {"bound": 2, "rule": "disk-low"}
+    assert nodal.multiplicity_bound(plain, 2)["bound"] == 3
+    assert nodal.multiplicity_bound(plain, 3) == {"bound": 7, "rule": "orientable"}
+    arcs = [((0.0, math.pi), STEKLOV), ((math.pi, 2 * math.pi), NEUMANN)]
+    mixed = geometry.tag_boundary(plain, arcs, by="angle", center=(0.0, 0.0))
+    assert nodal.multiplicity_bound(mixed, 2) == {"bound": 3, "rule": "mixed-disk"}
+    assert nodal.multiplicity_bound(mixed, 4)["bound"] == 5
+    # two boundary curves: the orientable bound, also for k = 1 and when mixed
+    annulus = geometry.make_annulus_mesh(0.5, 1.0, 0.2)
+    assert nodal.multiplicity_bound(annulus, 1) == {"bound": 3, "rule": "orientable"}
+    strip = geometry.make_strip_mesh(2 * math.pi, 0.5, 0.2, periodic=True)
+    assert nodal.multiplicity_bound(strip, 1) == {"bound": 3, "rule": "orientable"}
     with pytest.raises(nodal.NodalError):
-        nodal.multiplicity_bound(DISK_TOPOLOGY, 0)
+        nodal.multiplicity_bound(plain, 0)
 
 
 def test_multiplicity_check_on_disk():
-    res = fem.steklov_spectrum(disk(0.05), 5)
-    records = nodal.multiplicity_bound_check(res, DISK_TOPOLOGY)
+    mesh = disk(0.05)
+    res = fem.steklov_spectrum(mesh, 5)
+    records = nodal.multiplicity_bound_check(mesh, res)
     assert all(r["ok"] for r in records)
     assert records[0]["multiplicity"] == 2
 
