@@ -132,43 +132,42 @@ def boundary_touch_check(mesh, decomp):
             "n_domains": decomp.n_domains}
 
 
-def multiplicity_bound(mesh, k):
-    """Best applicable bound on the multiplicity of the k-th eigenvalue.
+def multiplicity_bounds(mesh, ks):
+    """Best applicable bound on the multiplicity of the k-th eigenvalue, per k in ks.
 
     A planar or x-periodic mesh with positive areas is orientable of genus 0,
     so its topology is the number of its boundary curves.  A disk (one curve)
     has the bound k+1 when mixed (some boundary edge is not steklov) or when
     k is 1 or 2; every other case has the orientable bound 2k+1.
     """
-    if k < 1:
-        raise NodalError("bounds apply to k >= 1")
     verts, ends = np.unique(mesh.boundary_edges, return_inverse=True)
     n_curves, _ = geometry.label_components(verts.size, *ends.reshape(-1, 2).T)
     mixed = bool(np.any(mesh.boundary_tags != STEKLOV))
-    if n_curves == 1 and mixed:
-        return {"bound": k + 1, "rule": "mixed-disk"}
-    if n_curves == 1 and k in (1, 2):
-        return {"bound": k + 1, "rule": "disk-low"}
-    return {"bound": 2 * k + 1, "rule": "orientable"}
+    bounds = []
+    for k in ks:
+        if k < 1:
+            raise NodalError("bounds apply to k >= 1")
+        if n_curves == 1 and mixed:
+            bounds.append({"bound": k + 1, "rule": "mixed-disk"})
+        elif n_curves == 1 and k in (1, 2):
+            bounds.append({"bound": k + 1, "rule": "disk-low"})
+        else:
+            bounds.append({"bound": 2 * k + 1, "rule": "orientable"})
+    return bounds
 
 
 def multiplicity_bound_check(mesh, result):
     """Observed cluster multiplicities of a solve on mesh against the bounds."""
-    records = []
-    for a, b in result.clusters:
-        if a == 0:
-            continue  # the zero eigenvalue is simple by connectivity
-        info = multiplicity_bound(mesh, a)
-        mult = b - a
-        records.append({
-            "cluster": (int(a), int(b)),
-            "k": int(a),
-            "multiplicity": int(mult),
-            "bound": int(info["bound"]),
-            "rule": info["rule"],
-            "ok": mult <= info["bound"],
-        })
-    return records
+    # the zero eigenvalue is simple by connectivity
+    clusters = [(a, b) for a, b in result.clusters if a > 0]
+    bounds = multiplicity_bounds(mesh, [a for a, _ in clusters])
+    return [{"cluster": (int(a), int(b)),
+             "k": int(a),
+             "multiplicity": int(b - a),
+             "bound": int(info["bound"]),
+             "rule": info["rule"],
+             "ok": b - a <= info["bound"]}
+            for (a, b), info in zip(clusters, bounds)]
 
 
 # ---------------------------------------------------------------------------

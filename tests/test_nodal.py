@@ -90,20 +90,20 @@ def test_nodal_graph_stats_closed_circle_has_cycle():
 
 def test_multiplicity_bounds_rules():
     plain = disk(0.3)
-    assert nodal.multiplicity_bound(plain, 1) == {"bound": 2, "rule": "disk-low"}
-    assert nodal.multiplicity_bound(plain, 2)["bound"] == 3
-    assert nodal.multiplicity_bound(plain, 3) == {"bound": 7, "rule": "orientable"}
+    assert nodal.multiplicity_bounds(plain, [1, 2, 3]) == [
+        {"bound": 2, "rule": "disk-low"}, {"bound": 3, "rule": "disk-low"},
+        {"bound": 7, "rule": "orientable"}]
     arcs = [((0.0, math.pi), STEKLOV), ((math.pi, 2 * math.pi), NEUMANN)]
     mixed = geometry.tag_boundary(plain, arcs, by="angle", center=(0.0, 0.0))
-    assert nodal.multiplicity_bound(mixed, 2) == {"bound": 3, "rule": "mixed-disk"}
-    assert nodal.multiplicity_bound(mixed, 4)["bound"] == 5
+    assert nodal.multiplicity_bounds(mixed, [2, 4]) == [
+        {"bound": 3, "rule": "mixed-disk"}, {"bound": 5, "rule": "mixed-disk"}]
     # two boundary curves: the orientable bound, also for k = 1 and when mixed
     annulus = geometry.make_annulus_mesh(0.5, 1.0, 0.2)
-    assert nodal.multiplicity_bound(annulus, 1) == {"bound": 3, "rule": "orientable"}
+    assert nodal.multiplicity_bounds(annulus, [1]) == [{"bound": 3, "rule": "orientable"}]
     strip = geometry.make_strip_mesh(2 * math.pi, 0.5, 0.2, periodic=True)
-    assert nodal.multiplicity_bound(strip, 1) == {"bound": 3, "rule": "orientable"}
+    assert nodal.multiplicity_bounds(strip, [1]) == [{"bound": 3, "rule": "orientable"}]
     with pytest.raises(nodal.NodalError):
-        nodal.multiplicity_bound(plain, 0)
+        nodal.multiplicity_bounds(plain, [0])
 
 
 def test_multiplicity_check_on_disk():
