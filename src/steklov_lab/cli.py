@@ -90,8 +90,15 @@ def _cmd_thicken(args):
 
 
 def _cmd_run(args):
-    config = harness.load_config(args.config, args.seed)
-    report = harness.run(config, out_dir=args.out, jobs=args.jobs)
+    try:
+        config = harness.load_config(args.config, args.seed)
+        if args.command == "audit" and config.kind not in harness.AUDIT_KINDS:
+            raise harness.ConfigError(
+                f"audit requires a config of kind {' or '.join(harness.AUDIT_KINDS)}")
+        report = harness.run(config, out_dir=args.out, jobs=args.jobs)
+    except harness.ConfigError as exc:
+        print(f"steklov-lab: error: {exc}", file=sys.stderr)
+        return 2
     for c in report.checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: observed={c['observed']} "
@@ -102,14 +109,6 @@ def _cmd_run(args):
         json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
         print()
     return 0 if report.passed else 1
-
-
-def _cmd_audit(args):
-    config = harness.load_config(args.config, args.seed)
-    if config.kind not in harness.AUDIT_KINDS:
-        raise SystemExit(f"audit requires a config of kind {' or '.join(harness.AUDIT_KINDS)}")
-    args.print_report = False
-    return _cmd_run(args)
 
 
 def main(argv=None):
@@ -164,7 +163,7 @@ def main(argv=None):
     p = sub.add_parser("audit", help="run a randomized audit config")
     p.add_argument("--config", required=True)
     _add_flags(p, "--out", "--seed", "--jobs")
-    p.set_defaults(func=_cmd_audit)
+    p.set_defaults(func=_cmd_run, print_report=False)
 
     args = parser.parse_args(argv)
     return args.func(args)

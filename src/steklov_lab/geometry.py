@@ -241,11 +241,12 @@ def label_components(n, a, b):
     lowest vertex, so the first vertex carrying label k is that minimum.
     """
     a = np.asarray(a, np.int64)
-    # CSR rows straight from a counting sort of the edge tails; going
-    # through COO costs more than the search on graphs of a few hundred nodes
+    # CSR rows straight from a sort of the edge tails; going through COO
+    # costs more than the search on graphs of a few hundred nodes.  The order
+    # inside a row does not change the labels, so the sort need not be stable.
     indptr = np.zeros(n + 1, np.int32)
     np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
-    indices = np.asarray(b, np.int32)[np.argsort(a, kind="stable")]
+    indices = np.asarray(b, np.int32)[np.argsort(a)]
     adj = sp.csr_matrix((np.ones(a.size), indices, indptr), shape=(n, n))
     return connected_components(adj, directed=False)
 

@@ -421,10 +421,11 @@ def _audit_measurements(kind, params, seed):
 
 def _measure_nodal(mesh, res, params, seed):
     """Courant counts, boundary contact and zero-set structure of each mode."""
-    courant = nodal.courant_check(mesh, res, int(params.get("n_rotations", 20)), seed=seed)
-    modes = res.extensions[1:]
-    touches = [nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f)) for f in modes]
-    stats = [nodal.nodal_graph_stats(mesh, f) for f in modes]
+    courant, decomps = nodal.courant_check(mesh, res, int(params.get("n_rotations", 20)),
+                                           seed=seed)
+    # the Courant stack already decomposed every mode as a row of its own
+    touches = nodal.boundary_touch_check(mesh, decomps[1:])
+    stats = nodal.nodal_graph_stats(mesh, res.extensions[1:])
     return {"courant": courant,
             "courant_ok": all(r["ok"] for r in courant),
             "touch_ok": all(t["all_touch"] for t in touches),
@@ -443,6 +444,10 @@ def _run_audit(config, jobs):
     n_runs = int(p.get("runs", 50))
     if n_runs < 1:
         raise ConfigError("an audit needs runs >= 1")
+    if int(p.get("k_max", 6)) < 1:
+        raise ConfigError("an audit needs k_max >= 1")
+    if int(p.get("n_rotations", 20)) < 0:
+        raise ConfigError("n_rotations must not be negative")
     seeds = [config.seed + 1000 * i for i in range(n_runs)]
     args = [(config.kind, p, config.tolerances, s, i) for i, s in enumerate(seeds)]
     if jobs > 1:

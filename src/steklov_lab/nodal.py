@@ -33,58 +33,94 @@ class NodalDecomposition:
     zero_tol: float
 
 
+# rows decomposed together: one components call per block, and the block's
+# temporaries stay small when a multiple cluster stacks dozens of fields
+_BLOCK_ROWS = 8
+
+
 def vertex_signs(field, zero_tol=DEFAULT_ZERO_TOL):
-    """Signs with a dead zone of zero_tol relative to the max amplitude."""
+    """Signs with a dead zone of zero_tol relative to the max amplitude, per
+    field of a (nv,) field or an (m, nv) stack."""
     field = np.asarray(field, float)
-    scale = np.abs(field).max()
-    if scale == 0.0:
+    scale = np.abs(field).max(axis=-1, keepdims=True)
+    if np.any(scale == 0.0):
         raise NodalError("field is identically zero")
-    signs = np.zeros(field.size, np.int8)
+    signs = np.zeros(field.shape, np.int8)
     signs[field > zero_tol * scale] = 1
     signs[field < -zero_tol * scale] = -1
     return signs
 
 
-def decompose_nodal(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
-    """Connected components of {field > 0} and {field < 0} on the mesh."""
-    field = np.asarray(field, float)
-    if field.shape != (mesh.n_vertices,):
-        raise NodalError("field must be a vertex array")
-    signs = vertex_signs(field, zero_tol)
-    tri_signs = signs[mesh.triangles]
-    has_pos = np.any(tri_signs == 1, axis=1)
-    has_neg = np.any(tri_signs == -1, axis=1)
-    piece_pos = np.full(mesh.n_triangles, -1, np.int64)
-    piece_neg = np.full(mesh.n_triangles, -1, np.int64)
-    n_pos = int(has_pos.sum())
-    piece_pos[has_pos] = np.arange(n_pos)
-    piece_neg[has_neg] = n_pos + np.arange(int(has_neg.sum()))
-    n_pieces = n_pos + int(has_neg.sum())
-    piece_sign = np.empty(n_pieces, np.int8)
-    piece_sign[:n_pos] = 1
-    piece_sign[n_pos:] = -1
+def _vertex_fields(mesh, fields):
+    fields = np.asarray(fields, float)
+    if fields.ndim not in (1, 2) or fields.shape[-1] != mesh.n_vertices:
+        raise NodalError("field must be a vertex array or a stack of them")
+    return fields
+
+
+def decompose_nodal(mesh, fields, zero_tol=DEFAULT_ZERO_TOL):
+    """Connected components of {field > 0} and {field < 0} on the mesh.
+
+    fields is one (nv,) field, giving its NodalDecomposition, or an (m, nv)
+    stack, giving a list with one per row; a single field is a stack of one.
+    """
+    fields = _vertex_fields(mesh, fields)
+    stack = np.atleast_2d(fields)
+    rows = []
+    for start in range(0, len(stack), _BLOCK_ROWS):
+        rows += _decompose_block(mesh, stack[start:start + _BLOCK_ROWS], zero_tol)
+    return rows[0] if fields.ndim == 1 else rows
+
+
+def _decompose_block(mesh, fields, zero_tol):
+    """Decompositions of a few rows through one components call.
+
+    Pieces are numbered row-major, each row's positive pieces before its
+    negative ones, each sign in triangle order.  Components are numbered by
+    their lowest piece, so the domains of a row are one contiguous run of
+    labels and, less the run's start, the labels the row has alone.
+    """
+    signs = vertex_signs(fields, zero_tol)
+    m = len(fields)
+    tri_signs = signs[:, mesh.triangles]
+    has_pos = np.any(tri_signs == 1, axis=2)
+    has_neg = np.any(tri_signs == -1, axis=2)
+    n_pos = has_pos.sum(axis=1)
+    n_pieces = n_pos + has_neg.sum(axis=1)
+    piece_start = np.zeros(m + 1, np.int64)
+    np.cumsum(n_pieces, out=piece_start[1:])
+    # row-local ids; a row's pieces sit at piece_start[row] in the block graph
+    piece_pos = np.where(has_pos, np.cumsum(has_pos, axis=1, dtype=np.int32) - 1, -1)
+    piece_neg = np.where(has_neg, (n_pos[:, None] - 1).astype(np.int32)
+                         + np.cumsum(has_neg, axis=1, dtype=np.int32), -1)
+    piece_sign = np.repeat(np.tile(np.array([1, -1], np.int8), m),
+                           np.stack([n_pos, n_pieces - n_pos], axis=1).ravel())
 
     # pieces of sign s are glued across an interior edge carrying s
     edges, tri_a, tri_b = geometry.interior_edges_with_triangles(mesh)
-    sign_a = signs[edges[:, 0]]
-    sign_b = signs[edges[:, 1]]
+    sign_a = signs[:, edges[:, 0]]
+    sign_b = signs[:, edges[:, 1]]
+    offset = piece_start[:-1, None].astype(np.int32)
     glue_a, glue_b = [], []
     for s, piece in ((1, piece_pos), (-1, piece_neg)):
-        pa, pb = piece[tri_a], piece[tri_b]
+        pa, pb = piece[:, tri_a], piece[:, tri_b]
         glue = ((sign_a == s) | (sign_b == s)) & (pa >= 0) & (pb >= 0)
-        glue_a.append(pa[glue])
-        glue_b.append(pb[glue])
-    n_domains, domain = geometry.label_components(
-        n_pieces, np.concatenate(glue_a), np.concatenate(glue_b))
-    return NodalDecomposition(
-        vertex_signs=signs,
-        piece_pos=piece_pos,
-        piece_neg=piece_neg,
-        piece_sign=piece_sign,
-        piece_domain=domain,
-        n_domains=n_domains,
+        glue_a.append((pa + offset)[glue])
+        glue_b.append((pb + offset)[glue])
+    n_labels, labels = geometry.label_components(
+        int(piece_start[-1]), np.concatenate(glue_a), np.concatenate(glue_b))
+    # a nonzero field has a piece at its largest vertex, so no row is empty
+    domain_start = np.append(labels[piece_start[:-1]], n_labels)
+    labels -= np.repeat(domain_start[:-1], n_pieces).astype(labels.dtype)
+    return [NodalDecomposition(
+        vertex_signs=signs[r],
+        piece_pos=piece_pos[r],
+        piece_neg=piece_neg[r],
+        piece_sign=piece_sign[piece_start[r]:piece_start[r + 1]],
+        piece_domain=labels[piece_start[r]:piece_start[r + 1]],
+        n_domains=int(domain_start[r + 1] - domain_start[r]),
         zero_tol=float(zero_tol),
-    )
+    ) for r in range(m)]
 
 
 def courant_check(mesh, result, n_rotations=20, seed=0, zero_tol=DEFAULT_ZERO_TOL):
@@ -92,21 +128,29 @@ def courant_check(mesh, result, n_rotations=20, seed=0, zero_tol=DEFAULT_ZERO_TO
 
     For a cluster ending at index k (inclusive), every vector of the cluster
     eigenspace must have at most k+1 nodal domains.  Each basis vector and
-    n_rotations random unit combinations are checked.
+    n_rotations random unit combinations are checked, all as one stack.
+    Returns the records and the decompositions of result.extensions, one per
+    eigenvalue.
     """
     rng = np.random.default_rng(seed)
-    records = []
-    for a, b in result.clusters:
-        bound = b  # worst index in the cluster is b-1; bound is (b-1)+1
-        vectors = [result.extensions[j] for j in range(a, b)]
+    n = len(result.extensions)
+    # stack rows per cluster: its basis vectors, then its rotations after the
+    # n eigenvectors, drawn cluster by cluster
+    members = [list(range(a, b)) for a, b in result.clusters]
+    rotations = []
+    for (a, b), rows in zip(result.clusters, members):
         if b - a > 1:
             for _ in range(n_rotations):
                 coef = rng.normal(size=b - a)
                 coef /= np.linalg.norm(coef)
-                vectors.append(coef @ result.extensions[a:b])
-        worst = 0
-        for vec in vectors:
-            worst = max(worst, decompose_nodal(mesh, vec, zero_tol).n_domains)
+                rows.append(n + len(rotations))
+                rotations.append(coef @ result.extensions[a:b])
+    decomps = decompose_nodal(mesh, np.concatenate(
+        [result.extensions, np.reshape(rotations, (-1, mesh.n_vertices))]), zero_tol)
+    records = []
+    for (a, b), rows in zip(result.clusters, members):
+        bound = b  # worst index in the cluster is b-1; bound is (b-1)+1
+        worst = max(decomps[r].n_domains for r in rows)
         records.append({
             "cluster": (int(a), int(b)),
             "k": int(b - 1),
@@ -114,22 +158,42 @@ def courant_check(mesh, result, n_rotations=20, seed=0, zero_tol=DEFAULT_ZERO_TO
             "max_domains": int(worst),
             "ok": worst <= bound,
         })
-    return records
+    return records, decomps[:n]
 
 
-def boundary_touch_check(mesh, decomp):
-    """Whether every nodal domain reaches the steklov boundary."""
-    touched = np.zeros(decomp.n_domains, bool)
+def boundary_touch_check(mesh, decomps):
+    """Whether every nodal domain reaches the steklov boundary.
+
+    decomps is one NodalDecomposition, giving one dict, or a list of them,
+    giving one dict per decomposition, all checked at once.
+    """
+    rows = [decomps] if isinstance(decomps, NodalDecomposition) else list(decomps)
+    n_domains = np.array([d.n_domains for d in rows], np.int64)
+    n_pieces = np.array([d.piece_domain.size for d in rows], np.int64)
+    domain_start = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(n_domains, out=domain_start[1:])
+    piece_start = np.zeros(len(rows) + 1, np.int64)
+    np.cumsum(n_pieces, out=piece_start[1:])
+    # stack-wide domain of every piece
+    domain = (np.concatenate([d.piece_domain for d in rows])
+              + np.repeat(domain_start[:-1], n_pieces))
     tagged = np.zeros(mesh.n_vertices, bool)
     tagged[geometry.tagged_vertices(mesh, STEKLOV)] = True
     tri_tagged = tagged[mesh.triangles]
-    tri_signs = decomp.vertex_signs[mesh.triangles]
-    for sign, pieces in ((1, decomp.piece_pos), (-1, decomp.piece_neg)):
-        hit = np.any(tri_tagged & (tri_signs == sign), axis=1) & (pieces >= 0)
-        touched[decomp.piece_domain[pieces[hit]]] = True
+    tri_signs = np.stack([d.vertex_signs for d in rows])[:, mesh.triangles]
+    touched = np.zeros(domain_start[-1], bool)
+    for sign, name in ((1, "piece_pos"), (-1, "piece_neg")):
+        pieces = np.stack([getattr(d, name) for d in rows])
+        hit = np.any(tri_tagged & (tri_signs == sign), axis=2) & (pieces >= 0)
+        row, tri = np.nonzero(hit)
+        touched[domain[piece_start[row] + pieces[row, tri]]] = True
     untouched = np.nonzero(~touched)[0]
-    return {"all_touch": untouched.size == 0, "untouched": untouched.tolist(),
-            "n_domains": decomp.n_domains}
+    row = np.searchsorted(domain_start, untouched, side="right") - 1
+    out = [{"all_touch": True, "untouched": [], "n_domains": int(k)} for k in n_domains]
+    for r, label in zip(row.tolist(), (untouched - domain_start[row]).tolist()):
+        out[r]["all_touch"] = False
+        out[r]["untouched"].append(label)
+    return out[0] if isinstance(decomps, NodalDecomposition) else out
 
 
 def multiplicity_bounds(mesh, ks):
@@ -176,14 +240,16 @@ def multiplicity_bound_check(mesh, result):
 
 @dataclass(frozen=True)
 class ZeroSetGraph:
-    """The zero set of a P1 field as a graph.
+    """The zero set of a P1 field, or of a stack of fields, as a graph.
 
     Node ids are v for a vertex in the dead zone and nv + e for an edge e of
-    the mesh's edge table with a strict sign change.  Nodes are listed in order
-    of first appearance: triangle order, vertex nodes before edge nodes inside
-    a triangle.  Segments index into `nodes`, one row per node pair, and are
-    ordered by (first end, second end) with edge nodes (by edge id) ranking
-    before vertex nodes (by vertex), the lower-ranked end first.
+    the mesh's edge table with a strict sign change; the ids of row r of a
+    stack are offset by r * (nv + n_edges).  Nodes are listed in order of first
+    appearance: row by row, triangle order inside a row, vertex nodes before
+    edge nodes inside a triangle.  Segments index into `nodes`, one row per
+    node pair, and are ordered row by row, then by (first end, second end) with
+    edge nodes (by edge id) ranking before vertex nodes (by vertex), the
+    lower-ranked end first.
     """
 
     nodes: np.ndarray      # (n,) node ids
@@ -191,76 +257,98 @@ class ZeroSetGraph:
     segments: np.ndarray   # (m, 2) indices into nodes
 
 
-def nodal_graph(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
+def nodal_graph(mesh, fields, zero_tol=DEFAULT_ZERO_TOL):
     """Nodes and segments of the zero set, keyed combinatorially.
 
     Per triangle, the keys are its dead-zone vertices and its sign-changing
     edges.  Two keys give one segment, three dead-zone vertices give the
     triangle's three sides, and a single key is an isolated touch point: the
-    node is kept, no segment.
+    node is kept, no segment.  An (m, nv) stack gives one graph in which no
+    two rows share a node; a single field is a stack of one.
     """
-    signs = vertex_signs(field, zero_tol)
-    field = np.asarray(field, float)
+    fields = np.atleast_2d(_vertex_fields(mesh, fields))
+    signs = vertex_signs(fields, zero_tol)
     nv = mesh.n_vertices
     table = mesh.edge_table
-    tri_signs = signs[mesh.triangles]
+    n_keys = nv + len(table.edges)
+    tri_signs = signs[:, mesh.triangles]
     zero = tri_signs == 0
-    cross = tri_signs * np.roll(tri_signs, -1, axis=1) == -1   # edges 01, 12, 20
-    keys = np.concatenate([mesh.triangles, nv + table.tri_edges], axis=1)
-    mask = np.concatenate([zero, cross], axis=1)
+    cross = tri_signs * np.roll(tri_signs, -1, axis=2) == -1   # edges 01, 12, 20
+    keys = (np.concatenate([mesh.triangles, nv + table.tri_edges], axis=1)
+            + (n_keys * np.arange(len(fields)))[:, None, None])
+    mask = np.concatenate([zero, cross], axis=2)
 
     found = keys[mask]
     ids, first = np.unique(found, return_index=True)
     nodes = ids[np.argsort(first)]
-    index = np.empty(nv + len(table.edges), np.int64)
+    index = np.empty(n_keys * len(fields), np.int64)
     index[nodes] = np.arange(nodes.size)
 
-    two = mask.sum(axis=1) == 2
+    two = mask.sum(axis=2) == 2
     pairs = keys[two][mask[two]].reshape(-1, 2)
-    full = mesh.triangles[zero.all(axis=1)].astype(np.int64)
+    row, tri = np.nonzero(zero.all(axis=2))
+    full = mesh.triangles[tri] + n_keys * row[:, None]
     pairs = np.concatenate([pairs, full[:, [0, 1]], full[:, [1, 2]], full[:, [2, 0]]])
     # edge nodes rank by edge id before vertex nodes; ordering segments by rank
     # fixes the order in which nodal_svg draws them
-    rank = np.where(nodes >= nv, nodes - nv, len(table.edges) + nodes)
+    node_row, key = np.divmod(nodes, n_keys)
+    rank = n_keys * node_row + np.where(key >= nv, key - nv, len(table.edges) + key)
     ends = index[pairs]
     ends = np.where((rank[ends[:, 0]] > rank[ends[:, 1]])[:, None], ends[:, ::-1], ends)
     _, keep = np.unique(rank[ends[:, 0]] * index.size + rank[ends[:, 1]], return_index=True)
     segments = ends[keep]
 
     positions = np.empty((nodes.size, 2))
-    on_edge = nodes >= nv
-    positions[~on_edge] = mesh.vertices[nodes[~on_edge]]
-    i, j = table.edges[nodes[on_edge] - nv].T
-    t = field[i] / (field[i] - field[j])
+    on_edge = key >= nv
+    positions[~on_edge] = mesh.vertices[key[~on_edge]]
+    i, j = table.edges[key[on_edge] - nv].T
+    fi = fields[node_row[on_edge], i]
+    t = fi / (fi - fields[node_row[on_edge], j])
     positions[on_edge] = (mesh.vertices[i].astype(float)
                           + t[:, None] * geometry.edge_vector(mesh, i, j))
     return ZeroSetGraph(nodes=nodes, positions=positions, segments=segments)
 
 
-def nodal_graph_stats(mesh, field, zero_tol=DEFAULT_ZERO_TOL):
-    """Component count, cycle rank, and boundary-endpoint parity of the zero set."""
-    graph = nodal_graph(mesh, field, zero_tol)
-    n_nodes, n_segments = graph.nodes.size, len(graph.segments)
-    a, b = graph.segments.T
-    degree = np.bincount(graph.segments.ravel(), minlength=n_nodes)
-    n_components, labels = geometry.label_components(n_nodes, a, b)
-    cycle_rank = n_segments - n_nodes + n_components
+def nodal_graph_stats(mesh, fields, zero_tol=DEFAULT_ZERO_TOL):
+    """Component count, cycle rank, and boundary-endpoint parity of the zero set.
+
+    One (nv,) field gives one dict; an (m, nv) stack gives a list with one per
+    row, from one graph of the whole stack and one components call.
+    """
+    graph = nodal_graph(mesh, fields, zero_tol)
+    m = len(np.atleast_2d(fields))
+    node_row, key = np.divmod(graph.nodes, mesh.n_vertices + len(mesh.edge_table.edges))
+    n_nodes = np.bincount(node_row, minlength=m)
+    n_segments = np.bincount(node_row[graph.segments[:, 0]], minlength=m)
+    degree = np.bincount(graph.segments.ravel(), minlength=graph.nodes.size)
+    _, labels = geometry.label_components(graph.nodes.size, *graph.segments.T)
+    # components are numbered by their lowest node and nodes come row by row,
+    # so the components of a row are one run of labels
+    _, lowest = np.unique(labels, return_index=True)
+    node_start = np.concatenate([[0], np.cumsum(n_nodes)])
+    comp_start = np.searchsorted(lowest, node_start)
+    cycle_rank = n_segments - n_nodes + np.diff(comp_start)
 
     on_boundary = np.zeros(mesh.n_vertices, bool)
     on_boundary[mesh.boundary_edges.ravel()] = True
     on_boundary = np.concatenate([on_boundary, mesh.edge_table.boundary])
     # isolated touch points carry no arc endpoints
-    hit = labels[(degree > 0) & on_boundary[graph.nodes]]
-    _, first, counts = np.unique(hit, return_index=True, return_counts=True)
-    counts = counts[np.argsort(first)].tolist()
-    return {
-        "n_nodes": n_nodes,
-        "n_segments": n_segments,
-        "n_components": n_components,
-        "cycle_rank": int(cycle_rank),
-        "boundary_endpoints_per_component": counts,
-        "all_even": all(c % 2 == 0 for c in counts),
-    }
+    hit = labels[(degree > 0) & on_boundary[key]]
+    comps, first, counts = np.unique(hit, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    comp_row = np.searchsorted(comp_start, comps[order], side="right") - 1
+    per_row = np.split(counts[order], np.searchsorted(comp_row, np.arange(1, m)))
+    stats = [{
+        "n_nodes": nodes,
+        "n_segments": segs,
+        "n_components": n_comp,
+        "cycle_rank": rank,
+        "boundary_endpoints_per_component": ends.tolist(),
+        "all_even": bool(np.all(ends % 2 == 0)),
+    } for nodes, segs, n_comp, rank, ends in zip(
+        n_nodes.tolist(), n_segments.tolist(), np.diff(comp_start).tolist(),
+        cycle_rank.tolist(), per_row)]
+    return stats[0] if np.ndim(fields) == 1 else stats
 
 
 # ---------------------------------------------------------------------------

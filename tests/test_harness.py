@@ -105,6 +105,13 @@ def test_report_hash_independent_of_blas_threads():
     pytest.param("nodal-audit", {"target_h": 0.3, "runs": 0}, id="nodal-audit-no-runs"),
     pytest.param("multiplicity-audit", {"target_h": 0.3, "runs": 0},
                  id="multiplicity-audit-no-runs"),
+    pytest.param("nodal-audit", {"target_h": 0.3, "k_max": 0, "n_rotations": -3},
+                 id="nodal-audit-no-modes-negative-rotations"),
+    pytest.param("nodal-audit", {"target_h": 0.3, "k_max": 0}, id="nodal-audit-no-modes"),
+    pytest.param("nodal-audit", {"target_h": 0.3, "n_rotations": -3},
+                 id="nodal-audit-negative-rotations"),
+    pytest.param("multiplicity-audit", {"target_h": 0.3, "k_max": 0},
+                 id="multiplicity-audit-no-modes"),
     pytest.param("prescription-pipeline", {"mode": "audit", "trials": 0},
                  id="prescriber-audit-no-trials"),
     pytest.param("prescription-pipeline", {"targets": [1.0, 2.0], "eps_values": [0.04, 0.02]},
@@ -337,6 +344,24 @@ def test_n_eigs_must_be_positive(n_eigs, capsys):
         cli.main(["spectrum", "--mesh", "d.msh", "--n-eigs", str(n_eigs)])
     assert exc.value.code == 2
     assert "argument --n-eigs: must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", {"name": "no-kind", "params": {}}),
+    ("run", {"kind": "spectrum", "seed": 1.5, "params": {"target_h": 0.3}}),
+    ("run", {"kind": "prescription-pipeline", "params": {"trials": 2}}),
+    ("audit", {"kind": "nodal-audit", "params": {"target_h": 0.3, "k_max": 0}}),
+    ("audit", {"kind": "spectrum", "params": {"target_h": 0.3}}),
+], ids=["no-kind", "fractional-seed", "prescription-no-mode", "audit-no-modes",
+        "audit-of-a-spectrum"])
+def test_cli_reports_config_errors(command, config, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("steklov-lab: error: ")
+    assert out.err.count("\n") == 1
 
 
 def test_cli_prescribe_thicken_roundtrip(tmp_path, capsys):

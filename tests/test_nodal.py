@@ -45,10 +45,13 @@ def test_quadrant_field_four_domains():
 def test_courant_on_disk_spectrum():
     mesh = disk()
     res = fem.steklov_spectrum(mesh, 7)
-    records = nodal.courant_check(mesh, res, n_rotations=10, seed=0)
+    records, decomps = nodal.courant_check(mesh, res, n_rotations=10, seed=0)
     assert all(r["ok"] for r in records)
     # the constant eigenfunction has exactly one domain
     assert records[0]["max_domains"] == 1
+    # one decomposition per eigenfunction, in order
+    assert [d.n_domains for d in decomps] == [
+        nodal.decompose_nodal(mesh, f).n_domains for f in res.extensions]
 
 
 def test_boundary_touch_on_mixed_disk():
