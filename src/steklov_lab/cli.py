@@ -90,15 +90,11 @@ def _cmd_thicken(args):
 
 
 def _cmd_run(args):
-    try:
-        config = harness.load_config(args.config, args.seed)
-        if args.command == "audit" and config.kind not in harness.AUDIT_KINDS:
-            raise harness.ConfigError(
-                f"audit requires a config of kind {' or '.join(harness.AUDIT_KINDS)}")
-        report = harness.run(config, out_dir=args.out, jobs=args.jobs)
-    except harness.ConfigError as exc:
-        print(f"steklov-lab: error: {exc}", file=sys.stderr)
-        return 2
+    config = harness.load_config(args.config, args.seed)
+    if args.command == "audit" and config.kind not in harness.AUDIT_KINDS:
+        raise harness.ConfigError(
+            f"audit requires a config of kind {' or '.join(harness.AUDIT_KINDS)}")
+    report = harness.run(config, out_dir=args.out, jobs=args.jobs)
     for c in report.checks:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: observed={c['observed']} "
@@ -166,7 +162,12 @@ def main(argv=None):
     p.set_defaults(func=_cmd_run, print_report=False)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    # the package's input errors, and OSError for a missing or unreadable file
+    except (ValueError, graphs.PrescriptionError, OSError) as exc:
+        print(f"steklov-lab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

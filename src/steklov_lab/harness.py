@@ -421,10 +421,10 @@ def _audit_measurements(kind, params, seed):
 
 def _measure_nodal(mesh, res, params, seed):
     """Courant counts, boundary contact and zero-set structure of each mode."""
-    courant, decomps = nodal.courant_check(mesh, res, int(params.get("n_rotations", 20)),
-                                           seed=seed)
-    # the Courant stack already decomposed every mode as a row of its own
-    touches = nodal.boundary_touch_check(mesh, decomps[1:])
+    courant, modes = nodal.courant_check(mesh, res, int(params.get("n_rotations", 20)),
+                                         seed=seed)
+    # the Courant stack decomposed each mode as a row: slice the record's rows 1..n-1
+    touches = nodal.boundary_touch_check(mesh, modes.rows(1, len(res.extensions)))
     stats = nodal.nodal_graph_stats(mesh, res.extensions[1:])
     return {"courant": courant,
             "courant_ok": all(r["ok"] for r in courant),

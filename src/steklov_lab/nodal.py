@@ -19,18 +19,39 @@ class NodalError(ValueError):
     pass
 
 
-DEFAULT_ZERO_TOL = 1e-7
+# the dead zone: sign 0 within ZERO_TOL of the field's largest amplitude
+ZERO_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class NodalDecomposition:
-    vertex_signs: np.ndarray   # (nv,) in {-1, 0, +1}
-    piece_pos: np.ndarray      # (nt,) piece id of the positive piece, or -1
-    piece_neg: np.ndarray      # (nt,) piece id of the negative piece, or -1
+    """Nodal domains of an (m, nv) stack of fields, row by row.
+
+    Row r's pieces are entries piece_start[r]:piece_start[r + 1] of piece_sign
+    and piece_domain; piece ids and domain labels count from 0 in every row.
+    """
+
+    vertex_signs: np.ndarray   # (m, nv) in {-1, 0, +1}
+    piece_pos: np.ndarray      # (m, nt) piece id of the positive piece, or -1
+    piece_neg: np.ndarray      # (m, nt) piece id of the negative piece, or -1
     piece_sign: np.ndarray     # (n_pieces,) +1 / -1
-    piece_domain: np.ndarray   # (n_pieces,) domain label in 0..n_domains-1
-    n_domains: int
-    zero_tol: float
+    piece_domain: np.ndarray   # (n_pieces,) domain label in 0..n_domains[r]-1
+    piece_start: np.ndarray    # (m + 1,) offsets of the rows' pieces
+    domain_start: np.ndarray   # (m + 1,) offsets of the rows' domains
+
+    @property
+    def n_domains(self):
+        return np.diff(self.domain_start)
+
+    def rows(self, start, stop):
+        """Rows start..stop-1 as a record of their own.  The arrays are
+        copies, so the rest of the stack is freed with the original."""
+        p0, p1 = self.piece_start[[start, stop]]
+        return NodalDecomposition(
+            *(a[start:stop].copy() for a in (self.vertex_signs, self.piece_pos, self.piece_neg)),
+            *(a[p0:p1].copy() for a in (self.piece_sign, self.piece_domain)),
+            self.piece_start[start:stop + 1] - p0,
+            self.domain_start[start:stop + 1] - self.domain_start[start])
 
 
 # rows decomposed together: one components call per block, and the block's
@@ -38,62 +59,62 @@ class NodalDecomposition:
 _BLOCK_ROWS = 8
 
 
-def vertex_signs(field, zero_tol=DEFAULT_ZERO_TOL):
-    """Signs with a dead zone of zero_tol relative to the max amplitude, per
-    field of a (nv,) field or an (m, nv) stack."""
+def vertex_signs(field):
+    """Signs with the ZERO_TOL dead zone of a (nv,) field or of each row of a stack."""
     field = np.asarray(field, float)
     scale = np.abs(field).max(axis=-1, keepdims=True)
     if np.any(scale == 0.0):
         raise NodalError("field is identically zero")
     signs = np.zeros(field.shape, np.int8)
-    signs[field > zero_tol * scale] = 1
-    signs[field < -zero_tol * scale] = -1
+    signs[field > ZERO_TOL * scale] = 1
+    signs[field < -ZERO_TOL * scale] = -1
     return signs
 
 
 def _vertex_fields(mesh, fields):
+    """An (m, nv) stack of vertex fields; a single field is a stack of one."""
     fields = np.asarray(fields, float)
     if fields.ndim not in (1, 2) or fields.shape[-1] != mesh.n_vertices:
         raise NodalError("field must be a vertex array or a stack of them")
-    return fields
+    return np.atleast_2d(fields)
 
 
-def decompose_nodal(mesh, fields, zero_tol=DEFAULT_ZERO_TOL):
-    """Connected components of {field > 0} and {field < 0} on the mesh.
+def _offsets(counts):
+    return np.concatenate([[0], np.cumsum(counts)])
 
-    fields is one (nv,) field, giving its NodalDecomposition, or an (m, nv)
-    stack, giving a list with one per row; a single field is a stack of one.
-    """
+
+def decompose_nodal(mesh, fields):
+    """Connected components of {field > 0} and {field < 0} on the mesh, for
+    every row of an (m, nv) stack, as one NodalDecomposition."""
     fields = _vertex_fields(mesh, fields)
-    stack = np.atleast_2d(fields)
-    rows = []
-    for start in range(0, len(stack), _BLOCK_ROWS):
-        rows += _decompose_block(mesh, stack[start:start + _BLOCK_ROWS], zero_tol)
-    return rows[0] if fields.ndim == 1 else rows
+    blocks = [_decompose_block(mesh, fields[start:start + _BLOCK_ROWS])
+              for start in range(0, len(fields), _BLOCK_ROWS)]
+    signs, pos, neg, sign, domain, n_pieces, n_domains = map(np.concatenate, zip(*blocks))
+    return NodalDecomposition(signs, pos, neg, sign, domain,
+                              _offsets(n_pieces), _offsets(n_domains))
 
 
-def _decompose_block(mesh, fields, zero_tol):
-    """Decompositions of a few rows through one components call.
+def _decompose_block(mesh, fields):
+    """The record's arrays for a few rows, through one components call, with
+    each row's counts of pieces and of domains.
 
     Pieces are numbered row-major, each row's positive pieces before its
     negative ones, each sign in triangle order.  Components are numbered by
     their lowest piece, so the domains of a row are one contiguous run of
     labels and, less the run's start, the labels the row has alone.
     """
-    signs = vertex_signs(fields, zero_tol)
-    m = len(fields)
+    signs = vertex_signs(fields)
     tri_signs = signs[:, mesh.triangles]
     has_pos = np.any(tri_signs == 1, axis=2)
     has_neg = np.any(tri_signs == -1, axis=2)
     n_pos = has_pos.sum(axis=1)
     n_pieces = n_pos + has_neg.sum(axis=1)
-    piece_start = np.zeros(m + 1, np.int64)
-    np.cumsum(n_pieces, out=piece_start[1:])
+    piece_start = _offsets(n_pieces)
     # row-local ids; a row's pieces sit at piece_start[row] in the block graph
     piece_pos = np.where(has_pos, np.cumsum(has_pos, axis=1, dtype=np.int32) - 1, -1)
     piece_neg = np.where(has_neg, (n_pos[:, None] - 1).astype(np.int32)
                          + np.cumsum(has_neg, axis=1, dtype=np.int32), -1)
-    piece_sign = np.repeat(np.tile(np.array([1, -1], np.int8), m),
+    piece_sign = np.repeat(np.tile(np.array([1, -1], np.int8), len(fields)),
                            np.stack([n_pos, n_pieces - n_pos], axis=1).ravel())
 
     # pieces of sign s are glued across an interior edge carrying s
@@ -112,25 +133,17 @@ def _decompose_block(mesh, fields, zero_tol):
     # a nonzero field has a piece at its largest vertex, so no row is empty
     domain_start = np.append(labels[piece_start[:-1]], n_labels)
     labels -= np.repeat(domain_start[:-1], n_pieces).astype(labels.dtype)
-    return [NodalDecomposition(
-        vertex_signs=signs[r],
-        piece_pos=piece_pos[r],
-        piece_neg=piece_neg[r],
-        piece_sign=piece_sign[piece_start[r]:piece_start[r + 1]],
-        piece_domain=labels[piece_start[r]:piece_start[r + 1]],
-        n_domains=int(domain_start[r + 1] - domain_start[r]),
-        zero_tol=float(zero_tol),
-    ) for r in range(m)]
+    return signs, piece_pos, piece_neg, piece_sign, labels, n_pieces, np.diff(domain_start)
 
 
-def courant_check(mesh, result, n_rotations=20, seed=0, zero_tol=DEFAULT_ZERO_TOL):
+def courant_check(mesh, result, n_rotations=20, seed=0):
     """Nodal-domain counts against the bound k+1, per eigenvalue cluster.
 
     For a cluster ending at index k (inclusive), every vector of the cluster
     eigenspace must have at most k+1 nodal domains.  Each basis vector and
     n_rotations random unit combinations are checked, all as one stack.
-    Returns the records and the decompositions of result.extensions, one per
-    eigenvalue.
+    Returns the records and the rows of result.extensions, one per
+    eigenvalue, of the stack's decomposition.
     """
     rng = np.random.default_rng(seed)
     n = len(result.extensions)
@@ -145,55 +158,39 @@ def courant_check(mesh, result, n_rotations=20, seed=0, zero_tol=DEFAULT_ZERO_TO
                 coef /= np.linalg.norm(coef)
                 rows.append(n + len(rotations))
                 rotations.append(coef @ result.extensions[a:b])
-    decomps = decompose_nodal(mesh, np.concatenate(
-        [result.extensions, np.reshape(rotations, (-1, mesh.n_vertices))]), zero_tol)
-    records = []
-    for (a, b), rows in zip(result.clusters, members):
-        bound = b  # worst index in the cluster is b-1; bound is (b-1)+1
-        worst = max(decomps[r].n_domains for r in rows)
-        records.append({
-            "cluster": (int(a), int(b)),
-            "k": int(b - 1),
-            "bound": int(bound),
-            "max_domains": int(worst),
-            "ok": worst <= bound,
-        })
-    return records, decomps[:n]
+    decomp = decompose_nodal(mesh, np.concatenate(
+        [result.extensions, np.reshape(rotations, (-1, mesh.n_vertices))]))
+    worst = [int(decomp.n_domains[rows].max()) for rows in members]
+    # the worst index in a cluster is b-1, so its bound is (b-1)+1
+    records = [{"cluster": (int(a), int(b)), "k": int(b - 1), "bound": int(b),
+                "max_domains": w, "ok": w <= b}
+               for (a, b), w in zip(result.clusters, worst)]
+    return records, decomp.rows(0, n)
 
 
-def boundary_touch_check(mesh, decomps):
-    """Whether every nodal domain reaches the steklov boundary.
-
-    decomps is one NodalDecomposition, giving one dict, or a list of them,
-    giving one dict per decomposition, all checked at once.
-    """
-    rows = [decomps] if isinstance(decomps, NodalDecomposition) else list(decomps)
-    n_domains = np.array([d.n_domains for d in rows], np.int64)
-    n_pieces = np.array([d.piece_domain.size for d in rows], np.int64)
-    domain_start = np.zeros(len(rows) + 1, np.int64)
-    np.cumsum(n_domains, out=domain_start[1:])
-    piece_start = np.zeros(len(rows) + 1, np.int64)
-    np.cumsum(n_pieces, out=piece_start[1:])
+def boundary_touch_check(mesh, decomp):
+    """Whether every nodal domain reaches the steklov boundary, one dict per
+    row of the NodalDecomposition decomp, all checked at once."""
     # stack-wide domain of every piece
-    domain = (np.concatenate([d.piece_domain for d in rows])
-              + np.repeat(domain_start[:-1], n_pieces))
+    domain = decomp.piece_domain + np.repeat(decomp.domain_start[:-1],
+                                             np.diff(decomp.piece_start))
     tagged = np.zeros(mesh.n_vertices, bool)
     tagged[geometry.tagged_vertices(mesh, STEKLOV)] = True
     tri_tagged = tagged[mesh.triangles]
-    tri_signs = np.stack([d.vertex_signs for d in rows])[:, mesh.triangles]
-    touched = np.zeros(domain_start[-1], bool)
-    for sign, name in ((1, "piece_pos"), (-1, "piece_neg")):
-        pieces = np.stack([getattr(d, name) for d in rows])
+    tri_signs = decomp.vertex_signs[:, mesh.triangles]
+    touched = np.zeros(decomp.domain_start[-1], bool)
+    for sign, pieces in ((1, decomp.piece_pos), (-1, decomp.piece_neg)):
         hit = np.any(tri_tagged & (tri_signs == sign), axis=2) & (pieces >= 0)
         row, tri = np.nonzero(hit)
-        touched[domain[piece_start[row] + pieces[row, tri]]] = True
+        touched[domain[decomp.piece_start[row] + pieces[row, tri]]] = True
     untouched = np.nonzero(~touched)[0]
-    row = np.searchsorted(domain_start, untouched, side="right") - 1
-    out = [{"all_touch": True, "untouched": [], "n_domains": int(k)} for k in n_domains]
-    for r, label in zip(row.tolist(), (untouched - domain_start[row]).tolist()):
+    row = np.searchsorted(decomp.domain_start, untouched, side="right") - 1
+    out = [{"all_touch": True, "untouched": [], "n_domains": k}
+           for k in decomp.n_domains.tolist()]
+    for r, label in zip(row.tolist(), (untouched - decomp.domain_start[row]).tolist()):
         out[r]["all_touch"] = False
         out[r]["untouched"].append(label)
-    return out[0] if isinstance(decomps, NodalDecomposition) else out
+    return out
 
 
 def multiplicity_bounds(mesh, ks):
@@ -257,7 +254,7 @@ class ZeroSetGraph:
     segments: np.ndarray   # (m, 2) indices into nodes
 
 
-def nodal_graph(mesh, fields, zero_tol=DEFAULT_ZERO_TOL):
+def nodal_graph(mesh, fields):
     """Nodes and segments of the zero set, keyed combinatorially.
 
     Per triangle, the keys are its dead-zone vertices and its sign-changing
@@ -266,8 +263,8 @@ def nodal_graph(mesh, fields, zero_tol=DEFAULT_ZERO_TOL):
     node is kept, no segment.  An (m, nv) stack gives one graph in which no
     two rows share a node; a single field is a stack of one.
     """
-    fields = np.atleast_2d(_vertex_fields(mesh, fields))
-    signs = vertex_signs(fields, zero_tol)
+    fields = _vertex_fields(mesh, fields)
+    signs = vertex_signs(fields)
     nv = mesh.n_vertices
     table = mesh.edge_table
     n_keys = nv + len(table.edges)
@@ -309,13 +306,13 @@ def nodal_graph(mesh, fields, zero_tol=DEFAULT_ZERO_TOL):
     return ZeroSetGraph(nodes=nodes, positions=positions, segments=segments)
 
 
-def nodal_graph_stats(mesh, fields, zero_tol=DEFAULT_ZERO_TOL):
+def nodal_graph_stats(mesh, fields):
     """Component count, cycle rank, and boundary-endpoint parity of the zero set.
 
     One (nv,) field gives one dict; an (m, nv) stack gives a list with one per
     row, from one graph of the whole stack and one components call.
     """
-    graph = nodal_graph(mesh, fields, zero_tol)
+    graph = nodal_graph(mesh, fields)
     m = len(np.atleast_2d(fields))
     node_row, key = np.divmod(graph.nodes, mesh.n_vertices + len(mesh.edge_table.edges))
     n_nodes = np.bincount(node_row, minlength=m)
@@ -325,7 +322,7 @@ def nodal_graph_stats(mesh, fields, zero_tol=DEFAULT_ZERO_TOL):
     # components are numbered by their lowest node and nodes come row by row,
     # so the components of a row are one run of labels
     _, lowest = np.unique(labels, return_index=True)
-    node_start = np.concatenate([[0], np.cumsum(n_nodes)])
+    node_start = _offsets(n_nodes)
     comp_start = np.searchsorted(lowest, node_start)
     cycle_rank = n_segments - n_nodes + np.diff(comp_start)
 
@@ -355,6 +352,7 @@ def nodal_graph_stats(mesh, fields, zero_tol=DEFAULT_ZERO_TOL):
 # emission
 # ---------------------------------------------------------------------------
 
+_SVG_WIDTH = 640   # pixels; the height keeps the mesh's aspect ratio
 _TAG_COLORS = {STEKLOV: "#d62728", NEUMANN: "#1f77b4", DIRICHLET: "#7f7f7f"}
 
 
@@ -369,14 +367,14 @@ def _rows(template, values, labels=None):
     return template * values.shape[0] % tuple(values.ravel().tolist())
 
 
-def nodal_svg(mesh, field, zero_tol=DEFAULT_ZERO_TOL, width=640):
+def nodal_svg(mesh, field):
     """SVG figure: sign-shaded triangles, tagged boundary, zero-set segments."""
     coords = geometry.triangle_coords(mesh)
     lo = coords.reshape(-1, 2).min(axis=0)
     hi = coords.reshape(-1, 2).max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
     pad = 0.05 * span.max()
-    scale = width / (span[0] + 2 * pad)
+    scale = _SVG_WIDTH / (span[0] + 2 * pad)
     height = (span[1] + 2 * pad) * scale
 
     def pixels(p):
@@ -393,10 +391,10 @@ def nodal_svg(mesh, field, zero_tol=DEFAULT_ZERO_TOL, width=640):
     pa = mesh.vertices[edges[:, 0]].astype(float)
     pb = pa + geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
     colors = [_TAG_COLORS.get(tag, "#000") for tag in mesh.boundary_tags.tolist()]
-    graph = nodal_graph(mesh, field, zero_tol)
+    graph = nodal_graph(mesh, field)
     return "".join([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+        f'height="{height:.0f}" viewBox="0 0 {_SVG_WIDTH} {height:.0f}">\n',
         _rows('<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="%s" stroke="none"/>\n',
               pixels(coords), fills),
         _rows('<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" '
@@ -409,6 +407,6 @@ def nodal_svg(mesh, field, zero_tol=DEFAULT_ZERO_TOL, width=640):
     ])
 
 
-def save_nodal_svg(mesh, field, path, zero_tol=DEFAULT_ZERO_TOL, width=640):
+def save_nodal_svg(mesh, field, path):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(nodal_svg(mesh, field, zero_tol, width))
+        fh.write(nodal_svg(mesh, field))

@@ -12,6 +12,9 @@ import pytest
 from steklov_lab import fem, geometry, nodal
 from steklov_lab.geometry import NEUMANN, STEKLOV
 
+# the dead zone of nodal.vertex_signs, copied so that the oracle stands alone
+ZERO_TOL = 1e-7
+
 
 class UnionFind:
     def __init__(self, n):
@@ -46,9 +49,14 @@ def test_label_components_matches_union_find(seed):
     assert labels.tolist() == expected.tolist()
 
 
-def _oracle_partition(mesh, field, zero_tol):
+def _oracle_signs(field):
+    scale = max(abs(v) for v in field)
+    return [1 if v > ZERO_TOL * scale else -1 if v < -ZERO_TOL * scale else 0 for v in field]
+
+
+def _oracle_partition(mesh, field):
     """Nodal domains as sets of (triangle, sign) pieces, by union-find."""
-    signs = nodal.vertex_signs(field, zero_tol).tolist()
+    signs = _oracle_signs(field.tolist())
     tris = mesh.triangles.tolist()
     pieces = [(t, s) for t, tri in enumerate(tris) for s in (1, -1)
               if s in (signs[v] for v in tri)]
@@ -70,12 +78,14 @@ def _oracle_partition(mesh, field, zero_tol):
     return {frozenset(g) for g in groups.values()}
 
 
-def _partition(decomp):
+def _partition(decomp, r):
+    """Row r of a decomposition as sets of (triangle, sign) pieces."""
+    domain = decomp.piece_domain[decomp.piece_start[r]:decomp.piece_start[r + 1]]
     groups = {}
-    for sign, piece in ((1, decomp.piece_pos), (-1, decomp.piece_neg)):
+    for sign, piece in ((1, decomp.piece_pos[r]), (-1, decomp.piece_neg[r])):
         for t in np.nonzero(piece >= 0)[0].tolist():
-            groups.setdefault(int(decomp.piece_domain[piece[t]]), set()).add((t, sign))
-    assert sorted(groups) == list(range(decomp.n_domains))
+            groups.setdefault(int(domain[piece[t]]), set()).add((t, sign))
+    assert sorted(groups) == list(range(decomp.n_domains[r]))
     return {frozenset(g) for g in groups.values()}
 
 
@@ -101,6 +111,8 @@ def test_decompose_nodal_matches_union_find(make_mesh):
             for _ in range(3):
                 coef = rng.normal(size=b - a)
                 fields.append(coef / np.linalg.norm(coef) @ res.extensions[a:b])
-    for field in fields:
-        decomp = nodal.decompose_nodal(mesh, field)
-        assert _partition(decomp) == _oracle_partition(mesh, field, nodal.DEFAULT_ZERO_TOL)
+    stack = nodal.decompose_nodal(mesh, np.array(fields))
+    for r, field in enumerate(fields):
+        oracle = _oracle_partition(mesh, field)
+        assert _partition(nodal.decompose_nodal(mesh, field), 0) == oracle
+        assert _partition(stack, r) == oracle

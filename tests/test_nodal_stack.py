@@ -1,12 +1,13 @@
 """Stacks of fields through the nodal layer against one field at a time.
 
 Every nodal entry point takes an (m, nv) stack and decomposes or graphs all
-rows together.  Each row must come out exactly as the same field does alone:
-the decomposition, the boundary-touch verdict, the zero-set graph and its
-statistics.  The audit points of a nodal audit are also compared with the
+rows together; decompose_nodal gives one record for the whole stack.  Each row
+must come out exactly as the same field does alone: its signs, pieces and
+domains, the boundary-touch verdict, the zero-set graph and its statistics.  The audit points of a nodal audit are also compared with the
 per-field loop that the stack replaced.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -44,10 +45,21 @@ def _stack(mesh):
     return np.array(fields)
 
 
-def _same_decomposition(got, want):
-    assert got.n_domains == want.n_domains
-    for name in ("vertex_signs", "piece_pos", "piece_neg", "piece_sign", "piece_domain"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+def _row(decomp, r):
+    """Row r of a decomposition, read from the record's arrays."""
+    pieces = slice(*decomp.piece_start[r:r + 2])
+    return {"vertex_signs": decomp.vertex_signs[r], "piece_pos": decomp.piece_pos[r],
+            "piece_neg": decomp.piece_neg[r], "piece_sign": decomp.piece_sign[pieces],
+            "piece_domain": decomp.piece_domain[pieces], "n_domains": decomp.n_domains[r]}
+
+
+def _same_row(mesh, decomp, r, field):
+    """Row r of decomp against field decomposed alone, a stack of one."""
+    alone = nodal.decompose_nodal(mesh, field)
+    assert len(alone.vertex_signs) == 1
+    got, want = _row(decomp, r), _row(alone, 0)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
@@ -57,14 +69,14 @@ def test_stack_rows_match_single_fields(name):
     assert len(fields) > nodal._BLOCK_ROWS and len(fields) % nodal._BLOCK_ROWS
     assert np.any(nodal.vertex_signs(fields[-1]) == 0)
 
-    decomps = nodal.decompose_nodal(mesh, fields)
-    singles = [nodal.decompose_nodal(mesh, f) for f in fields]
-    assert len(decomps) == len(fields)
-    for got, want in zip(decomps, singles):
-        _same_decomposition(got, want)
+    decomp = nodal.decompose_nodal(mesh, fields)
+    assert decomp.n_domains.size == len(decomp.vertex_signs) == len(fields)
+    for r, field in enumerate(fields):
+        _same_row(mesh, decomp, r, field)
 
-    touches = nodal.boundary_touch_check(mesh, decomps)
-    assert touches == [nodal.boundary_touch_check(mesh, d) for d in singles]
+    touches = nodal.boundary_touch_check(mesh, decomp)
+    assert touches == [t for f in fields
+                       for t in nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f))]
 
     stats = nodal.nodal_graph_stats(mesh, fields)
     assert stats == [nodal.nodal_graph_stats(mesh, f) for f in fields]
@@ -97,7 +109,7 @@ def test_flagged_rows_stay_in_their_row():
     assert [r for r, s in enumerate(stats) if s["cycle_rank"] != 0] == [2]
     assert all(s["all_even"] for s in stats)
     assert touches[2]["untouched"] == nodal.boundary_touch_check(
-        mesh, nodal.decompose_nodal(mesh, circle))["untouched"]
+        mesh, nodal.decompose_nodal(mesh, circle))[0]["untouched"]
     assert stats[2]["boundary_endpoints_per_component"] == []
 
 
@@ -112,7 +124,7 @@ def _per_field_courant(mesh, res, n_rotations, seed):
                 coef = rng.normal(size=b - a)
                 coef /= np.linalg.norm(coef)
                 vectors.append(coef @ res.extensions[a:b])
-        worst = max(nodal.decompose_nodal(mesh, v).n_domains for v in vectors)
+        worst = max(int(nodal.decompose_nodal(mesh, v).n_domains[0]) for v in vectors)
         courant.append({"cluster": (int(a), int(b)), "k": int(b - 1), "bound": int(b),
                         "max_domains": int(worst), "ok": worst <= b})
     return courant
@@ -133,17 +145,38 @@ def test_courant_check_matches_per_field_loop():
     for seed in range(12):
         records, decomps = nodal.courant_check(mesh, res, n_rotations=3, seed=seed)
         assert records == _per_field_courant(mesh, res, 3, seed)
-        assert [d.n_domains for d in decomps] == [
-            nodal.decompose_nodal(mesh, f).n_domains for f in res.extensions]
+        assert decomps.n_domains.tolist() == [
+            nodal.decompose_nodal(mesh, f).n_domains[0] for f in res.extensions]
         maxima.add(tuple(r["max_domains"] for r in records))
     assert len(maxima) > 1
+
+
+def test_courant_check_keeps_only_the_eigenvector_rows():
+    """The rotations of a multiple cluster are decomposed after the
+    eigenvectors; the record returned holds the eigenvectors' rows alone, as
+    copies, each equal to its field decomposed alone."""
+    mesh = geometry.make_disk_mesh(1.0, 0.12)
+    res = fem.steklov_spectrum(mesh, 7)
+    assert sum(b - a > 1 for a, b in res.clusters) >= 2
+    records, decomp = nodal.courant_check(mesh, res, n_rotations=20, seed=3)
+    n = len(res.extensions)
+    assert decomp.n_domains.size == len(decomp.vertex_signs) == len(decomp.piece_pos) == n
+    assert len(decomp.piece_neg) == n
+    assert decomp.piece_start[0] == decomp.domain_start[0] == 0
+    assert decomp.piece_start[-1] == decomp.piece_sign.size == decomp.piece_domain.size
+    for r, field in enumerate(res.extensions):
+        _same_row(mesh, decomp, r, field)
+    # no array is a view that would keep the rotation rows alive
+    for field in dataclasses.fields(decomp):
+        assert getattr(decomp, field.name).base is None, field.name
 
 
 def _per_field_measure(mesh, res, params, seed):
     """The nodal measurements one field at a time, as before the stack."""
     courant = _per_field_courant(mesh, res, int(params.get("n_rotations", 20)), seed)
     modes = res.extensions[1:]
-    touches = [nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f)) for f in modes]
+    touches = [t for f in modes
+               for t in nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f))]
     stats = [nodal.nodal_graph_stats(mesh, f) for f in modes]
     return {"courant": courant,
             "courant_ok": all(r["ok"] for r in courant),

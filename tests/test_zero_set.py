@@ -18,10 +18,20 @@ import pytest
 from steklov_lab import fem, geometry, graphs, nodal, thickening
 from steklov_lab.geometry import DIRICHLET, NEUMANN, STEKLOV, TAGS
 
+# the dead zone of nodal.vertex_signs and the width of nodal.nodal_svg,
+# copied so that the oracles stand alone
+ZERO_TOL = 1e-7
+SVG_WIDTH = 640
 
-def oracle_graph(mesh, field, zero_tol):
-    signs = nodal.vertex_signs(field, zero_tol)
+
+def oracle_signs(field):
+    scale = np.abs(field).max()
+    return np.where(field > ZERO_TOL * scale, 1, np.where(field < -ZERO_TOL * scale, -1, 0))
+
+
+def oracle_graph(mesh, field):
     field = np.asarray(field, float)
+    signs = oracle_signs(field)
     nodes = {}
     segments = set()
 
@@ -51,8 +61,8 @@ def oracle_graph(mesh, field, zero_tol):
     return nodes, segments
 
 
-def oracle_stats(mesh, field, zero_tol):
-    nodes, segments = oracle_graph(mesh, field, zero_tol)
+def oracle_stats(mesh, field):
+    nodes, segments = oracle_graph(mesh, field)
     keys = list(nodes)
     index = {k: i for i, k in enumerate(keys)}
     pairs = np.array([(index[a], index[b]) for a, b in segments], np.int64).reshape(-1, 2)
@@ -87,13 +97,13 @@ def _svg_segments(text):
     return [frozenset(p.split()) for p in found]
 
 
-def _svg_point(mesh, width=640):
+def _svg_point(mesh):
     """The point formatter of nodal.nodal_svg, for drawing oracle segments."""
     coords = geometry.triangle_coords(mesh).reshape(-1, 2)
     lo, hi = coords.min(axis=0), coords.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
     pad = 0.05 * span.max()
-    scale = width / (span[0] + 2 * pad)
+    scale = SVG_WIDTH / (span[0] + 2 * pad)
     height = (span[1] + 2 * pad) * scale
     return lambda p: (f"{(p[0] - lo[0] + pad) * scale:.2f},"
                       f"{height - (p[1] - lo[1] + pad) * scale:.2f}")
@@ -166,20 +176,19 @@ def test_zero_set_graph_matches_oracle(name):
     fields = _fields(mesh)
     dead_triangles = 0
     for field in fields:
-        zero_tol = nodal.DEFAULT_ZERO_TOL
-        signs = nodal.vertex_signs(field, zero_tol)
+        signs = oracle_signs(field)
         dead_triangles += int(np.all(signs[mesh.triangles] == 0, axis=1).sum())
-        nodes, segments = oracle_graph(mesh, field, zero_tol)
-        graph = nodal.nodal_graph(mesh, field, zero_tol)
+        nodes, segments = oracle_graph(mesh, field)
+        graph = nodal.nodal_graph(mesh, field)
         assert graph.nodes.tolist() == [_node_id(mesh, k) for k in nodes]
         assert np.array_equal(graph.positions, np.array(list(nodes.values())).reshape(-1, 2))
         got = {frozenset(p) for p in graph.nodes[graph.segments].tolist()}
         assert len(got) == len(graph.segments)
         assert got == {frozenset(_node_id(mesh, k) for k in s) for s in segments}
 
-        assert nodal.nodal_graph_stats(mesh, field, zero_tol) == oracle_stats(mesh, field, zero_tol)
+        assert nodal.nodal_graph_stats(mesh, field) == oracle_stats(mesh, field)
 
-        drawn = _svg_segments(nodal.nodal_svg(mesh, field, zero_tol))
+        drawn = _svg_segments(nodal.nodal_svg(mesh, field))
         pt = _svg_point(mesh)
         assert len(drawn) == len(segments)
         assert set(drawn) == {frozenset((pt(nodes[a]), pt(nodes[b]))) for a, b in segments}
@@ -205,18 +214,18 @@ def oracle_mesh_text(mesh):
     return "\n".join(lines) + "\n"
 
 
-def oracle_svg(mesh, field, zero_tol=nodal.DEFAULT_ZERO_TOL, width=640):
+def oracle_svg(mesh, field):
     coords = geometry.triangle_coords(mesh)
     lo = coords.reshape(-1, 2).min(axis=0)
     hi = coords.reshape(-1, 2).max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
     pad = 0.05 * span.max()
-    height = (span[1] + 2 * pad) * (width / (span[0] + 2 * pad))
-    pt = _svg_point(mesh, width)
+    height = (span[1] + 2 * pad) * (SVG_WIDTH / (span[0] + 2 * pad))
+    pt = _svg_point(mesh)
     field = np.asarray(field, float)
     cen_val = field[mesh.triangles].mean(axis=1)
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-           f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">']
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH:.0f}" '
+           f'height="{height:.0f}" viewBox="0 0 {SVG_WIDTH:.0f} {height:.0f}">']
     for t in range(mesh.n_triangles):
         fill = "#fddcdc" if cen_val[t] > 0 else "#dce8fd"
         pts = " ".join(pt(coords[t, i]) for i in range(3))
@@ -226,7 +235,7 @@ def oracle_svg(mesh, field, zero_tol=nodal.DEFAULT_ZERO_TOL, width=640):
         pb = pa + geometry.edge_vector(mesh, np.array([a]), np.array([b]))[0]
         out.append(f'<polyline points="{pt(pa)} {pt(pb)}" fill="none" '
                    f'stroke="{nodal._TAG_COLORS.get(tag, "#000")}" stroke-width="2"/>')
-    graph = nodal.nodal_graph(mesh, field, zero_tol)
+    graph = nodal.nodal_graph(mesh, field)
     for pa, pb in graph.positions[graph.segments]:
         out.append(f'<polyline points="{pt(pa)} {pt(pb)}" '
                    f'fill="none" stroke="#000" stroke-width="1.2"/>')
@@ -256,9 +265,7 @@ def test_mesh_text_matches_oracle(name):
 def test_nodal_svg_matches_oracle(name):
     mesh = MESHES[name]()
     fields = _fields(mesh)
-    dead = [f for f in fields
-            if np.any(nodal.vertex_signs(f, nodal.DEFAULT_ZERO_TOL) == 0)]
+    dead = [f for f in fields if np.any(oracle_signs(f) == 0)]
     assert dead
     for field in fields:
         assert nodal.nodal_svg(mesh, field) == oracle_svg(mesh, field)
-    assert nodal.nodal_svg(mesh, fields[1], width=333) == oracle_svg(mesh, fields[1], width=333)
