@@ -167,6 +167,17 @@ def default_cluster_rel_tol(mesh):
     return max(1e-3, 2.0 * geometry.max_edge_length(mesh) ** 2)
 
 
+def _trace_signs(traces):
+    """The sign that fixes each column of (ns, m) steklov traces: the first
+    entry whose magnitude is at least half the column's largest becomes
+    positive.  An eigenvector is defined up to its sign, so this makes the
+    reported one independent of the eigensolver's arbitrary choice; the half
+    keeps the chosen entry clear of rounding ties with the largest one."""
+    mag = np.abs(traces)
+    first = np.argmax(mag >= 0.5 * mag.max(axis=0), axis=0)
+    return np.sign(traces[first, np.arange(traces.shape[1])])
+
+
 # shift of the pencil: every eigenvalue is >= 0, so K_f - SHIFT * M_Gamma is
 # positive definite once each component is anchored to the steklov or
 # dirichlet boundary
@@ -189,8 +200,8 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
     _check_connectivity(mesh, sk, dirichlet)
     free = np.setdiff1d(np.arange(mesh.n_vertices), dirichlet)
     K_f = K[free][:, free]
-    lift = sp.csr_matrix((np.ones(ns), (np.searchsorted(free, sk), np.arange(ns))),
-                         shape=(free.size, ns))
+    pos = np.searchsorted(free, sk)
+    lift = sp.csr_matrix((np.ones(ns), (pos, np.arange(ns))), shape=(free.size, ns))
     M = (lift @ B.matrix @ lift.T).tocsr()
     lu = _factor(K_f - SHIFT * M)
     # two pairs beyond n_eigs so the last wanted one converges like the
@@ -208,6 +219,7 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
     w = w[order]
     x = x[:, order]
     x /= np.sqrt(np.einsum("ij,ij->j", x, M @ x))
+    x *= _trace_signs(x[pos])
     extensions = np.zeros((n_eigs, mesh.n_vertices))
     extensions[:, free] = x.T
     clusters = multiplicity_clusters(w, cluster_rel_tol)

@@ -129,6 +129,16 @@ def test_solver_matches_dense_oracle(name):
     assert np.array_equal(again.extensions, res.extensions)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_eigenvector_signs_follow_the_trace_rule(name):
+    # the first trace entry of at least half the largest magnitude is positive
+    build, n_eigs = CASES[name]
+    res = fem.steklov_spectrum(build(), n_eigs)
+    for trace in res.boundary_vectors.T:
+        big = np.flatnonzero(np.abs(trace) >= 0.5 * np.max(np.abs(trace)))
+        assert trace[big[0]] > 0
+
+
 def test_extensions_match_dense_oracle_on_simple_eigenvalues():
     mesh = _mixed_disk()
     res = fem.steklov_spectrum(mesh, 8)
