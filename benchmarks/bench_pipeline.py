@@ -1,0 +1,186 @@
+"""Solve-stage benchmark of ``fem.steklov_spectrum``.
+
+Run from the repository root:
+
+    PYTHONPATH=src python benchmarks/bench_pipeline.py --label change
+
+It records, with one BLAS thread:
+
+- the unit disk at h = 0.05, 0.02 and 0.01, 7 eigenpairs: the median
+  whole-solve time on a mesh that has not been solved yet (its edge table
+  built, its stiffness matrix not), the median time of a repeated solve of one
+  mesh, the ARPACK operator applications of a solve and the LU fill;
+- the 90 meshes of a seed-1 nodal audit (disk, annulus and mixed disk at
+  h = 0.08, random steklov densities, 7 eigenpairs), built as
+  ``harness._audit_point`` builds them: the median over the meshes of each
+  mesh's median solve time over the passes after the first, the median pass
+  time, the operator applications and LU fill, and how many times the
+  stiffness matrix was assembled in the first pass and in each later one.
+
+An operator application is a one-vector LU solve; the block solve that
+extends the eigenvectors, if any, is counted apart.  The counters wrap
+``fem._factor`` and ``fem.assemble_stiffness`` for the whole run, which adds
+a Python call per LU solve.  The result is merged under ``--label`` into the
+JSON file given by ``--out``, so that runs of two checkouts, each with its own
+``PYTHONPATH``, land side by side.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from steklov_lab import fem, geometry, harness  # noqa: E402
+
+DISK_H = (0.05, 0.02, 0.01)
+DISK_REPEATS = {0.05: 7, 0.02: 5, 0.01: 3}
+N_EIGS = 7
+AUDIT_PARAMS = {"domains": ["disk", "annulus", "mixed-disk"], "radius": 1.0,
+                "r_inner": 0.5, "r_outer": 1.0, "target_h": 0.08}
+AUDIT_SEED = 1
+AUDIT_RUNS = 90
+AUDIT_PASSES = 5
+
+
+class Counters:
+    """Counts LU solves and stiffness assemblies through the fem module."""
+
+    def __init__(self):
+        self.op = self.block = self.assemblies = 0
+        self.lu_nnz = 0
+        factor, assemble = fem._factor, fem.assemble_stiffness
+        counters = self
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu = lu
+                counters.lu_nnz = lu.L.nnz + lu.U.nnz
+
+            def solve(self, rhs, *args):
+                if np.ndim(rhs) == 1:
+                    counters.op += 1
+                else:
+                    counters.block += 1
+                return self.lu.solve(rhs, *args)
+
+        def counted_assemble(mesh):
+            counters.assemblies += 1
+            return assemble(mesh)
+
+        fem._factor = lambda A: CountingLU(factor(A))
+        fem.assemble_stiffness = counted_assemble
+
+    def solve(self, mesh):
+        """One timed solve: (seconds, operator applications, block solves)."""
+        op, block = self.op, self.block
+        t0 = time.perf_counter()
+        fem.steklov_spectrum(mesh, N_EIGS)
+        return time.perf_counter() - t0, self.op - op, self.block - block
+
+
+def unsolved_copy(mesh):
+    """The same mesh as a new instance: no stiffness matrix cached, the edge
+    table handed over as geometry.replace_mesh would."""
+    out = dataclasses.replace(mesh)
+    out.__dict__["edge_table"] = mesh.edge_table
+    return out
+
+
+def bench_disk(counters, h):
+    mesh = geometry.make_disk_mesh(1.0, h)
+    counters.solve(unsolved_copy(mesh))  # warm-up
+    cold, ops, blocks = [], set(), set()
+    for _ in range(DISK_REPEATS[h]):
+        dt, op, block = counters.solve(unsolved_copy(mesh))
+        cold.append(dt)
+        ops.add(op)
+        blocks.add(block)
+    warm = [counters.solve(mesh)[0] for _ in range(DISK_REPEATS[h])]
+    return {"h": h, "nv": int(mesh.n_vertices),
+            "ns": int(geometry.tagged_vertices(mesh, geometry.STEKLOV).size),
+            "lu_nnz": counters.lu_nnz, "op_applications": sorted(ops),
+            "block_solves": sorted(blocks),
+            "solve_ms_median": 1e3 * statistics.median(cold),
+            "repeat_solve_ms_median": 1e3 * statistics.median(warm),
+            "repeats": DISK_REPEATS[h]}
+
+
+def audit_meshes():
+    meshes = []
+    for i in range(AUDIT_RUNS):
+        rng = np.random.default_rng(AUDIT_SEED + 1000 * i)
+        params = dict(AUDIT_PARAMS, domain=AUDIT_PARAMS["domains"][i % 3])
+        mesh, _ = harness._apply_random_density(harness._make_domain(params, rng), rng)
+        meshes.append(mesh)
+    return meshes
+
+
+def bench_audit(counters):
+    meshes = audit_meshes()
+    times = np.zeros((AUDIT_PASSES, len(meshes)))
+    ops, nnz, assemblies = [], [], []
+    for p in range(AUDIT_PASSES):
+        before = counters.assemblies
+        for j, mesh in enumerate(meshes):
+            times[p, j], op, _ = counters.solve(mesh)
+            if p == 0:
+                ops.append(op)
+                nnz.append(counters.lu_nnz)
+        assemblies.append(counters.assemblies - before)
+    later = times[1:]
+    return {"seed": AUDIT_SEED, "meshes": len(meshes), "passes": AUDIT_PASSES,
+            "solve_ms_median": 1e3 * float(np.median(np.median(later, axis=0))),
+            "pass_ms_median": 1e3 * float(np.median(later.sum(axis=1))),
+            "first_pass_ms": 1e3 * float(times[0].sum()),
+            "op_applications": {"min": min(ops), "median": statistics.median(ops),
+                                "max": max(ops), "total": sum(ops)},
+            "lu_nnz_median": statistics.median(nnz),
+            "stiffness_assemblies_per_pass": assemblies}
+
+
+def commit_of(path):
+    try:
+        return subprocess.run(["git", "-C", path, "rev-parse", "--short", "HEAD"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--out", default="BENCH_pipeline.json")
+    args = parser.parse_args()
+    counters = Counters()
+    result = {
+        "commit": commit_of(os.path.dirname(os.path.abspath(fem.__file__))),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "scipy": scipy.__version__, "machine": platform.machine(),
+                        "cpus": os.cpu_count(), "blas_threads": 1},
+        "disk": [bench_disk(counters, h) for h in DISK_H],
+        "nodal_audit": bench_audit(counters),
+    }
+    print(json.dumps(result, indent=2))
+    data = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="ascii") as fh:
+            data = json.load(fh)
+    data[args.label] = result
+    with open(args.out, "w", encoding="ascii") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -68,6 +68,13 @@ class Mesh2D:
         """The mesh's EdgeTable, built on first use and kept on the instance."""
         return _edge_table(self.triangles, self.n_vertices)
 
+    @cached_property
+    def stiffness_cache(self):
+        """A holder that fem fills with the stiffness matrix; replace_mesh
+        hands it on while the vertices, triangles, tri_weight and period_x
+        stay the same."""
+        return {}
+
 
 @dataclass(frozen=True)
 class EdgeTable:
@@ -473,12 +480,17 @@ def extract_submesh(mesh, tri_mask, interface_tag=NEUMANN):
 
 def replace_mesh(mesh, **changes):
     """dataclasses.replace for a Mesh2D that keeps the cached edge table when
-    the triangles and the vertex count are unchanged."""
+    the triangles and the vertex count are unchanged, and the stiffness holder
+    when the vertices, triangles, tri_weight and period_x are."""
     out = replace(mesh, **changes)
+    if out.n_vertices != mesh.n_vertices or not np.array_equal(out.triangles, mesh.triangles):
+        return out
     table = mesh.__dict__.get("edge_table")
-    if (table is not None and out.n_vertices == mesh.n_vertices
-            and np.array_equal(out.triangles, mesh.triangles)):
+    if table is not None:
         out.__dict__["edge_table"] = table
+    if (out.period_x == mesh.period_x and np.array_equal(out.vertices, mesh.vertices)
+            and np.array_equal(out.tri_weight, mesh.tri_weight)):
+        out.__dict__["stiffness_cache"] = mesh.stiffness_cache
     return out
 
 

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from steklov_lab import fem, geometry
+from steklov_lab import deformations, fem, geometry
 from steklov_lab.geometry import DIRICHLET, NEUMANN, STEKLOV
 
 
@@ -33,6 +34,44 @@ def test_boundary_mass_total():
     ones = np.ones(B.vertices.size)
     total = ones @ (B.matrix @ ones)
     assert total == pytest.approx(geometry.boundary_length(mesh, STEKLOV))
+    # the per-edge factor: two rows per steklov edge, B = G^T G
+    assert B.factor.shape == (2 * np.count_nonzero(mesh.boundary_tags == STEKLOV),
+                              B.vertices.size)
+    assert np.allclose((B.factor.T @ B.factor).toarray(), B.matrix.toarray(),
+                       rtol=0.0, atol=1e-15 * B.matrix.max())
+
+
+def test_stiffness_shared_by_meshes_of_one_geometry():
+    mesh = geometry.make_disk_mesh(1.0, 0.2)
+    dens = geometry.replace_mesh(mesh, edge_density=2.0 * mesh.edge_density)
+    K = fem._stiffness(dens)
+    tagged = geometry.tag_boundary(mesh, [((0.0, 1.0), NEUMANN)], by="angle",
+                                   center=(0.0, 0.0))
+    assert fem._stiffness(mesh) is K
+    assert fem._stiffness(tagged) is K
+    weighted = geometry.replace_mesh(mesh, tri_weight=2.0 * mesh.tri_weight)
+    moved = geometry.replace_mesh(mesh, vertices=1.5 * mesh.vertices)
+    for other in (weighted, moved):
+        fresh = fem._stiffness(other)
+        assert fresh is not K
+        assert (fresh != fem.assemble_stiffness(other)).nnz == 0
+    assert fem._stiffness(weighted) is not fem._stiffness(moved)
+    for arr in (K.data, K.indices, K.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_cached_stiffness_gives_the_same_bits():
+    base = geometry.make_disk_mesh(1.0, 0.1)
+    rng = np.random.default_rng(3)
+    mesh = geometry.replace_mesh(base, edge_density=rng.uniform(0.5, 2.0, base.edge_density.size))
+    fem.steklov_spectrum(base, 5)  # fills the stiffness matrix that mesh shares
+    warm = fem.steklov_spectrum(mesh, 5)
+    cold = fem.steklov_spectrum(dataclasses.replace(mesh), 5)  # an unshared copy
+    assert np.array_equal(cold.eigenvalues, warm.eigenvalues)
+    assert np.array_equal(cold.extensions, warm.extensions)
+    f = warm.extensions[3]
+    assert fem.rayleigh_quotient(dataclasses.replace(mesh), f) == fem.rayleigh_quotient(mesh, f)
 
 
 def test_disk_spectrum_oracle():
@@ -45,6 +84,32 @@ def test_disk_spectrum_oracle():
     assert res.clusters[0] == (0, 1)
     assert res.clusters[1] == (1, 3)
     assert res.clusters[2] == (3, 5)
+
+
+@pytest.mark.parametrize("domain", ["disk", "flat-cylinder"])
+def test_eigenvalue_error_is_second_order_in_h(domain):
+    # max_k |sigma_k - exact_k| / exact_k over sigma_1..sigma_8 against the
+    # closed forms: k twice on the unit disk; sqrt(l) tanh(w sqrt(l)),
+    # l = k^2 twice, on the circumference-2 pi cylinder of width w with its
+    # other circle neumann.  On the disk the error is 1.30 h_max^2.
+    k = np.repeat(np.arange(1, 5), 2)
+    width = 0.5
+    if domain == "disk":
+        exact = k.astype(float)
+    else:
+        exact = np.array([deformations.cylinder_formula(float(j * j), width) for j in k])
+    h_max, err = [], []
+    for h in (0.16, 0.08, 0.04, 0.02):
+        if domain == "disk":
+            mesh = geometry.make_disk_mesh(1.0, h)
+        else:
+            mesh = geometry.make_strip_mesh(2 * math.pi, width, h, periodic=True,
+                                            bottom_tag=STEKLOV, top_tag=NEUMANN)
+        sigma = fem.steklov_spectrum(mesh, 9).eigenvalues[1:]
+        h_max.append(geometry.max_edge_length(mesh))
+        err.append(np.max(np.abs(sigma - exact) / exact))
+    order = np.diff(np.log(err)) / np.diff(np.log(h_max))
+    assert np.all((1.8 <= order) & (order <= 2.2)), order
 
 
 def test_eigenpairs_satisfy_pencil():
