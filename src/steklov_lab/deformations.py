@@ -19,15 +19,11 @@ import math
 
 import numpy as np
 
-from . import fem, geometry
-from .geometry import NEUMANN, STEKLOV
+from . import geometry
+from .geometry import STEKLOV
 
 
 class FamilyError(ValueError):
-    pass
-
-
-class ResolutionError(ValueError):
     pass
 
 
@@ -156,8 +152,7 @@ def singular_family_at(family, eta):
 def subdomain_limit_mesh(family):
     """The limiting mixed problem: submesh of U, steklov on the inherited
     boundary, neumann on the interface."""
-    return geometry.extract_submesh(family.mesh, family.in_subdomain,
-                                    interface_tag=NEUMANN)
+    return geometry.extract_submesh(family.mesh, family.in_subdomain)
 
 
 def cylinder_formula(lam, eta):
@@ -181,38 +176,3 @@ def circle_laplacian_eigenvalues(circle_length, count):
         k += 1
     return np.array(vals[:count])
 
-
-def collar_convergence_run(circle_length, widths, n_eigs, elements_across=8):
-    """Steklov-Neumann spectra of shrinking flat collars, rescaled by 1/eta
-    and compared against the circle Laplacian spectrum.
-
-    Returns a list of per-width records with the max relative error over the
-    nonzero modes.
-    """
-    widths = list(widths)
-    if any(w <= 0 for w in widths):
-        raise FamilyError("widths must be positive")
-    if len(widths) > 1 and any(b >= a for a, b in zip(widths, widths[1:])):
-        raise FamilyError("widths must be strictly decreasing")
-    if elements_across < 8:
-        raise ResolutionError("need at least 8 elements across the collar width")
-    reference = circle_laplacian_eigenvalues(circle_length, n_eigs)
-    rows = []
-    for eta in widths:
-        target_h = eta / elements_across
-        mesh = geometry.make_strip_mesh(circle_length, eta, target_h, periodic=True,
-                                        bottom_tag=STEKLOV, top_tag=NEUMANN)
-        result = fem.steklov_spectrum(mesh, n_eigs)
-        rescaled = result.eigenvalues / eta
-        err = np.zeros(n_eigs)
-        nz = reference > 0
-        err[nz] = np.abs(rescaled[nz] - reference[nz]) / reference[nz]
-        rows.append({
-            "eta": float(eta),
-            "sigma": result.eigenvalues.tolist(),
-            "rescaled": rescaled.tolist(),
-            "reference": reference.tolist(),
-            "rel_err": err.tolist(),
-            "max_rel_err": float(err[nz].max()),
-        })
-    return rows

@@ -172,12 +172,8 @@ def tagged_vertices(mesh, tag):
 
 
 def max_edge_length(mesh):
-    c = triangle_coords(mesh)
-    lens = []
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        d = c[:, j] - c[:, i]
-        lens.append(np.hypot(d[:, 0], d[:, 1]))
-    return float(np.max(lens))
+    d = edge_vector(mesh, *mesh.edge_table.edges.T)
+    return float(np.max(np.hypot(d[:, 0], d[:, 1])))
 
 
 def point_segment_distances(points, seg_a, seg_b):
@@ -290,9 +286,9 @@ def _orient_ccw(vertices, triangles, period_x=0.0):
     return triangles
 
 
-def build_mesh(vertices, triangles, boundary_tag=STEKLOV, density=1.0,
-               weight=1.0, period_x=0.0, validate=True):
-    """Assemble a Mesh2D from raw arrays, deriving and tagging the boundary."""
+def build_mesh(vertices, triangles, boundary_tag=STEKLOV, period_x=0.0, validate=True):
+    """Assemble a Mesh2D from raw arrays, deriving and tagging the boundary;
+    every edge density and triangle weight is 1."""
     vertices = np.asarray(vertices, float)
     triangles = _orient_ccw(vertices, np.asarray(triangles, np.int32), period_x)
     table = _edge_table(triangles, vertices.shape[0])
@@ -303,8 +299,8 @@ def build_mesh(vertices, triangles, boundary_tag=STEKLOV, density=1.0,
         triangles=triangles,
         boundary_edges=bedges,
         boundary_tags=np.array([boundary_tag] * nb, object),
-        edge_density=np.full(nb, float(density)),
-        tri_weight=np.full(triangles.shape[0], float(weight)),
+        edge_density=np.ones(nb),
+        tri_weight=np.ones(triangles.shape[0]),
         period_x=float(period_x),
     )
     mesh.__dict__["edge_table"] = table  # seed the cached_property
@@ -449,8 +445,8 @@ def tag_boundary(mesh, arcs, by="angle", center=None):
     return validate_mesh(replace_mesh(mesh, boundary_tags=tags))
 
 
-def extract_submesh(mesh, tri_mask, interface_tag=NEUMANN):
-    """Mesh of a triangle subset; new boundary edges get interface_tag."""
+def extract_submesh(mesh, tri_mask):
+    """Mesh of a triangle subset; new boundary edges are neumann."""
     tri_mask = np.asarray(tri_mask, bool)
     if not np.any(tri_mask):
         raise ParameterError("empty triangle subset")
@@ -469,7 +465,7 @@ def extract_submesh(mesh, tri_mask, interface_tag=NEUMANN):
         vertices=mesh.vertices[keep],
         triangles=new_tris,
         boundary_edges=bedges.astype(np.int32),
-        boundary_tags=np.where(old >= 0, mesh.boundary_tags[old], interface_tag),
+        boundary_tags=np.where(old >= 0, mesh.boundary_tags[old], NEUMANN),
         edge_density=np.where(old >= 0, mesh.edge_density[old], 1.0),
         tri_weight=mesh.tri_weight[tri_mask].copy(),
         period_x=mesh.period_x,

@@ -189,48 +189,68 @@ def _run_spectrum(config, jobs):
     return points, checks, {"spectral": res, "mesh": mesh}
 
 
+def _sweep_step(param, value, ks, sigma, reference):
+    """The sweep points of one step, one per k in ks with its sigma and
+    reference, and the step's largest relative error; a zero reference has
+    relative error 0."""
+    sigma = np.asarray(sigma, float)
+    reference = np.asarray(reference, float)
+    abs_err = np.abs(sigma - reference)
+    rel = np.divide(abs_err, reference, out=np.zeros_like(abs_err), where=reference != 0)
+    points = [{param: value, "k": k, "sigma": s, "reference": r, "abs_err": a, "rel_err": e}
+              for k, s, r, a, e in zip(ks, sigma.tolist(), reference.tolist(),
+                                       abs_err.tolist(), rel.tolist())]
+    return points, float(rel.max())
+
+
 def _run_collar_sweep(config, jobs):
     p = config.params
     length = float(p.get("circle_length", 2 * math.pi))
     widths = [float(w) for w in p["widths"]]
     if not widths:
         raise ConfigError("widths must not be empty")
-    n_eigs = int(p.get("n_eigs", 7))
     mode = p.get("mode", "one-sided")
     tol = float(config.tolerances.get("final_rel_err", 0.02))
     points = []
     finals = []
     if mode == "one-sided":
-        rows = deformations.collar_convergence_run(length, widths, n_eigs,
-                                                   int(p.get("elements_across", 8)))
-        for row in rows:
-            for k in range(n_eigs):
-                points.append({"eta": row["eta"], "k": k,
-                               "sigma": row["rescaled"][k],
-                               "reference": row["reference"][k],
-                               "abs_err": abs(row["rescaled"][k] - row["reference"][k]),
-                               "rel_err": row["rel_err"][k]})
-            finals.append(row["max_rel_err"])
+        # Steklov-Neumann collars of shrinking width eta, rescaled by 1/eta,
+        # against the Laplacian spectrum of the steklov circle
+        n_eigs = int(p.get("n_eigs", 7))
+        across = int(p.get("elements_across", 8))
+        if n_eigs < 2:
+            raise ConfigError("a one-sided collar-sweep needs n_eigs >= 2")
+        if any(w <= 0 for w in widths):
+            raise ConfigError("widths must be positive")
+        if any(b >= a for a, b in zip(widths, widths[1:])):
+            raise ConfigError("widths must be strictly decreasing")
+        if across < 8:
+            raise ConfigError("elements_across must be at least 8")
+        reference = deformations.circle_laplacian_eigenvalues(length, n_eigs)
+        for eta in widths:
+            mesh = geometry.make_strip_mesh(length, eta, eta / across, periodic=True,
+                                            bottom_tag=STEKLOV, top_tag=NEUMANN)
+            sig = fem.steklov_spectrum(mesh, n_eigs).eigenvalues / eta
+            step, worst = _sweep_step("eta", eta, range(n_eigs), sig, reference)
+            points += step
+            finals.append(worst)
     elif mode == "two-sided":
         # both circles steklov; the symmetric family obeys sqrt(l)*tanh(eta*sqrt(l))
         k_max = int(p.get("k_max", 4))
+        if k_max < 1:
+            raise ConfigError("a two-sided collar-sweep needs k_max >= 1")
         for width in widths:
             eta = 0.5 * width
             h = min(float(p.get("target_h", 0.05)), width / 8.0)
             mesh = geometry.make_strip_mesh(length, width, h, periodic=True,
                                             bottom_tag=STEKLOV, top_tag=STEKLOV)
-            res = fem.steklov_spectrum(mesh, 4 * k_max + 2)
-            worst = 0.0
-            for k in range(1, k_max + 1):
-                lam = (2 * math.pi * k / length) ** 2
-                ref = deformations.cylinder_formula(lam, eta)
-                # the symmetric-family eigenvalue is the closest computed one
-                idx = int(np.argmin(np.abs(res.eigenvalues - ref)))
-                sig = float(res.eigenvalues[idx])
-                rel = abs(sig - ref) / ref
-                worst = max(worst, rel)
-                points.append({"eta": eta, "k": k, "sigma": sig, "reference": ref,
-                               "abs_err": abs(sig - ref), "rel_err": rel})
+            sig = fem.steklov_spectrum(mesh, 4 * k_max + 2).eigenvalues
+            ref = [deformations.cylinder_formula((2 * math.pi * k / length) ** 2, eta)
+                   for k in range(1, k_max + 1)]
+            # the symmetric-family eigenvalue is the closest computed one
+            near = sig[[int(np.argmin(np.abs(sig - r))) for r in ref]]
+            step, worst = _sweep_step("eta", eta, range(1, k_max + 1), near, ref)
+            points += step
             finals.append(worst)
     else:
         raise ConfigError(f"unknown collar mode {mode!r}")
@@ -256,19 +276,17 @@ def _family_sweep(config, param, family_at, limit, defaults):
     if j_max < 1:
         raise ConfigError("j_max must be at least 1")
     n_eigs = int(p.get("n_eigs", defaults["n_eigs"]))
+    if n_eigs < 2:
+        raise ConfigError(f"a {config.kind} needs n_eigs >= 2")
     ref = fem.steklov_spectrum(limit, n_eigs).eigenvalues
     points = []
     errs = []
     for j in range(1, j_max + 1):
         t = 2.0 ** -j
         sig = fem.steklov_spectrum(family_at(t), n_eigs).eigenvalues
-        rel = np.abs(sig[1:] - ref[1:]) / ref[1:]
-        for k in range(1, n_eigs):
-            points.append({param: t, "k": k, "sigma": float(sig[k]),
-                           "reference": float(ref[k]),
-                           "abs_err": float(abs(sig[k] - ref[k])),
-                           "rel_err": float(rel[k - 1])})
-        errs.append(float(rel.max()))
+        step, worst = _sweep_step(param, t, range(1, n_eigs), sig[1:], ref[1:])
+        points += step
+        errs.append(worst)
     tol = float(config.tolerances.get("final_rel_err", defaults["final_rel_err"]))
     tail = errs[len(errs) // 2:]
     checks = [
@@ -317,40 +335,53 @@ def _load_or_build_graph(config):
 
 
 def _run_graph_limit(config, jobs):
+    """Thickened-domain spectra against the graph Laplacian spectrum.
+
+    For each eps the (|V|+1)-st eigenvalue over the |V|-th is the spectral
+    gap; at the final eps the first |V| eigenvalues over the graph's give the
+    empirical proportionality constant (candidates c and 1/c) and its spread.
+    The artifacts keep the (mesh, SpectralResult) of the final eps.
+    """
     p = config.params
     eps_values = [float(e) for e in p["eps_values"]]
     if not eps_values:
         raise ConfigError("eps_values must not be empty")
     g = _load_or_build_graph(config)
+    nv = g.n_vertices
     c = float(p.get("c", 2.0))
     emb = thickening.embed_graph(g, p.get("style", "convex-boundary"), c)
-    out = thickening.verify_graph_limit(emb, eps_values, c,
-                                        float(p.get("target_h_factor", 0.25)))
-    rows = out["rows"]
+    h_factor = float(p.get("target_h_factor", 0.25))
+    lam = graphs.graph_laplacian_spectrum(g).eigenvalues
+    nz = lam > 1e-12
+    nz[0] = False
     points = []
-    for row in rows:
-        lam = row["lambda_graph"]
-        for k in range(1, g.n_vertices):
-            points.append({"eps": row["eps"], "k": k, "sigma": row["sigma"][k],
-                           "lambda": lam[k],
-                           "ratio": row["sigma"][k] / lam[k] if lam[k] > 0 else None})
-        points.append({"eps": row["eps"], "k": g.n_vertices,
-                       "sigma": row["sigma"][g.n_vertices],
+    gaps = []
+    for eps in eps_values:
+        mesh = thickening.build_thickened_mesh(emb, eps, c, target_h=h_factor * eps)
+        res = fem.steklov_spectrum(mesh, nv + 1)
+        sig = res.eigenvalues
+        for k in range(1, nv):
+            points.append({"eps": eps, "k": k, "sigma": float(sig[k]), "lambda": float(lam[k]),
+                           "ratio": float(sig[k] / lam[k]) if lam[k] > 0 else None})
+        points.append({"eps": eps, "k": nv, "sigma": float(sig[nv]),
                        "lambda": None, "ratio": None})
+        gaps.append(float(sig[nv] / sig[nv - 1]))
+    # the constant and its spread at the final eps
+    ratios = sig[:nv][nz] / lam[nz]
+    mean = float(ratios.mean())
+    spread = float(ratios.max() - ratios.min()) / mean
+    candidates = {"c": c, "1/c": 1.0 / c}
+    closest = min(candidates, key=lambda name: abs(candidates[name] - mean))
     spread_tol = float(config.tolerances.get("ratio_spread", 0.05))
-    final = rows[-1]
-    gaps = [r["gap"] for r in rows]
     checks = [
-        _check("ratio-spread", final["ratio_spread"] <= spread_tol,
-               final["ratio_spread"], spread_tol),
+        _check("ratio-spread", spread <= spread_tol, spread, spread_tol),
         _check("gap-monotone", all(b > a for a, b in zip(gaps, gaps[1:])),
                gaps, "strictly increasing"),
         _check("constant-recorded", True,
-               {"final_ratio": out["final_ratio"],
-                "candidates": out["candidates"],
-                "closest": out["closest_candidate"]}, "informational"),
+               {"final_ratio": mean, "candidates": candidates, "closest": closest},
+               "informational"),
     ]
-    return points, checks, {"graph": g, "thickened": out["final"]}
+    return points, checks, {"graph": g, "thickened": (mesh, res)}
 
 
 def _run_prescriber_audit(config, jobs):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import fem, geometry, graphs
+from . import geometry, graphs
 from .geometry import NEUMANN, STEKLOV
 
 
@@ -374,54 +374,3 @@ def build_thickened_mesh(embedding, eps, c=2.0, target_h=None):
             f"steklov tagging inconsistent: length {got} vs expected {expected}")
     return mesh
 
-
-# ---------------------------------------------------------------------------
-# spectral verification
-# ---------------------------------------------------------------------------
-
-def verify_graph_limit(embedding, eps_values, c=2.0, target_h_factor=0.25):
-    """Compare thickened-domain spectra against the graph Laplacian spectrum.
-
-    For each eps: the first |V| eigenvalues rescaled by the graph spectrum
-    give the empirical proportionality constant (candidates: c and 1/c), the
-    (|V|+1)-st eigenvalue gives the spectral gap, and the eigenvector traces
-    are checked for near-constancy on each steklov diameter, a connected
-    component of the steklov boundary.  "final" is the (mesh, SpectralResult)
-    of the last eps.
-    """
-    g = embedding.graph
-    gspec = graphs.graph_laplacian_spectrum(g)
-    lam = gspec.eigenvalues
-    nv = g.n_vertices
-    rows = []
-    for eps in eps_values:
-        mesh = build_thickened_mesh(embedding, eps, c, target_h=target_h_factor * eps)
-        res = fem.steklov_spectrum(mesh, nv + 1)
-        sig = res.eigenvalues
-        nz = lam > 1e-12
-        nz[0] = False
-        ratios = sig[:nv][nz] / lam[nz]
-        sk = res.steklov_vertices
-        ends = np.searchsorted(sk, mesh.boundary_edges[mesh.boundary_tags == STEKLOV])
-        n_diam, diam = geometry.label_components(sk.size, ends[:, 0], ends[:, 1])
-        # spread of each nonconstant trace over each diameter, over its max
-        vecs = res.boundary_vectors[:, 1:nv]
-        scale = np.abs(vecs).max(axis=0)
-        spread = max(float(np.max(np.ptp(vecs[diam == j], axis=0) / scale))
-                     for j in range(n_diam))
-        rows.append({
-            "eps": float(eps),
-            "sigma": sig.tolist(),
-            "lambda_graph": lam.tolist(),
-            "ratios": ratios.tolist(),
-            "ratio_mean": float(ratios.mean()),
-            "ratio_spread": float(ratios.max() - ratios.min()) / float(ratios.mean()),
-            "gap": float(sig[nv] / sig[nv - 1]),
-            "trace_spread": spread,
-            "n_vertices_mesh": int(mesh.n_vertices),
-        })
-    candidates = {"c": float(c), "1/c": 1.0 / float(c)}
-    final = rows[-1]["ratio_mean"]
-    closest = min(candidates, key=lambda k: abs(candidates[k] - final))
-    return {"rows": rows, "candidates": candidates, "closest_candidate": closest,
-            "final_ratio": final, "final": (mesh, res)}

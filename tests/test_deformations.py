@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from steklov_lab import deformations as dfm
-from steklov_lab import fem, geometry
+from steklov_lab import fem, geometry, harness
 
 
 def test_cylinder_formula_values():
@@ -184,15 +184,26 @@ def test_singular_family_needs_boundary_contact():
         dfm.SingularWeightFamily(mesh, interior_only, 3)
 
 
+def _collar_config(**params):
+    base = {"mode": "one-sided", "circle_length": 2 * math.pi, "widths": [0.2, 0.1],
+            "n_eigs": 5}
+    return harness.ExperimentConfig(kind="collar-sweep", name="collar", seed=0,
+                                    params=dict(base, **params))
+
+
 def test_collar_convergence_run():
-    rows = dfm.collar_convergence_run(2 * math.pi, [0.2, 0.1], 5)
-    assert rows[1]["max_rel_err"] < rows[0]["max_rel_err"]
-    assert rows[1]["max_rel_err"] < 0.05
-    assert np.allclose(rows[0]["reference"], [0, 1, 1, 4, 4])
-    with pytest.raises(dfm.FamilyError):
-        dfm.collar_convergence_run(2 * math.pi, [0.1, 0.2], 5)
-    with pytest.raises(dfm.ResolutionError):
-        dfm.collar_convergence_run(2 * math.pi, [0.1], 5, elements_across=4)
+    report = harness.run(_collar_config())
+    first = [pt for pt in report.points if pt["eta"] == 0.2]
+    assert np.allclose([pt["reference"] for pt in first], [0, 1, 1, 4, 4])
+    errs = [max(pt["rel_err"] for pt in report.points if pt["eta"] == eta)
+            for eta in (0.2, 0.1)]
+    assert errs[1] < errs[0]
+    assert errs[1] < 0.05
+    assert report.passed
+    with pytest.raises(harness.ConfigError):
+        harness.run(_collar_config(widths=[0.1, 0.2]))
+    with pytest.raises(harness.ConfigError):
+        harness.run(_collar_config(widths=[0.1], elements_across=4))
 
 
 def test_two_sided_cylinder_matches_formula():

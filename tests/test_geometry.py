@@ -87,7 +87,7 @@ def test_tag_boundary_requires_steklov():
 def test_extract_submesh_interface_tag():
     mesh = geometry.make_disk_mesh(1.0, 0.1)
     cen = geometry.triangle_coords(mesh).mean(axis=1)
-    sub = geometry.extract_submesh(mesh, cen[:, 1] > 0, interface_tag=NEUMANN)
+    sub = geometry.extract_submesh(mesh, cen[:, 1] > 0)
     geometry.validate_mesh(sub)
     tags = set(sub.boundary_tags)
     assert tags == {STEKLOV, NEUMANN}

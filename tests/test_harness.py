@@ -97,6 +97,18 @@ def test_report_hash_independent_of_blas_threads():
                  id="collar-one-sided-no-widths"),
     pytest.param("collar-sweep", {"mode": "two-sided", "widths": []},
                  id="collar-two-sided-no-widths"),
+    pytest.param("collar-sweep", {"mode": "one-sided", "widths": [0.1, 0.2]},
+                 id="collar-one-sided-increasing-widths"),
+    pytest.param("collar-sweep", {"mode": "one-sided", "widths": [0.1], "elements_across": 4},
+                 id="collar-one-sided-coarse"),
+    pytest.param("collar-sweep", {"mode": "one-sided", "widths": [0.1], "n_eigs": 1},
+                 id="collar-one-sided-one-eigenvalue"),
+    pytest.param("collar-sweep", {"mode": "two-sided", "widths": [0.5], "k_max": 0},
+                 id="collar-two-sided-no-modes"),
+    pytest.param("density-sweep", {"target_h": 0.3, "n_eigs": 1},
+                 id="density-one-eigenvalue"),
+    pytest.param("subdomain-sweep", {"target_h": 0.3, "n_eigs": 1},
+                 id="subdomain-one-eigenvalue"),
     pytest.param("graph-limit", {"eps_values": []}, id="graph-limit-no-eps"),
     pytest.param("spectrum", {"target_h": 0.3, "n_eigs": 3, "reference": [1.0, 1.0, 2.0]},
                  id="spectrum-reference-too-long"),
@@ -120,7 +132,11 @@ def test_report_hash_independent_of_blas_threads():
                  {"mode": "full", "targets": [1.0, 1.0], "eps_values": [0.04, 0.02]},
                  id="prescription-full-mode"),
 ])
-def test_run_rejects_empty_or_inconsistent_config(kind, params):
+def test_run_rejects_empty_or_inconsistent_config(kind, params, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a rejected config must not reach a solve")
+
+    monkeypatch.setattr(fem, "steklov_spectrum", no_solve)
     config = harness.ExperimentConfig(kind=kind, name="bad", seed=0, params=params)
     with pytest.raises(harness.ConfigError):
         harness.run(config)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov_lab import fem, geometry, graphs, thickening as thk
+from steklov_lab import fem, geometry, graphs, harness, thickening as thk
 
 
 def unit_k3():
@@ -122,22 +122,39 @@ def test_overlapping_disks_rejected():
 
 
 def test_graph_limit_converges_to_inverse_c():
-    emb = thk.embed_graph(unit_k3(), "convex-boundary")
-    out = thk.verify_graph_limit(emb, [0.08, 0.04], c=2.0)
-    rows = out["rows"]
+    config = harness.ExperimentConfig(
+        kind="graph-limit", name="k3", seed=0,
+        params={"complete": 3, "lengths": [1.0, 1.0, 1.0], "c": 2.0,
+                "eps_values": [0.08, 0.04]})
+    points, checks, artifacts = harness._run_graph_limit(config, 1)
+    checks = {c["name"]: c["observed"] for c in checks}
+    means = [np.mean([pt["ratio"] for pt in points
+                      if pt["eps"] == eps and pt["ratio"] is not None])
+             for eps in (0.08, 0.04)]
+    gaps = checks["gap-monotone"]
     # ratio approaches 1/c from above, gap grows
-    assert abs(rows[1]["ratio_mean"] - 0.5) < abs(rows[0]["ratio_mean"] - 0.5)
-    assert rows[1]["gap"] > rows[0]["gap"]
-    assert out["closest_candidate"] == "1/c"
+    assert abs(means[1] - 0.5) < abs(means[0] - 0.5)
+    assert gaps[1] > gaps[0]
+    assert checks["constant-recorded"]["closest"] == "1/c"
     # the double graph eigenvalue stays numerically double on the domain
-    assert rows[1]["ratio_spread"] < 1e-6
-    assert rows[1]["trace_spread"] < 0.1
-    # the final solve, which a graph-limit run draws: mode 1 lies in the
-    # double eigenspace of sigma_1
-    mesh, res = out["final"]
-    assert mesh.n_vertices == rows[1]["n_vertices_mesh"]
-    assert res.eigenvalues.tolist() == rows[1]["sigma"]
+    assert checks["ratio-spread"] < 1e-6
+    # the final solve, which a graph-limit run draws: it is the last eps's
+    # mesh and spectrum, and mode 1 lies in the double eigenspace of sigma_1
+    mesh, res = artifacts["thickened"]
+    emb = thk.embed_graph(unit_k3(), "convex-boundary")
+    built = thk.build_thickened_mesh(emb, 0.04, c=2.0, target_h=0.01)
+    assert geometry.mesh_hash(mesh) == geometry.mesh_hash(built)
+    assert res.eigenvalues[1:].tolist() == [pt["sigma"] for pt in points if pt["eps"] == 0.04]
     assert abs(fem.rayleigh_quotient(mesh, res.extensions[1]) - res.eigenvalues[1]) < 1e-10
+    # each nonconstant trace is nearly constant on each steklov diameter, a
+    # connected component of the steklov boundary
+    sk = res.steklov_vertices
+    ends = np.searchsorted(sk, mesh.boundary_edges[mesh.boundary_tags == geometry.STEKLOV])
+    n_diam, diam = geometry.label_components(sk.size, ends[:, 0], ends[:, 1])
+    assert n_diam == 3
+    vecs = res.boundary_vectors[:, 1:3]
+    scale = np.abs(vecs).max(axis=0)
+    assert max(np.max(np.ptp(vecs[diam == j], axis=0) / scale) for j in range(n_diam)) < 0.1
 
 
 def test_circumscribed_radius_square():
