@@ -1,4 +1,5 @@
-"""Solve-stage benchmark of ``fem.steklov_spectrum``.
+"""Solve-stage benchmark of ``fem.steklov_spectrum`` and the nearest-edge
+search of ``deformations.DensityFamily``.
 
 Run from the repository root:
 
@@ -15,7 +16,11 @@ It records, with one BLAS thread:
   ``harness._audit_point`` builds them: the median over the meshes of each
   mesh's median solve time over the passes after the first, the median pass
   time, the operator applications and LU fill, and how many times the
-  stiffness matrix was assembled in the first pass and in each later one.
+  stiffness matrix was assembled in the first pass and in each later one;
+- the nearest-steklov-edge search ``DensityFamily.steklov_distance`` on the
+  unit disk at h = 0.05, 0.02 and 0.01 and on the periodic 2*pi x 0.5 strip
+  at h = 0.02: the median time of a search by a new family, and the
+  ``tracemalloc`` peak of one more search, traced apart from the timed ones.
 
 An operator application is a one-vector LU solve; the block solve that
 extends the eigenvectors, if any, is counted apart.  The counters wrap
@@ -37,11 +42,12 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from steklov_lab import fem, geometry, harness  # noqa: E402
+from steklov_lab import deformations, fem, geometry, harness  # noqa: E402
 
 DISK_H = (0.05, 0.02, 0.01)
 DISK_REPEATS = {0.05: 7, 0.02: 5, 0.01: 3}
@@ -51,6 +57,7 @@ AUDIT_PARAMS = {"domains": ["disk", "annulus", "mixed-disk"], "radius": 1.0,
 AUDIT_SEED = 1
 AUDIT_RUNS = 90
 AUDIT_PASSES = 5
+STRIP = (2 * np.pi, 0.5, 0.02)  # periodic strip: length, height, target_h
 
 
 class Counters:
@@ -149,6 +156,36 @@ def bench_audit(counters):
             "stiffness_assemblies_per_pass": assemblies}
 
 
+def bench_nearest_edge(name, mesh, repeats):
+    def search():
+        return deformations.DensityFamily(mesh, 2.0, 3).steklov_distance
+
+    search()  # warm-up
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        search()
+        times.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        search()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_edges = int(np.count_nonzero(mesh.boundary_tags == geometry.STEKLOV))
+    return {"mesh": name, "triangles": int(mesh.n_triangles), "steklov_edges": n_edges,
+            "search_ms_median": 1e3 * statistics.median(times),
+            "traced_peak_mb": peak / 2 ** 20, "repeats": repeats}
+
+
+def bench_nearest_edges():
+    runs = [bench_nearest_edge(f"disk h={h}", geometry.make_disk_mesh(1.0, h), DISK_REPEATS[h])
+            for h in DISK_H]
+    strip = geometry.make_strip_mesh(*STRIP, periodic=True)
+    runs.append(bench_nearest_edge(f"periodic strip h={STRIP[2]}", strip, 5))
+    return runs
+
+
 def commit_of(path):
     try:
         return subprocess.run(["git", "-C", path, "rev-parse", "--short", "HEAD"],
@@ -170,6 +207,7 @@ def main():
                         "cpus": os.cpu_count(), "blas_threads": 1},
         "disk": [bench_disk(counters, h) for h in DISK_H],
         "nodal_audit": bench_audit(counters),
+        "nearest_edge": bench_nearest_edges(),
     }
     print(json.dumps(result, indent=2))
     data = {}

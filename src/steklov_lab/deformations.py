@@ -15,9 +15,11 @@ exponents n-2 (energy weight) and n-1 (boundary norm weight):
 
 from dataclasses import dataclass
 from functools import cached_property
+import itertools
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import geometry
 from .geometry import STEKLOV
@@ -29,10 +31,6 @@ class FamilyError(ValueError):
 
 def _steklov_edge_mask(mesh):
     return mesh.boundary_tags == STEKLOV
-
-
-# bytes of one (rows, n_steklov_edges, 2) float temporary of the distance search
-_CHUNK_BYTES = 32 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -55,33 +53,59 @@ class DensityFamily:
     def steklov_distance(self):
         """(nearest steklov edge, distance to it) per triangle centroid.
 
-        The search does not depend on eps, so it runs once per family.  It
-        takes a chunk of centroids at a time against the (locally unwrapped)
-        steklov segments, so the temporaries stay small.
+        The search does not depend on eps, so it runs once per family.  It is
+        a certified k-d tree search (Bentley, CACM 18, 1975) over the midpoints
+        of the (locally unwrapped) steklov segments.  A centroid's nearest
+        midpoint bounds its distance from above by ub.  A segment within ub of
+        the centroid has its midpoint within ub + half the longest segment,
+        so the midpoints in that ball, widened by a relative 1e-12 against
+        rounding, hold every segment that can be nearest; only their exact
+        distances are computed.  The answer equals the argmin over all
+        segments of geometry.point_segment_distances, bit for bit.
         """
         mesh = self.mesh
         edges = mesh.boundary_edges[_steklov_edge_mask(mesh)]
         pa = mesh.vertices[edges[:, 0]].astype(float)
         pb = pa + geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
         cen = geometry.triangle_coords(mesh).mean(axis=1)
-        nearest = np.empty(cen.shape[0], np.int64)
-        dmin = np.empty(cen.shape[0])
-        rows = max(1, _CHUNK_BYTES // (16 * len(edges)))
-        for lo in range(0, cen.shape[0], rows):
-            chunk = cen[lo:lo + rows]
-            dist = geometry.point_segment_distances(chunk, pa, pb)
-            if mesh.period_x > 0:
-                for shift in (-mesh.period_x, mesh.period_x):
-                    shifted = chunk.copy()
-                    shifted[:, 0] += shift
-                    dist = np.minimum(
-                        dist, geometry.point_segment_distances(shifted, pa, pb))
-            k = np.argmin(dist, axis=1)
-            nearest[lo:lo + rows] = k
-            dmin[lo:lo + rows] = dist[np.arange(chunk.shape[0]), k]
+        nearest, dmin = _nearest_segments(cen, pa, pb, mesh.period_x)
         for arr in (nearest, dmin):
             arr.flags.writeable = False
         return nearest, dmin
+
+
+def _nearest_segments(points, seg_a, seg_b, period_x):
+    """(index, distance) of the segment nearest each point, the lowest index
+    on a tie, as np.argmin; with period_x > 0 a point also meets the
+    segments shifted by -period_x and +period_x."""
+    mid = 0.5 * (seg_a + seg_b)
+    half = 0.5 * float(np.max(np.hypot(*(seg_b - seg_a).T)))
+    tree = cKDTree(mid)
+    shifts = (0.0, -period_x, period_x) if period_x > 0 else (0.0,)
+    shifted = [points + (shift, 0.0) for shift in shifts]
+    ub = np.min([tree.query(p)[0] for p in shifted], axis=0)
+    radius = (ub + half) * (1.0 + 1e-12)
+    rows, cols, dist = [], [], []
+    for p in shifted:
+        i, j = _ball_pairs(tree, p, radius)
+        rows.append(i)
+        cols.append(j)
+        dist.append(geometry.point_segment_distances(p[i], seg_a[j], seg_b[j]))
+    rows, cols, dist = (np.concatenate(x) for x in (rows, cols, dist))
+    # per point, the least distance and on a tie the lowest segment, as np.argmin
+    order = np.lexsort((cols, dist, rows))
+    sorted_rows = rows[order]
+    first = order[np.r_[True, sorted_rows[1:] != sorted_rows[:-1]]]
+    return cols[first], dist[first]
+
+
+def _ball_pairs(tree, points, radius):
+    """The (point, tree point) index pairs of tree.query_ball_point as two
+    arrays; its per-point lists are freed on return."""
+    balls = tree.query_ball_point(points, radius, return_sorted=False)
+    counts = np.fromiter(map(len, balls), np.int64, len(balls))
+    return (np.repeat(np.arange(len(points)), counts),
+            np.fromiter(itertools.chain.from_iterable(balls), np.int64, counts.sum()))
 
 
 def density_family_at(family, eps):

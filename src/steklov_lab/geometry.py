@@ -177,13 +177,14 @@ def max_edge_length(mesh):
 
 
 def point_segment_distances(points, seg_a, seg_b):
-    """Distances from (n, 2) points to the (m, 2) x (m, 2) segments -> (n, m)."""
-    d = seg_b - seg_a
-    rel = points[:, None, :] - seg_a[None, :, :]
-    denom = np.einsum("md,md->m", d, d)
-    t = np.clip(np.einsum("nmd,md->nm", rel, d) / denom, 0.0, 1.0)
-    proj = seg_a[None] + t[..., None] * d[None]
-    return np.hypot(points[:, None, 0] - proj[..., 0], points[:, None, 1] - proj[..., 1])
+    """Distances from points to the segments seg_a -> seg_b, all (..., 2) and
+    broadcast together -> (...).  Pass (n, 1, 2) points against (m, 2)
+    segments for all pairs (n, m), or paired (k, 2) arrays for k distances."""
+    ax, ay = seg_a[..., 0], seg_a[..., 1]
+    dx, dy = seg_b[..., 0] - ax, seg_b[..., 1] - ay
+    px, py = points[..., 0], points[..., 1]
+    t = np.clip(((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def _all_edges(triangles):

@@ -60,12 +60,13 @@ def complete_graph_edges(n_vertices):
 
 
 def _laplacian(n, edges, weights):
-    L = np.zeros((n, n))
-    for (x, y), w in zip(edges, weights):
-        L[x, x] += w
-        L[y, y] += w
-        L[x, y] -= w
-        L[y, x] -= w
+    """Weighted Laplacian of a simple graph.  bincount sums each vertex's
+    weights in edge order, so the diagonal is the same to the bit as
+    accumulating edge by edge."""
+    w = np.asarray(weights, float)
+    L = np.diag(np.bincount(edges.ravel(), np.repeat(w, 2), minlength=n))
+    L[edges[:, 0], edges[:, 1]] = -w
+    L[edges[:, 1], edges[:, 0]] = -w
     return L
 
 
@@ -115,14 +116,24 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
     m = edges.shape[0]
     scale = max(1.0, targets.max())
 
+    # least_squares asks for the residual at each trial point and the
+    # jacobian at each accepted one, the last of which is its answer; one
+    # eigendecomposition per point serves all three
+    last = {}   # "trial", "accepted" -> (z, eigenvalues, weight jacobian)
+
+    def evaluate(z):
+        for hit in last.values():
+            if np.array_equal(hit[0], z):
+                return hit
+        last["trial"] = (z.copy(), *eigenvalues_and_weight_jacobian(n, edges, np.exp(z)))
+        return last["trial"]
+
     def residual(z):
-        lam, _ = eigenvalues_and_weight_jacobian(n, edges, np.exp(z))
-        return (lam[1:] - targets) / scale
+        return (evaluate(z)[1][1:] - targets) / scale
 
     def jacobian(z):
-        w = np.exp(z)
-        _, jac = eigenvalues_and_weight_jacobian(n, edges, w)
-        return jac[1:] * w[None, :] / scale
+        last["accepted"] = evaluate(z)
+        return last["accepted"][2][1:] * np.exp(z)[None, :] / scale
 
     rng = np.random.default_rng(seed)
     # uniform weights give the constant spectrum mean(targets); good basin
@@ -133,7 +144,7 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
         sol = least_squares(residual, z0, jac=jacobian, method="trf",
                             max_nfev=_MAX_ITERS, xtol=1e-15, ftol=1e-15, gtol=1e-15)
         w = np.exp(sol.x)
-        lam, _ = eigenvalues_and_weight_jacobian(n, edges, w)
+        lam = evaluate(sol.x)[1]
         rel = np.max(np.abs(lam[1:] - targets) / targets)
         if best is None or rel < best[0]:
             best = (rel, w)

@@ -171,8 +171,8 @@ def _seg_seg_distance(p1, p2, p3, p4):
             and orient(p3, p4, p1) * orient(p3, p4, p2) < 0):
         return 0.0
     ends = np.array([p1, p2, p3, p4])
-    return float(min(geometry.point_segment_distances(ends[:2], ends[2:3], ends[3:]).min(),
-                     geometry.point_segment_distances(ends[2:], ends[:1], ends[1:2]).min()))
+    return float(min(geometry.point_segment_distances(ends[:2], ends[2], ends[3]).min(),
+                     geometry.point_segment_distances(ends[2:], ends[0], ends[1]).min()))
 
 
 def _check_clearances(embedding, eps, c):
@@ -184,7 +184,7 @@ def _check_clearances(embedding, eps, c):
             if np.linalg.norm(pos[i] - pos[j]) <= 2.0 * c * eps:
                 raise ThickeningError(f"vertex disks {i} and {j} overlap")
     # (edge, vertex) distances; a strip's own end vertices do not count
-    dist = geometry.point_segment_distances(pos, pos[edges[:, 0]], pos[edges[:, 1]]).T
+    dist = geometry.point_segment_distances(pos[:, None], pos[edges[:, 0]], pos[edges[:, 1]]).T
     dist[np.arange(edges.shape[0])[:, None], edges] = np.inf
     hits = np.argwhere(dist <= (c + 1.0) * eps)
     if hits.size:

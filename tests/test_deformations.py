@@ -73,43 +73,85 @@ def test_density_family_requires_domination():
         dfm.DensityFamily(mesh, 2.0, virtual_dim=2)
 
 
-def _unchunked_weight(family, eps):
-    """density_family_at's weight with the distance search done in one piece."""
-    mesh, n = family.mesh, family.virtual_dim
-    sel = mesh.boundary_tags == geometry.STEKLOV
-    edges = mesh.boundary_edges[sel]
-    factor = (family.rho_bar / mesh.edge_density[sel]) ** (1.0 / (n - 1))
+def _brute_force_nearest(points, pa, pb, period_x):
+    """The nearest segment by an all-pairs argmin, and its distance."""
+    dist = geometry.point_segment_distances(points[:, None], pa, pb)
+    if period_x > 0:
+        for shift in (-period_x, period_x):
+            shifted = points.copy()
+            shifted[:, 0] += shift
+            dist = np.minimum(dist, geometry.point_segment_distances(shifted[:, None], pa, pb))
+    nearest = np.argmin(dist, axis=1)
+    return nearest, dist[np.arange(points.shape[0]), nearest]
+
+
+def _brute_force_search(mesh):
+    """DensityFamily.steklov_distance by an all-pairs argmin."""
+    edges = mesh.boundary_edges[mesh.boundary_tags == geometry.STEKLOV]
     pa = mesh.vertices[edges[:, 0]].astype(float)
     pb = pa + geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
     cen = geometry.triangle_coords(mesh).mean(axis=1)
-    dist = geometry.point_segment_distances(cen, pa, pb)
-    if mesh.period_x > 0:
-        for shift in (-mesh.period_x, mesh.period_x):
-            shifted = cen.copy()
-            shifted[:, 0] += shift
-            dist = np.minimum(dist, geometry.point_segment_distances(shifted, pa, pb))
-    nearest = np.argmin(dist, axis=1)
-    dmin = dist[np.arange(cen.shape[0]), nearest]
+    return _brute_force_nearest(cen, pa, pb, mesh.period_x)
+
+
+def _brute_force_weight(family, eps):
+    """density_family_at's weight with the distance search done all-pairs."""
+    mesh, n = family.mesh, family.virtual_dim
+    sel = mesh.boundary_tags == geometry.STEKLOV
+    factor = (family.rho_bar / mesh.edge_density[sel]) ** (1.0 / (n - 1))
+    nearest, dmin = _brute_force_search(mesh)
     h = 1.0 + (factor[nearest] - 1.0) * np.clip(1.0 - dmin / eps, 0.0, 1.0)
     return mesh.tri_weight * h ** (n - 2)
 
 
-@pytest.mark.parametrize("periodic", [False, True], ids=["disk", "periodic-strip"])
-def test_density_family_chunks_match_unchunked(periodic, monkeypatch):
-    if periodic:
-        mesh = geometry.make_strip_mesh(2 * math.pi, 0.5, 0.1, periodic=True)
-        sel = mesh.boundary_tags == geometry.STEKLOV
-        x = geometry.boundary_edge_midpoints(mesh)[sel, 0]
-        fam = dfm.DensityFamily(mesh, 1.0 + 0.5 * np.sin(x) ** 2, 4)
-    else:
-        mesh, _, fam = make_density_family()
-    n_edges = int(np.count_nonzero(mesh.boundary_tags == geometry.STEKLOV))
-    # eleven centroids per chunk, with a short last chunk
-    monkeypatch.setattr(dfm, "_CHUNK_BYTES", 16 * n_edges * 11)
-    assert mesh.n_triangles % 11
+def _periodic_strip_family():
+    mesh = geometry.make_strip_mesh(2 * math.pi, 0.5, 0.1, periodic=True)
+    sel = mesh.boundary_tags == geometry.STEKLOV
+    x = geometry.boundary_edge_midpoints(mesh)[sel, 0]
+    return dfm.DensityFamily(mesh, 1.0 + 0.5 * np.sin(x) ** 2, 4)
+
+
+def _mixed_disk_family():
+    mesh = geometry.tag_boundary(geometry.make_disk_mesh(1.0, 0.08),
+                                 [((0.4, 3.9), geometry.STEKLOV),
+                                  ((3.9, 0.4 + 2 * math.pi), geometry.NEUMANN)],
+                                 by="angle", center=(0.0, 0.0))
+    return dfm.DensityFamily(mesh, 1.5, 3)
+
+
+@pytest.mark.parametrize("make_family", [
+    lambda: make_density_family()[2],
+    lambda: dfm.DensityFamily(geometry.make_annulus_mesh(0.5, 1.0, 0.08), 2.0, 3),
+    _mixed_disk_family,
+    _periodic_strip_family,
+], ids=["disk", "annulus", "mixed-disk", "periodic-strip"])
+def test_density_family_search_matches_brute_force(make_family):
+    fam = make_family()
+    nearest, dmin = fam.steklov_distance
+    want_nearest, want_dmin = _brute_force_search(fam.mesh)
+    assert np.array_equal(nearest, want_nearest)
+    assert np.array_equal(dmin, want_dmin)
     for eps in (0.5, 0.1):
         got = dfm.density_family_at(fam, eps).tri_weight
-        assert np.array_equal(got, _unchunked_weight(fam, eps))
+        assert np.array_equal(got, _brute_force_weight(fam, eps))
+
+
+@pytest.mark.parametrize("period_x", [0.0, 2.0], ids=["plane", "periodic"])
+def test_nearest_segment_ties_go_to_lowest_index(period_x):
+    # vertical segments at x = 0.5 and x = -0.5, the latter one period to the
+    # right on a periodic strip, with a far one; the points lie on x = 0
+    left = ([-0.5 + period_x, -0.5], [-0.5 + period_x, 0.5])
+    right = ([0.5, -0.5], [0.5, 0.5])
+    far = ([-3.0, 4.0], [3.0, 4.0])
+    points = np.column_stack([np.zeros(9), np.linspace(-2.0, 2.0, 9)])
+    for segs, want in (([left, right, far], 0), ([far, right, left], 1)):
+        pa, pb = (np.array([s[k] for s in segs]) for k in (0, 1))
+        nearest, dmin = dfm._nearest_segments(points, pa, pb, period_x)
+        assert np.all(nearest == want)
+        assert np.array_equal(dmin, _brute_force_nearest(points, pa, pb, period_x)[1])
+        # a true tie: without the winner, its mirror image is as near
+        rest = np.arange(3) != want
+        assert np.array_equal(_brute_force_nearest(points, pa[rest], pb[rest], period_x)[1], dmin)
 
 
 def test_density_family_searches_distances_once(monkeypatch):
@@ -127,8 +169,8 @@ def test_density_family_searches_distances_once(monkeypatch):
     n_first = len(calls)
     second = dfm.density_family_at(fam, 0.1)
     assert len(calls) == n_first
-    assert np.array_equal(first.tri_weight, _unchunked_weight(fam, 0.5))
-    assert np.array_equal(second.tri_weight, _unchunked_weight(fam, 0.1))
+    assert np.array_equal(first.tri_weight, _brute_force_weight(fam, 0.5))
+    assert np.array_equal(second.tri_weight, _brute_force_weight(fam, 0.1))
     assert second.edge_table is mesh.edge_table
 
 

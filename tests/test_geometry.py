@@ -255,15 +255,24 @@ def test_point_segment_distances_match_scalar_reference():
         dx, dy = b[0] - a[0], b[1] - a[1]
         t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
         t = min(1.0, max(0.0, t))
-        return math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
+        # the projection a + t*d, then its offset from p, in the function's order
+        return np.hypot(p[0] - (a[0] + t * dx), p[1] - (a[1] + t * dy))
 
-    got = geometry.point_segment_distances(points, seg_a, seg_b)
+    got = geometry.point_segment_distances(points[:, None], seg_a, seg_b)
     want = [[reference(p, a, b) for a, b in zip(seg_a, seg_b)] for p in points]
     assert got.shape == (7, 5)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(got, want)
     assert got[0, 0] < 1e-14
     assert got[1, 1] == pytest.approx(np.linalg.norm(points[1] - seg_a[1]), rel=1e-12)
     assert got[2, 2] == pytest.approx(np.linalg.norm(points[2] - seg_b[2]), rel=1e-12)
+    # paired points and segments: the same formula, so the same bits
+    i, j = np.meshgrid(np.arange(7), np.arange(5), indexing="ij")
+    i, j = i.ravel()[::-1], j.ravel()[::-1]
+    paired = geometry.point_segment_distances(points[i], seg_a[j], seg_b[j])
+    assert paired.shape == (35,)
+    assert np.array_equal(paired, got[i, j])
+    one = geometry.point_segment_distances(points, seg_a[3], seg_b[3])
+    assert np.array_equal(one, got[:, 3])
 
 
 def test_replace_mesh_keeps_edge_table_for_same_triangles():

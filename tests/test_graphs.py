@@ -65,6 +65,53 @@ def test_weight_jacobian_matches_finite_differences():
         assert np.allclose(jac[:, i], fd, atol=1e-5)
 
 
+def _loop_laplacian(n, edges, weights):
+    """The weighted Laplacian accumulated edge by edge."""
+    L = np.zeros((n, n))
+    for (x, y), w in zip(edges, weights):
+        L[x, x] += w
+        L[y, y] += w
+        L[x, y] -= w
+        L[y, x] -= w
+    return L
+
+
+def test_laplacian_matches_edge_loop():
+    rng = np.random.default_rng(7)
+    for n in range(3, 8):
+        edges = graphs.complete_graph_edges(n)
+        for scale in (1e-3, 1.0, 1e3):
+            w = scale * rng.lognormal(0.0, 1.0, edges.shape[0])
+            assert np.array_equal(graphs._laplacian(n, edges, w), _loop_laplacian(n, edges, w))
+        sparse = edges[rng.permutation(edges.shape[0])[:n]]
+        w = rng.uniform(0.1, 3.0, n)
+        assert np.array_equal(graphs._laplacian(n, sparse, w), _loop_laplacian(n, sparse, w))
+
+
+def test_prescriber_decomposes_each_point_once(monkeypatch):
+    points = []
+    evaluate = graphs.eigenvalues_and_weight_jacobian
+
+    def counted(n, edges, weights):
+        points.append(weights.tobytes())
+        return evaluate(n, edges, weights)
+
+    rng = np.random.default_rng(12)
+    targets = [np.sort(rng.uniform(0.5, 5.0, n)) for n in (2, 3, 5)]
+    want = [graphs.prescribe_spectrum(t).lengths for t in targets]
+    monkeypatch.setattr(graphs, "eigenvalues_and_weight_jacobian", counted)
+    for t, lengths in zip(targets, want):
+        points.clear()
+        assert np.array_equal(graphs.prescribe_spectrum(t).lengths, lengths)
+        assert len(points) > 1
+        assert len(set(points)) == len(points)
+    # no start reaches the tolerance: every start and its final check
+    points.clear()
+    with pytest.raises(graphs.PrescriptionError):
+        graphs.prescribe_spectrum([1.0, 1.0, 1.0, 1.0, 50.0], tol=1e-300)
+    assert len(set(points)) == len(points) > graphs._N_STARTS
+
+
 def test_prescribe_single_target():
     g = graphs.prescribe_spectrum([2.5])
     spec = graphs.graph_laplacian_spectrum(g).eigenvalues
