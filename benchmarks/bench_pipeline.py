@@ -1,5 +1,5 @@
-"""Solve-stage benchmark of ``fem.steklov_spectrum`` and the nearest-edge
-search of ``deformations.DensityFamily``.
+"""Solve-stage benchmark of ``fem.steklov_spectrum``, the nearest-edge
+search of ``deformations.DensityFamily`` and the audit process pool.
 
 Run from the repository root:
 
@@ -20,7 +20,11 @@ It records, with one BLAS thread:
 - the nearest-steklov-edge search ``DensityFamily.steklov_distance`` on the
   unit disk at h = 0.05, 0.02 and 0.01 and on the periodic 2*pi x 0.5 strip
   at h = 0.02: the median time of a search by a new family, and the
-  ``tracemalloc`` peak of one more search, traced apart from the timed ones.
+  ``tracemalloc`` peak of one more search, traced apart from the timed ones;
+- ``configs/08-courant-audit.json`` through ``harness.run`` at ``jobs=1`` and
+  ``jobs=2`` (a forked process pool), after one warm-up run of each: the
+  times of 5 pairs of runs, the side that runs first alternating from pair
+  to pair.  These runs come before the counters below are installed.
 
 An operator application is a one-vector LU solve; the block solve that
 extends the eigenvectors, if any, is counted apart.  The counters wrap
@@ -58,6 +62,9 @@ AUDIT_SEED = 1
 AUDIT_RUNS = 90
 AUDIT_PASSES = 5
 STRIP = (2 * np.pi, 0.5, 0.02)  # periodic strip: length, height, target_h
+POOL_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs", "08-courant-audit.json")
+POOL_PAIRS = 5
 
 
 class Counters:
@@ -186,6 +193,24 @@ def bench_nearest_edges():
     return runs
 
 
+def bench_pool():
+    config = harness.load_config(POOL_CONFIG)
+    hashes = {jobs: harness.run(config, jobs=jobs).report_hash() for jobs in (1, 2)}
+    if hashes[1] != hashes[2]:
+        raise RuntimeError("jobs=1 and jobs=2 reported different points")
+    times = {1: [], 2: []}
+    for pair in range(POOL_PAIRS):
+        for jobs in ((1, 2) if pair % 2 == 0 else (2, 1)):
+            t0 = time.perf_counter()
+            harness.run(config, jobs=jobs)
+            times[jobs].append(time.perf_counter() - t0)
+    return {"config": os.path.basename(POOL_CONFIG), "runs": config.params["runs"],
+            "pairs": POOL_PAIRS, "jobs1_s": times[1], "jobs2_s": times[2],
+            "jobs1_s_median": statistics.median(times[1]),
+            "jobs2_s_median": statistics.median(times[2]),
+            "pairs_pool_faster": sum(b < a for a, b in zip(times[1], times[2]))}
+
+
 def commit_of(path):
     try:
         return subprocess.run(["git", "-C", path, "rev-parse", "--short", "HEAD"],
@@ -199,6 +224,7 @@ def main():
     parser.add_argument("--label", required=True)
     parser.add_argument("--out", default="BENCH_pipeline.json")
     args = parser.parse_args()
+    pool = bench_pool()
     counters = Counters()
     result = {
         "commit": commit_of(os.path.dirname(os.path.abspath(fem.__file__))),
@@ -208,6 +234,7 @@ def main():
         "disk": [bench_disk(counters, h) for h in DISK_H],
         "nodal_audit": bench_audit(counters),
         "nearest_edge": bench_nearest_edges(),
+        "pool": pool,
     }
     print(json.dumps(result, indent=2))
     data = {}

@@ -41,11 +41,9 @@ def _cmd_mesh(args):
         mesh = geometry.make_disk_mesh(args.radius, args.target_h)
     elif args.kind == "annulus":
         mesh = geometry.make_annulus_mesh(args.r_inner, args.radius, args.target_h)
-    elif args.kind == "strip":
+    else:  # strip; argparse allows no other kind
         mesh = geometry.make_strip_mesh(args.length, args.width, args.target_h,
                                         periodic=args.periodic)
-    else:
-        raise SystemExit(f"unknown mesh kind {args.kind!r}")
     out = args.out or f"{args.kind}.msh"
     geometry.save_mesh(mesh, out)
     print(f"wrote {out}: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")
@@ -59,7 +57,7 @@ def _cmd_spectrum(args):
         print(f"sigma_{k} = {val:.12g}")
     print(f"clusters: {res.clusters}")
     if args.out:
-        fem.save_spectral_result(res, args.out)
+        fem.save_spectral_result(mesh, res, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -96,9 +94,7 @@ def _cmd_run(args):
             f"audit requires a config of kind {' or '.join(harness.AUDIT_KINDS)}")
     report = harness.run(config, out_dir=args.out, jobs=args.jobs)
     for c in report.checks:
-        status = "PASS" if c["passed"] else "FAIL"
-        print(f"[{status}] {c['name']}: observed={c['observed']} "
-              f"required={c['required']}")
+        print(harness.check_line(c))
     print(f"overall: {'PASS' if report.passed else 'FAIL'} "
           f"({report.wallclock_s:.1f}s, report hash {report.report_hash()[:16]})")
     if args.out is None and args.print_report:

@@ -29,10 +29,6 @@ class FamilyError(ValueError):
     pass
 
 
-def _steklov_edge_mask(mesh):
-    return mesh.boundary_tags == STEKLOV
-
-
 @dataclass(frozen=True)
 class DensityFamily:
     mesh: geometry.Mesh2D
@@ -40,7 +36,7 @@ class DensityFamily:
     virtual_dim: int = 3
 
     def __post_init__(self):
-        sel = _steklov_edge_mask(self.mesh)
+        sel = self.mesh.boundary_tags == STEKLOV
         rho_bar = np.broadcast_to(np.asarray(self.rho_bar, float), (int(sel.sum()),)).copy()
         object.__setattr__(self, "rho_bar", rho_bar)
         if self.virtual_dim < 3:
@@ -64,7 +60,7 @@ class DensityFamily:
         segments of geometry.point_segment_distances, bit for bit.
         """
         mesh = self.mesh
-        edges = mesh.boundary_edges[_steklov_edge_mask(mesh)]
+        edges = mesh.boundary_edges[mesh.boundary_tags == STEKLOV]
         pa = mesh.vertices[edges[:, 0]].astype(float)
         pb = pa + geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
         cen = geometry.triangle_coords(mesh).mean(axis=1)
@@ -120,7 +116,7 @@ def density_family_at(family, eps):
         raise FamilyError("eps must lie in (0, 1]")
     mesh = family.mesh
     n = family.virtual_dim
-    sel = _steklov_edge_mask(mesh)
+    sel = mesh.boundary_tags == STEKLOV
     factor_edge = (family.rho_bar / mesh.edge_density[sel]) ** (1.0 / (n - 1))
     nearest, dmin = family.steklov_distance
     h = 1.0 + (factor_edge[nearest] - 1.0) * np.clip(1.0 - dmin / eps, 0.0, 1.0)
@@ -153,7 +149,7 @@ class SingularWeightFamily:
         table = mesh.edge_table
         owner = np.empty(len(table.edges), np.int64)
         owner[table.tri_edges.ravel()] = np.repeat(np.arange(mesh.n_triangles), 3)
-        ids = geometry.edge_ids(mesh, mesh.boundary_edges[_steklov_edge_mask(mesh)])
+        ids = geometry.edge_ids(mesh, mesh.boundary_edges[mesh.boundary_tags == STEKLOV])
         return self.in_subdomain[owner[ids]]
 
 
@@ -166,7 +162,7 @@ def singular_family_at(family, eta):
     n = family.virtual_dim
     weight = np.where(family.in_subdomain, mesh.tri_weight,
                       mesh.tri_weight * eta ** (n - 2))
-    sel = _steklov_edge_mask(mesh)
+    sel = mesh.boundary_tags == STEKLOV
     on_u = family.steklov_edges_in_subdomain()
     density = np.array(mesh.edge_density, float)
     density[sel] = np.where(on_u, density[sel], density[sel] * eta ** (n - 1))

@@ -166,10 +166,10 @@ def _factor(A):
 @dataclass(frozen=True)
 class SpectralResult:
     """Eigenpairs of the pencil (K_f, M_Gamma); the eigenvectors are harmonic
-    extensions of their steklov traces."""
+    extensions of their steklov traces.  The traces are
+    extensions[:, steklov_vertices], M_Gamma-orthonormal rows."""
 
     eigenvalues: np.ndarray       # (n_eigs,) ascending
-    boundary_vectors: np.ndarray  # (ns, n_eigs), M_Gamma-orthonormal columns
     extensions: np.ndarray        # (n_eigs, nv) eigenvectors over all vertices
     clusters: list                # list of (start, stop) index ranges, stop exclusive
     cluster_rel_tol: float
@@ -268,11 +268,9 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
         "n_vertices": int(mesh.n_vertices),
         "n_steklov_vertices": int(ns),
         "has_dirichlet": bool(dirichlet.size),
-        "mesh_hash": geometry.mesh_hash(mesh),
     }
     return SpectralResult(
         eigenvalues=w,
-        boundary_vectors=extensions[:, sk].T.copy(),
         extensions=extensions,
         clusters=clusters,
         cluster_rel_tol=float(cluster_rel_tol),
@@ -297,19 +295,19 @@ def rayleigh_quotient(mesh, field):
 # serialization
 # ---------------------------------------------------------------------------
 
-def spectral_result_to_dict(result):
-    return {
+def save_spectral_result(mesh, result, path):
+    """Write the "steklov-spectrum v1" record of a solve on mesh; its problem
+    descriptor adds the mesh's hash to result.problem."""
+    problem = dict(result.problem, mesh_hash=geometry.mesh_hash(mesh))
+    record = {
         "format": "steklov-spectrum v1",
         "eigenvalues": [format(x, ".17g") for x in result.eigenvalues],
         "clusters": [[int(a), int(b)] for a, b in result.clusters],
         "cluster_rel_tol": format(result.cluster_rel_tol, ".17g"),
-        "problem": result.problem,
+        "problem": problem,
         "descriptor_hash": hashlib.sha256(
-            json.dumps(result.problem, sort_keys=True).encode()).hexdigest(),
+            json.dumps(problem, sort_keys=True).encode()).hexdigest(),
     }
-
-
-def save_spectral_result(result, path):
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(spectral_result_to_dict(result), fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

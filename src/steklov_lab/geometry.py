@@ -361,29 +361,21 @@ def make_annulus_mesh(r_inner, r_outer, target_h):
     theta = 2 * math.pi * np.arange(n_t) / n_t
     verts = np.concatenate([
         np.column_stack([r * np.cos(theta), r * np.sin(theta)]) for r in radii])
-
-    def vid(j, i):
-        return j * n_t + (i % n_t)
-
-    tris = []
-    for j in range(n_r):
-        for i in range(n_t):
-            a, b = vid(j, i), vid(j, i + 1)
-            c, d = vid(j + 1, i + 1), vid(j + 1, i)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    mesh = build_mesh(verts, np.asarray(tris, np.int32), boundary_tag=STEKLOV)
+    # grid rows are angles and columns rings: vertex (i, j) is j * n_t + i,
+    # and the cells are listed ring by ring
+    i, j = np.divmod(grid_triangles(n_t, n_r, wrap_rows=True), n_r + 1)
+    tris = (j * n_t + i).reshape(n_t, n_r, 2, 3).transpose(1, 0, 2, 3).reshape(-1, 3)
+    mesh = build_mesh(verts, tris, boundary_tag=STEKLOV)
     if max_edge_length(mesh) > 1.5 * target_h:
         raise MeshError("annulus mesh exceeds the 1.5*target_h edge-length budget")
     return mesh
 
 
-def make_strip_mesh(length_l, width_w, target_h, periodic,
-                    bottom_tag=STEKLOV, top_tag=NEUMANN, side_tag=NEUMANN):
+def make_strip_mesh(length_l, width_w, target_h, periodic, top_tag=NEUMANN):
     """Structured mesh of [0,L]x[0,w]; periodic=True identifies x=0 and x=L.
 
-    Long sides get bottom_tag (y=0) and top_tag (y=w); for the non-periodic
-    rectangle the short sides get side_tag.
+    The long side y=0 is steklov and the long side y=w gets top_tag; the
+    short sides of the non-periodic rectangle are neumann.
     """
     if length_l <= 0 or width_w <= 0 or target_h <= 0:
         raise ParameterError("lengths must be positive")
@@ -399,24 +391,21 @@ def make_strip_mesh(length_l, width_w, target_h, periodic,
     period = length_l if periodic else 0.0
     mesh = build_mesh(verts, grid_triangles(nx, ny, periodic), period_x=period,
                       validate=False)
-    # retag sides
+    # build_mesh tagged every edge steklov: retag the top and the short sides
     tags = np.array(mesh.boundary_tags, object)
     mids = boundary_edge_midpoints(mesh)
-    bottom = np.isclose(mids[:, 1], 0.0)
-    top = np.isclose(mids[:, 1], width_w)
-    tags[bottom] = bottom_tag
-    tags[top] = top_tag
-    tags[~(bottom | top)] = side_tag
+    tags[~np.isclose(mids[:, 1], 0.0)] = NEUMANN
+    tags[np.isclose(mids[:, 1], width_w)] = top_tag
     mesh = replace_mesh(mesh, boundary_tags=tags)
     return validate_mesh(mesh)
 
 
-def tag_boundary(mesh, arcs, by="angle", center=None):
+def tag_boundary(mesh, arcs, by, center):
     """Retag boundary edges whose midpoint falls in one of the given intervals.
 
     arcs: list of ((a, b), tag).  by="angle", the only supported value: the
-    intervals are angles (radians, taken mod 2*pi) around `center` (default:
-    vertex centroid).  Edges outside every interval keep their tag.
+    intervals are angles (radians, taken mod 2*pi) around the point `center`.
+    Edges outside every interval keep their tag.
     """
     if by != "angle":
         raise TaggingError("by must be 'angle'")
@@ -434,7 +423,7 @@ def tag_boundary(mesh, arcs, by="angle", center=None):
             if a0 < b1 and a1 < b0:
                 raise TaggingError("tagging intervals overlap")
 
-    center = np.mean(mesh.vertices, axis=0) if center is None else np.asarray(center, float)
+    center = np.asarray(center, float)
     mids = boundary_edge_midpoints(mesh)
     theta = np.mod(np.arctan2(mids[:, 1] - center[1], mids[:, 0] - center[0]), 2 * np.pi)
     tags = np.array(mesh.boundary_tags, object)
@@ -545,6 +534,13 @@ def _block(lines, start, n, per_line, what):
     return tokens
 
 
+def _count(lines, i, what):
+    """The size of a block, on line i."""
+    if i >= len(lines):
+        raise MeshError(f"the file ends before the {what} count")
+    return int(lines[i])
+
+
 def load_mesh(path):
     with open(path, encoding="ascii") as fh:
         lines = [t for t in fh.read().split("\n") if t.strip()]
@@ -553,16 +549,16 @@ def load_mesh(path):
         raise MeshError(f"unexpected header {header!r}")
     i = 1
     period = 0.0
-    if lines[i].startswith("period-x"):
-        period = float(lines[i].split()[1])
+    if i < len(lines) and lines[i].startswith("period-x"):
+        period = float(lines[i][len("period-x"):])
         i += 1
-    nv = int(lines[i])
+    nv = _count(lines, i, "vertex")
     verts = np.array(list(map(float, _block(lines, i + 1, nv, 2, "vertex"))))
     i += 1 + nv
-    nt = int(lines[i])
+    nt = _count(lines, i, "triangle")
     tris = np.array(list(map(int, _block(lines, i + 1, nt, 3, "triangle"))), np.int32)
     i += 1 + nt
-    nb = int(lines[i])
+    nb = _count(lines, i, "boundary edge")
     edges = _block(lines, i + 1, nb, 4, "boundary edge")
     i += 1 + nb
     bedges = np.array(list(map(int, edges[0::4] + edges[1::4])), np.int32)

@@ -178,9 +178,14 @@ def save_graph(g, path):
 def load_graph(path):
     with open(path, encoding="ascii") as fh:
         lines = [l for l in fh.read().splitlines() if l.strip()]
-    if lines[0].strip() != "steklov-graph v1":
-        raise GraphError(f"unexpected header {lines[0]!r}")
+    header = lines[0] if lines else ""
+    if header.strip() != "steklov-graph v1":
+        raise GraphError(f"unexpected header {header!r}")
+    if len(lines) < 2:
+        raise GraphError("the file ends before the vertex and edge counts")
     nv, ne = (int(t) for t in lines[1].split())
+    if len(lines) < 2 + ne:
+        raise GraphError(f"edge block needs {ne} lines, found {len(lines) - 2}")
     edges = np.empty((ne, 2), np.int64)
     lengths = np.empty(ne)
     for i in range(ne):

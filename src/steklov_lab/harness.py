@@ -45,6 +45,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        for name in ("params", "tolerances"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a JSON object")
 
     def content_hash(self):
         blob = json.dumps(asdict(self), sort_keys=True)
@@ -229,7 +232,7 @@ def _run_collar_sweep(config, jobs):
         reference = deformations.circle_laplacian_eigenvalues(length, n_eigs)
         for eta in widths:
             mesh = geometry.make_strip_mesh(length, eta, eta / across, periodic=True,
-                                            bottom_tag=STEKLOV, top_tag=NEUMANN)
+                                            top_tag=NEUMANN)
             sig = fem.steklov_spectrum(mesh, n_eigs).eigenvalues / eta
             step, worst = _sweep_step("eta", eta, range(n_eigs), sig, reference)
             points += step
@@ -243,7 +246,7 @@ def _run_collar_sweep(config, jobs):
             eta = 0.5 * width
             h = min(float(p.get("target_h", 0.05)), width / 8.0)
             mesh = geometry.make_strip_mesh(length, width, h, periodic=True,
-                                            bottom_tag=STEKLOV, top_tag=STEKLOV)
+                                            top_tag=STEKLOV)
             sig = fem.steklov_spectrum(mesh, 4 * k_max + 2).eigenvalues
             ref = [deformations.cylinder_formula((2 * math.pi * k / length) ** 2, eta)
                    for k in range(1, k_max + 1)]
@@ -479,6 +482,8 @@ def _run_audit(config, jobs):
         raise ConfigError("an audit needs k_max >= 1")
     if int(p.get("n_rotations", 20)) < 0:
         raise ConfigError("n_rotations must not be negative")
+    if "domains" in p and not p["domains"]:
+        raise ConfigError("domains must not be empty")
     seeds = [config.seed + 1000 * i for i in range(n_runs)]
     args = [(config.kind, p, config.tolerances, s, i) for i, s in enumerate(seeds)]
     if jobs > 1:
@@ -541,7 +546,7 @@ def _persist(report, artifacts, config, out_dir):
         os.makedirs(meshes, exist_ok=True)
         geometry.save_mesh(artifacts["mesh"], os.path.join(meshes, f"{config.name}.msh"))
     if "spectral" in artifacts:
-        fem.save_spectral_result(artifacts["spectral"],
+        fem.save_spectral_result(artifacts["mesh"], artifacts["spectral"],
                                  os.path.join(out_dir, "spectrum.json"))
     if "graph" in artifacts:
         graphs.save_graph(artifacts["graph"],
@@ -565,10 +570,16 @@ def _mode1_field(res):
     first steklov vertex whose kernel diagonal is at least half its largest.
     """
     start, stop = next(c for c in res.clusters if c[0] <= 1 < c[1])
-    diag = np.sum(res.boundary_vectors[:, start:stop] ** 2, axis=1)
-    v = res.steklov_vertices[np.argmax(diag >= 0.5 * diag.max())]
     X = res.extensions[start:stop]
+    diag = np.sum(X[:, res.steklov_vertices] ** 2, axis=0)
+    v = res.steklov_vertices[np.argmax(diag >= 0.5 * diag.max())]
     return X.T @ X[:, v]
+
+
+def check_line(c):
+    """One check as "[PASS] name: observed=... required=..."."""
+    return (f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: "
+            f"observed={c['observed']} required={c['required']}")
 
 
 def emit_tables(report, out_dir):
@@ -588,10 +599,7 @@ def emit_tables(report, out_dir):
         fh.write(f"experiment: {report.config['name']} ({kind})\n")
         fh.write(f"config hash: {report.config_hash}\n")
         fh.write(f"report hash: {report.report_hash()}\n\n")
-        for c in report.checks:
-            status = "PASS" if c["passed"] else "FAIL"
-            fh.write(f"[{status}] {c['name']}: observed={c['observed']} "
-                     f"required={c['required']}\n")
+        fh.write("".join(check_line(c) + "\n" for c in report.checks))
         fh.write(f"\noverall: {'PASS' if report.passed else 'FAIL'}\n")
     return [path, summary]
 

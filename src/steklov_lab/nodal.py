@@ -309,8 +309,8 @@ def nodal_graph(mesh, fields):
 def nodal_graph_stats(mesh, fields):
     """Component count, cycle rank, and boundary-endpoint parity of the zero set.
 
-    One (nv,) field gives one dict; an (m, nv) stack gives a list with one per
-    row, from one graph of the whole stack and one components call.
+    One dict per row of an (m, nv) stack, from one graph of the whole stack
+    and one components call; a single field is a stack of one.
     """
     graph = nodal_graph(mesh, fields)
     m = len(np.atleast_2d(fields))
@@ -335,7 +335,7 @@ def nodal_graph_stats(mesh, fields):
     order = np.argsort(first)
     comp_row = np.searchsorted(comp_start, comps[order], side="right") - 1
     per_row = np.split(counts[order], np.searchsorted(comp_row, np.arange(1, m)))
-    stats = [{
+    return [{
         "n_nodes": nodes,
         "n_segments": segs,
         "n_components": n_comp,
@@ -345,7 +345,7 @@ def nodal_graph_stats(mesh, fields):
     } for nodes, segs, n_comp, rank, ends in zip(
         n_nodes.tolist(), n_segments.tolist(), np.diff(comp_start).tolist(),
         cycle_rank.tolist(), per_row)]
-    return stats[0] if np.ndim(fields) == 1 else stats
+    return stats
 
 
 # ---------------------------------------------------------------------------

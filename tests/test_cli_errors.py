@@ -6,6 +6,7 @@ the test and a warning, which would print to stderr, is caught by
 interpreter, as a user would, so that the module entry point is covered too.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -40,12 +41,34 @@ def _run_in_fresh_interpreter(argv, cwd):
     (["thicken", "--graph", "k3.graph", "--eps", "2"], False),
     (["run", "--config", "missing.json"], True),
     (["audit", "--config", "not-json.json"], False),
+    (["spectrum", "--mesh", "header-only.msh"], False),
+    (["thicken", "--graph", "empty.graph", "--eps", "0.05"], False),
+    (["thicken", "--graph", "header-only.graph", "--eps", "0.05"], False),
+    (["thicken", "--graph", "short.graph", "--eps", "0.05"], False),
+    (["run", "--config", "params-list.json"], False),
+    (["run", "--config", "tolerances-list.json"], False),
+    (["audit", "--config", "no-domains.json"], False),
 ], ids=["mesh-target-h", "spectrum-bad-file", "spectrum-n-eigs", "prescribe-unsorted",
-        "thicken-k4", "thicken-wide-eps", "run-missing-config", "audit-bad-json"])
+        "thicken-k4", "thicken-wide-eps", "run-missing-config", "audit-bad-json",
+        "spectrum-header-only-mesh", "thicken-empty-graph", "thicken-header-only-graph",
+        "thicken-short-graph", "run-params-list", "run-tolerances-list",
+        "audit-empty-domains"])
 def test_cli_input_errors_exit_2_without_traceback(argv, fresh, tmp_path, monkeypatch,
                                                    capsys, recwarn):
     (tmp_path / "not-a-mesh.msh").write_text("garbage\n")
+    (tmp_path / "header-only.msh").write_text("steklov-mesh v1\n")
     (tmp_path / "not-json.json").write_text("{kind: nodal-audit\n")
+    (tmp_path / "empty.graph").write_text("")
+    (tmp_path / "header-only.graph").write_text("steklov-graph v1\n")
+    (tmp_path / "short.graph").write_text("steklov-graph v1\n3 3\n0 1 1.0\n")
+    configs = {
+        "params-list": {"kind": "spectrum", "params": [0.3, 3]},
+        "tolerances-list": {"kind": "spectrum", "tolerances": [0.1],
+                            "params": {"target_h": 0.3, "n_eigs": 3, "reference": [1.0]}},
+        "no-domains": {"kind": "nodal-audit", "params": {"domains": [], "runs": 1}},
+    }
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
     geometry.save_mesh(geometry.make_disk_mesh(1.0, 0.3), str(tmp_path / "disk.msh"))
     graphs.save_graph(_complete_graph(4), str(tmp_path / "k4.graph"))
     graphs.save_graph(_complete_graph(3), str(tmp_path / "k3.graph"))

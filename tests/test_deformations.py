@@ -253,7 +253,6 @@ def test_two_sided_cylinder_matches_formula():
     width = 0.5
     eta = 0.25
     mesh = geometry.make_strip_mesh(length, width, width / 10, periodic=True,
-                                    bottom_tag=geometry.STEKLOV,
                                     top_tag=geometry.STEKLOV)
     res = fem.steklov_spectrum(mesh, 10)
     for k in (1, 2, 3):

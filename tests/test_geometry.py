@@ -47,6 +47,31 @@ def test_annulus_mesh():
     assert abs(geometry.mesh_area(mesh) - expected) < 0.03
 
 
+def _ring_loop_triangles(n_t, n_r):
+    """The annulus cells as make_annulus_mesh once built them: ring by ring,
+    (a, b, c) and (a, c, d) per cell, vertex (ring j, angle i) = j * n_t + i."""
+    tris = []
+    for j in range(n_r):
+        for i in range(n_t):
+            a, b = j * n_t + i, j * n_t + (i + 1) % n_t
+            c, d = (j + 1) * n_t + (i + 1) % n_t, (j + 1) * n_t + i
+            tris.append((a, b, c))
+            tris.append((a, c, d))
+    return np.asarray(tris, np.int32)
+
+
+@pytest.mark.parametrize("r_inner, r_outer, h", [
+    (0.5, 1.0, 0.08), (0.5, 1.0, 0.02), (0.2, 1.0, 0.3), (0.9, 1.0, 0.05)])
+def test_annulus_triangles_match_ring_loop(r_inner, r_outer, h):
+    mesh = geometry.make_annulus_mesh(r_inner, r_outer, h)
+    n_t = np.count_nonzero(np.isclose(np.hypot(*mesh.vertices.T), r_inner))
+    n_r = mesh.n_vertices // n_t - 1
+    expected = geometry.build_mesh(mesh.vertices, _ring_loop_triangles(n_t, n_r))
+    assert mesh.triangles.dtype == np.int32
+    assert np.array_equal(mesh.triangles, expected.triangles)
+    assert np.array_equal(mesh.boundary_edges, expected.boundary_edges)
+
+
 def test_strip_mesh_periodic_is_flat():
     mesh = geometry.make_strip_mesh(2 * math.pi, 0.5, 0.1, periodic=True)
     geometry.validate_mesh(mesh)
@@ -59,11 +84,13 @@ def test_strip_mesh_periodic_is_flat():
 
 
 def test_strip_mesh_nonperiodic_sides():
-    mesh = geometry.make_strip_mesh(2.0, 0.5, 0.1, periodic=False,
-                                    side_tag=DIRICHLET)
+    mesh = geometry.make_strip_mesh(2.0, 0.5, 0.1, periodic=False)
     mids = geometry.boundary_edge_midpoints(mesh)
-    sides = mesh.boundary_tags == DIRICHLET
-    assert np.all(np.isclose(mids[sides, 0], 0.0) | np.isclose(mids[sides, 0], 2.0))
+    sides = np.isclose(mids[:, 0], 0.0) | np.isclose(mids[:, 0], 2.0)
+    assert np.count_nonzero(sides) == 2 * 5
+    assert np.all(mesh.boundary_tags[sides] == NEUMANN)
+    assert np.all(mesh.boundary_tags[np.isclose(mids[:, 1], 0.0)] == STEKLOV)
+    assert np.all(mesh.boundary_tags[np.isclose(mids[:, 1], 0.5)] == NEUMANN)
 
 
 def test_tag_boundary_by_angle():

@@ -77,7 +77,10 @@ def test_boundary_touch_detects_interior_domain():
 
 def test_nodal_graph_stats_diameter_line():
     mesh = disk()
-    stats = nodal.nodal_graph_stats(mesh, mesh.vertices[:, 0])
+    # a single field is a stack of one: a one-item list
+    out = nodal.nodal_graph_stats(mesh, mesh.vertices[:, 0])
+    assert isinstance(out, list) and len(out) == 1
+    stats = out[0]
     assert stats["n_components"] == 1
     assert stats["cycle_rank"] == 0
     assert stats["boundary_endpoints_per_component"] == [2]
@@ -87,7 +90,7 @@ def test_nodal_graph_stats_diameter_line():
 def test_nodal_graph_stats_closed_circle_has_cycle():
     mesh = disk(0.06)
     r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    stats = nodal.nodal_graph_stats(mesh, 0.5 - r)
+    [stats] = nodal.nodal_graph_stats(mesh, 0.5 - r)
     assert stats["cycle_rank"] == 1
     assert stats["boundary_endpoints_per_component"] == []
 

@@ -79,7 +79,7 @@ def test_stack_rows_match_single_fields(name):
                        for t in nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f))]
 
     stats = nodal.nodal_graph_stats(mesh, fields)
-    assert stats == [nodal.nodal_graph_stats(mesh, f) for f in fields]
+    assert stats == [s for f in fields for s in nodal.nodal_graph_stats(mesh, f)]
 
     graph = nodal.nodal_graph(mesh, fields)
     n_keys = mesh.n_vertices + len(mesh.edge_table.edges)
@@ -177,7 +177,7 @@ def _per_field_measure(mesh, res, params, seed):
     modes = res.extensions[1:]
     touches = [t for f in modes
                for t in nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f))]
-    stats = [nodal.nodal_graph_stats(mesh, f) for f in modes]
+    stats = [s for f in modes for s in nodal.nodal_graph_stats(mesh, f)]
     return {"courant": courant,
             "courant_ok": all(r["ok"] for r in courant),
             "touch_ok": all(t["all_touch"] for t in touches),

@@ -152,7 +152,7 @@ def test_graph_limit_converges_to_inverse_c():
     ends = np.searchsorted(sk, mesh.boundary_edges[mesh.boundary_tags == geometry.STEKLOV])
     n_diam, diam = geometry.label_components(sk.size, ends[:, 0], ends[:, 1])
     assert n_diam == 3
-    vecs = res.boundary_vectors[:, 1:3]
+    vecs = res.extensions[1:3, sk].T
     scale = np.abs(vecs).max(axis=0)
     assert max(np.max(np.ptp(vecs[diam == j], axis=0) / scale) for j in range(n_diam)) < 0.1
 

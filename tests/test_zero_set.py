@@ -186,7 +186,7 @@ def test_zero_set_graph_matches_oracle(name):
         assert len(got) == len(graph.segments)
         assert got == {frozenset(_node_id(mesh, k) for k in s) for s in segments}
 
-        assert nodal.nodal_graph_stats(mesh, field) == oracle_stats(mesh, field)
+        assert nodal.nodal_graph_stats(mesh, field) == [oracle_stats(mesh, field)]
 
         drawn = _svg_segments(nodal.nodal_svg(mesh, field))
         pt = _svg_point(mesh)
