@@ -1,5 +1,6 @@
 """Solve-stage benchmark of ``fem.steklov_spectrum``, the nearest-edge
-search of ``deformations.DensityFamily`` and the audit process pool.
+search of ``deformations.DensityFamily``, the audit process pool and the
+graph prescriber.
 
 Run from the repository root:
 
@@ -24,14 +25,21 @@ It records, with one BLAS thread:
 - ``configs/08-courant-audit.json`` through ``harness.run`` at ``jobs=1`` and
   ``jobs=2`` (a forked process pool), after one warm-up run of each: the
   times of 5 pairs of runs, the side that runs first alternating from pair
-  to pair.  These runs come before the counters below are installed.
+  to pair.  These runs come before the counters below are installed;
+- ``configs/06-prescriber-audit.json`` through ``harness.run``: the median
+  of 5 runs after one warm-up, then one more run that counts the
+  eigendecompositions of ``graphs.prescribe_spectrum``
+  (``graphs.eigenvalues_and_weight_jacobian`` calls), in all and the most in
+  one fit.
 
 An operator application is a one-vector LU solve; the block solve that
 extends the eigenvectors, if any, is counted apart.  The counters wrap
 ``fem._factor`` and ``fem.assemble_stiffness`` for the whole run, which adds
 a Python call per LU solve.  The result is merged under ``--label`` into the
 JSON file given by ``--out``, so that runs of two checkouts, each with its own
-``PYTHONPATH``, land side by side.
+``PYTHONPATH``, land side by side.  Each run records the commit of the
+measured package and ``tree_clean``: whether its checkout had no change but
+to the ``--out`` file.
 """
 
 import os
@@ -51,7 +59,7 @@ import tracemalloc  # noqa: E402
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from steklov_lab import deformations, fem, geometry, harness  # noqa: E402
+from steklov_lab import deformations, fem, geometry, graphs, harness  # noqa: E402
 
 DISK_H = (0.05, 0.02, 0.01)
 DISK_REPEATS = {0.05: 7, 0.02: 5, 0.01: 3}
@@ -62,9 +70,12 @@ AUDIT_SEED = 1
 AUDIT_RUNS = 90
 AUDIT_PASSES = 5
 STRIP = (2 * np.pi, 0.5, 0.02)  # periodic strip: length, height, target_h
-POOL_CONFIG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "configs", "08-courant-audit.json")
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs")
+POOL_CONFIG = os.path.join(CONFIG_DIR, "08-courant-audit.json")
 POOL_PAIRS = 5
+PRESCRIBER_CONFIG = os.path.join(CONFIG_DIR, "06-prescriber-audit.json")
+PRESCRIBER_RUNS = 5
 
 
 class Counters:
@@ -211,12 +222,51 @@ def bench_pool():
             "pairs_pool_faster": sum(b < a for a, b in zip(times[1], times[2]))}
 
 
-def commit_of(path):
+def bench_prescriber():
+    config = harness.load_config(PRESCRIBER_CONFIG)
+    harness.run(config)  # warm-up
+    times = []
+    for _ in range(PRESCRIBER_RUNS):
+        t0 = time.perf_counter()
+        harness.run(config)
+        times.append(time.perf_counter() - t0)
+    fits = []
+    prescribe, evaluate = graphs.prescribe_spectrum, graphs.eigenvalues_and_weight_jacobian
+
+    def counted_prescribe(*args, **kwargs):
+        fits.append(0)
+        return prescribe(*args, **kwargs)
+
+    def counted_evaluate(*args):
+        fits[-1] += 1
+        return evaluate(*args)
+
+    graphs.prescribe_spectrum, graphs.eigenvalues_and_weight_jacobian = (
+        counted_prescribe, counted_evaluate)
     try:
-        return subprocess.run(["git", "-C", path, "rev-parse", "--short", "HEAD"],
-                              capture_output=True, text=True, check=True).stdout.strip()
+        report_hash = harness.run(config).report_hash()
+    finally:
+        graphs.prescribe_spectrum, graphs.eigenvalues_and_weight_jacobian = prescribe, evaluate
+    return {"config": os.path.basename(PRESCRIBER_CONFIG), "runs": PRESCRIBER_RUNS,
+            "run_s": times, "run_s_median": statistics.median(times),
+            "fits": len(fits), "evaluations": sum(fits), "evaluations_max_per_fit": max(fits),
+            "report_hash": report_hash}
+
+
+def checkout_state(path, out):
+    """The short HEAD commit of the checkout holding path, and whether that
+    checkout has no change but to the file out; (None, None) outside git."""
+    def git(*args):
+        return subprocess.run(["git", "-C", path, *args], capture_output=True, text=True,
+                              check=True).stdout
+    try:
+        commit = git("rev-parse", "--short", "HEAD").strip()
+        top = git("rev-parse", "--show-toplevel").strip()
+        status = git("status", "--porcelain").splitlines()
     except (OSError, subprocess.CalledProcessError):
-        return None
+        return None, None
+    out = os.path.relpath(os.path.abspath(out), top)
+    return commit, all(line[3:] == out for line in status)
 
 
 def main():
@@ -224,10 +274,13 @@ def main():
     parser.add_argument("--label", required=True)
     parser.add_argument("--out", default="BENCH_pipeline.json")
     args = parser.parse_args()
+    commit, clean = checkout_state(os.path.dirname(os.path.abspath(fem.__file__)), args.out)
     pool = bench_pool()
+    prescriber = bench_prescriber()
     counters = Counters()
     result = {
-        "commit": commit_of(os.path.dirname(os.path.abspath(fem.__file__))),
+        "commit": commit,
+        "tree_clean": clean,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "machine": platform.machine(),
                         "cpus": os.cpu_count(), "blas_threads": 1},
@@ -235,6 +288,7 @@ def main():
         "nodal_audit": bench_audit(counters),
         "nearest_edge": bench_nearest_edges(),
         "pool": pool,
+        "prescriber": prescriber,
     }
     print(json.dumps(result, indent=2))
     data = {}

@@ -21,6 +21,7 @@ trace entry of at least half the largest magnitude positive.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import hashlib
 import json
 
@@ -98,11 +99,24 @@ def _stiffness(mesh):
 @dataclass(frozen=True)
 class BoundaryMass:
     """Consistent 1D P1 mass matrix on a tagged part of the boundary, and its
-    per-edge factor: matrix = factor.T @ factor up to rounding."""
+    per-edge factor: matrix = factor.T @ factor up to rounding.  The solve
+    reads only the factor, so the matrix is built on first use."""
 
-    matrix: sp.csr_matrix      # (nb, nb) over the tagged boundary vertices
     factor: sp.csr_matrix      # (2 * n_edges, nb), two rows per tagged edge
     vertices: np.ndarray       # sorted mesh vertex ids carrying the tag
+    edge_ends: np.ndarray      # (n_edges, 2) positions in vertices of each edge's ends
+    edge_mass: np.ndarray      # (n_edges,) density times length of each edge
+
+    @cached_property
+    def matrix(self):
+        """(nb, nb) CSR matrix over the tagged boundary vertices."""
+        a, b = self.edge_ends.T
+        w = self.edge_mass
+        rows = np.concatenate([a, b, a, b])
+        cols = np.concatenate([a, b, b, a])
+        vals = np.concatenate([w / 3.0, w / 3.0, w / 6.0, w / 6.0])
+        nb = self.vertices.size
+        return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
 
 
 def assemble_boundary_mass(mesh, tag=STEKLOV):
@@ -118,10 +132,6 @@ def assemble_boundary_mass(mesh, tag=STEKLOV):
     a = remap[edges[:, 0]]
     b = remap[edges[:, 1]]
     w = dens * lens
-    rows = np.concatenate([a, b, a, b])
-    cols = np.concatenate([a, b, b, a])
-    vals = np.concatenate([w / 3.0, w / 3.0, w / 6.0, w / 6.0])
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(verts.size, verts.size))
     # an edge's block w/6 [[2, 1], [1, 2]] is R^T R for the upper triangular
     # Cholesky factor R = sqrt(w/6) [[sqrt(2), 1/sqrt(2)], [0, sqrt(3/2)]]:
     # per edge, one row with entries at a and b, one with an entry at b
@@ -130,7 +140,8 @@ def assemble_boundary_mass(mesh, tag=STEKLOV):
         (np.column_stack([r * np.sqrt(2.0), r / np.sqrt(2.0), r * np.sqrt(1.5)]).ravel(),
          np.column_stack([a, b, b]).ravel(), np.r_[0, np.cumsum(np.tile([2, 1], a.size))]),
         shape=(2 * a.size, verts.size))
-    return BoundaryMass(matrix=M.tocsr(), factor=G, vertices=verts)
+    return BoundaryMass(factor=G, vertices=verts, edge_ends=np.column_stack([a, b]),
+                        edge_mass=w)
 
 
 def _check_connectivity(mesh, steklov_vertices, dirichlet_vertices):
@@ -197,8 +208,12 @@ def default_cluster_rel_tol(mesh):
     # multiplicity on a mesh is a tolerance statement: the relative P1 error
     # of sigma_1..sigma_8 on the unit disk measures 1.30 h_max^2 at h = 0.16
     # down to 0.01 (order 2 in h_max, checked in the tests), and twice h_max^2,
-    # floored at 1e-3, keeps the copies of one multiple sigma together
-    return max(1e-3, 2.0 * geometry.max_edge_length(mesh) ** 2)
+    # floored at 1e-3, keeps the copies of one multiple sigma together.
+    # h_max depends on the geometry only, so it is kept beside K.
+    cache = mesh.stiffness_cache
+    if "cluster_rel_tol" not in cache:
+        cache["cluster_rel_tol"] = max(1e-3, 2.0 * geometry.max_edge_length(mesh) ** 2)
+    return cache["cluster_rel_tol"]
 
 
 def _trace_signs(traces):

@@ -70,9 +70,9 @@ class Mesh2D:
 
     @cached_property
     def stiffness_cache(self):
-        """A holder that fem fills with the stiffness matrix; replace_mesh
-        hands it on while the vertices, triangles, tri_weight and period_x
-        stay the same."""
+        """A holder that fem fills with the stiffness matrix and the default
+        cluster tolerance; replace_mesh hands it on while the vertices,
+        triangles, tri_weight and period_x stay the same."""
         return {}
 
 

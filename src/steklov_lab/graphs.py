@@ -4,13 +4,12 @@ The Laplacian quadratic form is sum over edges of (f(x)-f(y))^2 / l, i.e. the
 weighted graph Laplacian with edge weights 1/l, acting on vertex functions
 with the canonical Euclidean inner product.  The prescriber fits edge lengths
 on the complete graph K_{N+1} so that the nonzero spectrum matches a target
-sequence, using analytic eigenvalue derivatives.
+sequence, by minimum-norm Gauss-Newton with analytic eigenvalue derivatives.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 class GraphError(ValueError):
@@ -55,8 +54,7 @@ class GraphSpectrum:
 
 
 def complete_graph_edges(n_vertices):
-    return np.array([(i, j) for i in range(n_vertices) for j in range(i + 1, n_vertices)],
-                    np.int64)
+    return np.column_stack(np.triu_indices(n_vertices, 1)).astype(np.int64)
 
 
 def _laplacian(n, edges, weights):
@@ -93,58 +91,59 @@ def eigenvalues_and_weight_jacobian(n, edges, weights):
     return w, jac
 
 
-# least-squares evaluations per start, and starts (symmetric plus random)
+# Gauss-Newton iterations per start, starts (symmetric plus random), halvings
+# per step, the relative error that ends a start, and the largest change of a
+# log-weight per step (near a singular J, J^+ r can carry a weight to 0 at once)
 _MAX_ITERS = 200
 _N_STARTS = 8
+_MAX_HALVINGS = 30
+_FIT_REL_ERR = 1e-12
+_MAX_STEP = 2.0
 
 
 def prescribe_spectrum(targets, tol=1e-8, seed=0):
     """Edge lengths on K_{N+1} whose Laplacian spectrum is (0, a_1..a_N).
 
-    Least-squares over log-weights (positivity by construction) with analytic
-    eigenvalue derivatives; a symmetric start plus seeded random restarts.
+    Gauss-Newton in the log-weights z (positivity by construction) from a
+    symmetric start, then seeded random ones.  The N equations have N(N+1)/2
+    unknowns, so the step is the minimum-norm dz = -J^+ r (Ben-Israel 1966),
+    halved until the residual norm falls.
     """
     targets = np.asarray(targets, float)
     if targets.size < 1 or np.any(targets <= 0) or np.any(np.diff(targets) < 0):
         raise GraphError("targets must be positive and sorted ascending")
-    n_targets = targets.size
-    if n_targets == 1:
+    if targets.size == 1:
         # K_2: single edge, spectrum (0, 2/l)
         return MetricGraph(2, np.array([[0, 1]]), np.array([2.0 / targets[0]]))
-    n = n_targets + 1
+    n = targets.size + 1
     edges = complete_graph_edges(n)
-    m = edges.shape[0]
-    scale = max(1.0, targets.max())
-
-    # least_squares asks for the residual at each trial point and the
-    # jacobian at each accepted one, the last of which is its answer; one
-    # eigendecomposition per point serves all three
-    last = {}   # "trial", "accepted" -> (z, eigenvalues, weight jacobian)
-
-    def evaluate(z):
-        for hit in last.values():
-            if np.array_equal(hit[0], z):
-                return hit
-        last["trial"] = (z.copy(), *eigenvalues_and_weight_jacobian(n, edges, np.exp(z)))
-        return last["trial"]
-
-    def residual(z):
-        return (evaluate(z)[1][1:] - targets) / scale
-
-    def jacobian(z):
-        last["accepted"] = evaluate(z)
-        return last["accepted"][2][1:] * np.exp(z)[None, :] / scale
-
     rng = np.random.default_rng(seed)
     # uniform weights give the constant spectrum mean(targets); good basin
-    z_uniform = np.full(m, np.log(targets.mean() / n))
+    w_uniform = np.full(len(edges), targets.mean() / n)
     best = None
     for start in range(_N_STARTS):
-        z0 = z_uniform if start == 0 else z_uniform + rng.normal(0.0, 0.5, m)
-        sol = least_squares(residual, z0, jac=jacobian, method="trf",
-                            max_nfev=_MAX_ITERS, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        w = np.exp(sol.x)
-        lam = evaluate(sol.x)[1]
+        w = w_uniform if start == 0 else w_uniform * np.exp(rng.normal(0.0, 0.5, len(edges)))
+        lam, jac = eigenvalues_and_weight_jacobian(n, edges, w)
+        for _ in range(_MAX_ITERS):
+            if np.max(np.abs(lam[1:] - targets) / targets) <= _FIT_REL_ERR:
+                break
+            # the step in z = log(w), where d(lambda)/dz_i = w_i d(lambda)/dw_i
+            r = lam[1:] - targets
+            step = np.linalg.lstsq(jac[1:] * w, -r, rcond=None)[0]
+            step *= min(1.0, _MAX_STEP / np.abs(step).max())
+            accepted, tried = False, None
+            for _ in range(_MAX_HALVINGS):
+                w_trial = w * np.exp(step)
+                if np.array_equal(w_trial, w) or np.array_equal(w_trial, tried):
+                    break  # halving no longer moves the weights
+                tried = w_trial
+                lam_trial, jac_trial = eigenvalues_and_weight_jacobian(n, edges, w_trial)
+                if np.linalg.norm(lam_trial[1:] - targets) < np.linalg.norm(r):
+                    w, lam, jac, accepted = w_trial, lam_trial, jac_trial, True
+                    break
+                step /= 2.0
+            if not accepted:
+                break
         rel = np.max(np.abs(lam[1:] - targets) / targets)
         if best is None or rel < best[0]:
             best = (rel, w)
@@ -154,7 +153,7 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
             if np.max(np.abs(check[1:] - targets) / targets) <= tol:
                 return g
     raise PrescriptionError(
-        f"no start reached tol={tol} within {_MAX_ITERS} evaluations "
+        f"no start reached tol={tol} within {_MAX_ITERS} Gauss-Newton iterations "
         f"(best max relative error {best[0]:.3e})",
         best_lengths=1.0 / best[1], best_residual=best[0])
 

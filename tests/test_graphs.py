@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from steklov_lab import graphs
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def test_laplacian_values():
@@ -133,6 +140,48 @@ def test_prescribe_random_targets():
         g = graphs.prescribe_spectrum(targets)
         got = graphs.graph_laplacian_spectrum(g).eigenvalues[1:]
         assert np.max(np.abs(got - targets) / targets) <= 1e-8
+
+
+@pytest.mark.parametrize("targets", [[1.0, 1.0, 2.0], [2.0, 2.0, 2.0], [1.0, 1.0, 1.0, 3.0],
+                                     [0.5, 3.0, 3.0, 3.0, 4.0]])
+def test_prescribe_repeated_targets(targets):
+    g = graphs.prescribe_spectrum(targets)
+    got = graphs.graph_laplacian_spectrum(g).eigenvalues[1:]
+    assert np.max(np.abs(got - targets) / np.asarray(targets)) <= 1e-8
+
+
+def test_prescriber_audit_fits_in_few_evaluations(monkeypatch):
+    """The target sets of the shipped prescriber audit, drawn as its runner
+    draws them: each fit takes few eigendecompositions."""
+    with open(os.path.join(CONFIG_DIR, "06-prescriber-audit.json"), encoding="ascii") as fh:
+        config = json.load(fh)
+    lo, hi = config["params"]["n_range"]
+    rng = np.random.default_rng(config["seed"])
+    calls = []
+    evaluate = graphs.eigenvalues_and_weight_jacobian
+
+    def counted(n, edges, weights):
+        calls[-1] += 1
+        return evaluate(n, edges, weights)
+
+    monkeypatch.setattr(graphs, "eigenvalues_and_weight_jacobian", counted)
+    for _ in range(config["params"]["trials"]):
+        targets = np.sort(rng.uniform(0.5, 5.0, int(rng.integers(lo, hi + 1))))
+        calls.append(0)
+        graphs.prescribe_spectrum(targets, seed=int(rng.integers(2 ** 32)))
+    assert len(calls) == 50
+    assert max(calls) <= 25
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(graphs.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join([package_root] + [p for p in
+                                        env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = "import sys, steklov_lab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_prescribe_rejects_bad_targets():
