@@ -1,6 +1,6 @@
 """Solve-stage benchmark of ``fem.steklov_spectrum``, the nearest-edge
-search of ``deformations.DensityFamily``, the audit process pool and the
-graph prescriber.
+search of ``deformations.DensityFamily``, the artifact writers, the audit
+process pool and the graph prescriber.
 
 Run from the repository root:
 
@@ -22,6 +22,11 @@ It records, with one BLAS thread:
   unit disk at h = 0.05, 0.02 and 0.01 and on the periodic 2*pi x 0.5 strip
   at h = 0.02: the median time of a search by a new family, and the
   ``tracemalloc`` peak of one more search, traced apart from the timed ones;
+- the artifact writers ``geometry.save_mesh`` and ``nodal.save_nodal_svg`` on
+  the thickened 5-cycle of unit edges at eps = 0.005 (the finest mesh of a
+  graph-limit sweep) and on the unit disk at h = 0.01, the figure drawing the
+  field x: the median time of a write after one warm-up, and the
+  ``tracemalloc`` peak of one more write;
 - ``configs/08-courant-audit.json`` through ``harness.run`` at ``jobs=1`` and
   ``jobs=2`` (a forked process pool), after one warm-up run of each: the
   times of 5 pairs of runs, the side that runs first alternating from pair
@@ -53,13 +58,15 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from steklov_lab import deformations, fem, geometry, graphs, harness  # noqa: E402
+from steklov_lab import (deformations, fem, geometry, graphs, harness, nodal,  # noqa: E402
+                         thickening)
 
 DISK_H = (0.05, 0.02, 0.01)
 DISK_REPEATS = {0.05: 7, 0.02: 5, 0.01: 3}
@@ -70,6 +77,8 @@ AUDIT_SEED = 1
 AUDIT_RUNS = 90
 AUDIT_PASSES = 5
 STRIP = (2 * np.pi, 0.5, 0.02)  # periodic strip: length, height, target_h
+ARTIFACT_EPS = 0.005
+ARTIFACT_REPEATS = 5
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
 POOL_CONFIG = os.path.join(CONFIG_DIR, "08-courant-audit.json")
@@ -204,6 +213,39 @@ def bench_nearest_edges():
     return runs
 
 
+def bench_artifact(name, mesh, out_dir):
+    field = mesh.vertices[:, 0].copy()
+    writers = {"save_mesh": lambda: geometry.save_mesh(mesh, os.path.join(out_dir, "mesh.msh")),
+               "save_nodal_svg": lambda: nodal.save_nodal_svg(
+                   mesh, field, os.path.join(out_dir, "figure.svg"))}
+    out = {"mesh": name, "triangles": int(mesh.n_triangles), "repeats": ARTIFACT_REPEATS}
+    for writer, write in writers.items():
+        write()  # warm-up
+        times = []
+        for _ in range(ARTIFACT_REPEATS):
+            t0 = time.perf_counter()
+            write()
+            times.append(time.perf_counter() - t0)
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[writer] = {"ms_median": 1e3 * statistics.median(times),
+                       "traced_peak_mb": peak / 2 ** 20}
+    return out
+
+
+def bench_artifacts():
+    cycle = graphs.MetricGraph(5, [[i, (i + 1) % 5] for i in range(5)], np.ones(5))
+    thick = thickening.build_thickened_mesh(thickening.embed_graph(cycle, "convex-boundary", 2.0),
+                                            ARTIFACT_EPS, 2.0, target_h=0.25 * ARTIFACT_EPS)
+    with tempfile.TemporaryDirectory() as out_dir:
+        return [bench_artifact(f"thickened 5-cycle eps={ARTIFACT_EPS}", thick, out_dir),
+                bench_artifact("disk h=0.01", geometry.make_disk_mesh(1.0, 0.01), out_dir)]
+
+
 def bench_pool():
     config = harness.load_config(POOL_CONFIG)
     hashes = {jobs: harness.run(config, jobs=jobs).report_hash() for jobs in (1, 2)}
@@ -287,6 +329,7 @@ def main():
         "disk": [bench_disk(counters, h) for h in DISK_H],
         "nodal_audit": bench_audit(counters),
         "nearest_edge": bench_nearest_edges(),
+        "artifacts": bench_artifacts(),
         "pool": pool,
         "prescriber": prescriber,
     }

@@ -81,18 +81,23 @@ def _nearest_segments(points, seg_a, seg_b, period_x):
     shifted = [points + (shift, 0.0) for shift in shifts]
     ub = np.min([tree.query(p)[0] for p in shifted], axis=0)
     radius = (ub + half) * (1.0 + 1e-12)
-    rows, cols, dist = [], [], []
+    # per point, the least distance and on a tie the lowest segment, as
+    # np.argmin: per shift a grouped minimum over the point's pairs, which
+    # come grouped by point, then the better of the shifts
+    best_dist = np.full(len(points), np.inf)
+    best_seg = np.full(len(points), len(seg_a))
     for p in shifted:
         i, j = _ball_pairs(tree, p, radius)
-        rows.append(i)
-        cols.append(j)
-        dist.append(geometry.point_segment_distances(p[i], seg_a[j], seg_b[j]))
-    rows, cols, dist = (np.concatenate(x) for x in (rows, cols, dist))
-    # per point, the least distance and on a tie the lowest segment, as np.argmin
-    order = np.lexsort((cols, dist, rows))
-    sorted_rows = rows[order]
-    first = order[np.r_[True, sorted_rows[1:] != sorted_rows[:-1]]]
-    return cols[first], dist[first]
+        dist = geometry.point_segment_distances(p[i], seg_a[j], seg_b[j])
+        start = np.flatnonzero(np.diff(i, prepend=-1))
+        sizes = np.diff(np.append(start, i.size))
+        dmin = np.minimum.reduceat(dist, start)
+        jmin = np.minimum.reduceat(np.where(dist == np.repeat(dmin, sizes), j, len(seg_a)), start)
+        hit = i[start]
+        better = (dmin < best_dist[hit]) | ((dmin == best_dist[hit]) & (jmin < best_seg[hit]))
+        best_dist[hit[better]] = dmin[better]
+        best_seg[hit[better]] = jmin[better]
+    return best_seg, best_dist
 
 
 def _ball_pairs(tree, points, radius):

@@ -144,31 +144,53 @@ def assemble_boundary_mass(mesh, tag=STEKLOV):
                         edge_mass=w)
 
 
+def _components(mesh, dirichlet_vertices):
+    """(labels, anchored) of the mesh without its dirichlet vertices: the
+    component of each vertex, and whether an edge to a dirichlet vertex
+    anchors the component.  The dirichlet vertices share one extra label,
+    anchored.  Both depend on the triangles and the dirichlet set only, so
+    they are kept in mesh.stiffness_cache, keyed by the dirichlet set."""
+    key = ("components", dirichlet_vertices.tobytes())
+    cache = mesh.stiffness_cache
+    if key not in cache:
+        edges = mesh.edge_table.edges
+        pinned = np.zeros(mesh.n_vertices, bool)
+        pinned[dirichlet_vertices] = True
+        ends_pinned = pinned[edges]
+        free = edges[~ends_pinned.any(axis=1)]
+        n_comp, labels = geometry.label_components(mesh.n_vertices, free[:, 0], free[:, 1])
+        anchored = np.zeros(n_comp + 1, bool)
+        # the free end of an edge with one dirichlet end anchors its component
+        touch = edges[ends_pinned.sum(axis=1) == 1]
+        anchored[labels[touch[~pinned[touch]]]] = True
+        anchored[n_comp] = True
+        labels[pinned] = n_comp
+        for arr in (labels, anchored):
+            arr.flags.writeable = False
+        cache[key] = labels, anchored
+    return cache[key]
+
+
 def _check_connectivity(mesh, steklov_vertices, dirichlet_vertices):
     """Every component of the mesh without its dirichlet vertices must reach
     the steklov boundary or be adjacent to a dirichlet vertex."""
-    edges = mesh.edge_table.edges
-    pinned = np.zeros(mesh.n_vertices, bool)
-    pinned[dirichlet_vertices] = True
-    ends_pinned = pinned[edges]
-    free = edges[~ends_pinned.any(axis=1)]
-    n_comp, labels = geometry.label_components(mesh.n_vertices, free[:, 0], free[:, 1])
-    anchored = np.zeros(n_comp, bool)
+    labels, anchored = _components(mesh, dirichlet_vertices)
+    anchored = anchored.copy()
     anchored[labels[steklov_vertices]] = True
-    # the free end of an edge with one dirichlet end anchors its component
-    touch = edges[ends_pinned.sum(axis=1) == 1]
-    anchored[labels[touch[~pinned[touch]]]] = True
-    if not anchored[labels[~pinned]].all():
+    if not anchored[labels].all():
         raise FactorizationError(
             "mesh has a component disconnected from the steklov/dirichlet boundary; "
             "its pure-neumann block is singular")
 
 
 def _factor(A):
-    """Sparse LU of a symmetric positive definite matrix with a symmetric
-    fill-reducing ordering and pivots kept on the diagonal."""
+    """Sparse LU of a symmetric positive definite CSR matrix with a symmetric
+    fill-reducing ordering and pivots kept on the diagonal.  A is exactly
+    symmetric, so its CSR arrays are also its CSC arrays and go to splu
+    without a copy."""
     try:
-        return splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+        return splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                     options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationError(f"factorization failed: {exc}") from exc

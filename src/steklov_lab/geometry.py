@@ -70,9 +70,10 @@ class Mesh2D:
 
     @cached_property
     def stiffness_cache(self):
-        """A holder that fem fills with the stiffness matrix and the default
-        cluster tolerance; replace_mesh hands it on while the vertices,
-        triangles, tri_weight and period_x stay the same."""
+        """A holder that fem fills with the stiffness matrix, the default
+        cluster tolerance and the connectivity labels of each dirichlet set;
+        replace_mesh hands it on while the vertices, triangles, tri_weight and
+        period_x stay the same."""
         return {}
 
 
@@ -488,22 +489,44 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+# rows per chunk of a text artifact: a chunk's %-operation holds a few hundred
+# kB of Python objects, whatever the size of the mesh
+_CHUNK_ROWS = 4096
+
+
+def text_chunks(template, n_rows, values):
+    """template once per row for n_rows rows, formatted and yielded
+    _CHUNK_ROWS rows at a time; values(start, stop) gives the fields of rows
+    start..stop-1, flat and row by row."""
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n_rows)
+        yield template * (stop - start) % tuple(values(start, stop))
+
+
 def mesh_to_text(mesh):
-    """The "steklov-mesh v1" text of a mesh, each block formatted in one go;
-    floats are written as %.17g, which reads back to the same bits."""
+    """The "steklov-mesh v1" text of a mesh, yielded in chunks of at most
+    _CHUNK_ROWS lines of a block; floats are written as %.17g, which reads
+    back to the same bits."""
     head = "steklov-mesh v1\n"
     if mesh.period_x > 0:
         head += f"period-x {_fmt(mesh.period_x)}\n"
     nv, nt, nb = mesh.n_vertices, mesh.n_triangles, mesh.boundary_edges.shape[0]
-    edges = zip(*mesh.boundary_edges.T.tolist(), mesh.boundary_tags.tolist(),
-                mesh.edge_density.tolist())
-    return "".join([
-        head,
-        f"{nv}\n", "%.17g %.17g\n" * nv % tuple(mesh.vertices.ravel().tolist()),
-        f"{nt}\n", "%d %d %d\n" * nt % tuple(mesh.triangles.ravel().tolist()),
-        f"{nb}\n", "%d %d %s %.17g\n" * nb % tuple(itertools.chain.from_iterable(edges)),
-        "%.17g\n" * len(mesh.tri_weight) % tuple(mesh.tri_weight.tolist()),
-    ])
+
+    def edge_fields(start, stop):
+        edges = mesh.boundary_edges[start:stop]
+        return itertools.chain.from_iterable(zip(
+            edges[:, 0].tolist(), edges[:, 1].tolist(),
+            mesh.boundary_tags[start:stop].tolist(), mesh.edge_density[start:stop].tolist()))
+
+    yield head + f"{nv}\n"
+    yield from text_chunks("%.17g %.17g\n", nv,
+                           lambda start, stop: mesh.vertices[start:stop].ravel().tolist())
+    yield f"{nt}\n"
+    yield from text_chunks("%d %d %d\n", nt,
+                           lambda start, stop: mesh.triangles[start:stop].ravel().tolist())
+    yield f"{nb}\n"
+    yield from text_chunks("%d %d %s %.17g\n", nb, edge_fields)
+    yield from text_chunks("%.17g\n", nt, lambda start, stop: mesh.tri_weight[start:stop].tolist())
 
 
 def mesh_hash(mesh):
@@ -523,7 +546,7 @@ def mesh_hash(mesh):
 
 def save_mesh(mesh, path):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(mesh_to_text(mesh))
+        fh.writelines(mesh_to_text(mesh))
 
 
 def _block(lines, start, n, per_line, what):

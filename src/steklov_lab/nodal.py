@@ -345,7 +345,6 @@ def nodal_graph_stats(mesh, fields):
     } for nodes, segs, n_comp, rank, ends in zip(
         n_nodes.tolist(), n_segments.tolist(), np.diff(comp_start).tolist(),
         cycle_rank.tolist(), per_row)]
-    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +355,20 @@ _SVG_WIDTH = 640   # pixels; the height keeps the mesh's aspect ratio
 _TAG_COLORS = {STEKLOV: "#d62728", NEUMANN: "#1f77b4", DIRICHLET: "#7f7f7f"}
 
 
-def _rows(template, values, labels=None):
-    """template once per row of values (n, k), then labels (n,) as a last
-    field, formatted in a single %-operation."""
-    if labels is not None:
-        table = np.empty((values.shape[0], values.shape[1] + 1), object)
-        table[:, :-1] = values
-        table[:, -1] = labels
-        values = table
-    return template * values.shape[0] % tuple(values.ravel().tolist())
+def _with_labels(values, labels):
+    """The fields of (n, k) values with labels (n,) as a last field per row,
+    flat and row by row."""
+    table = np.empty((values.shape[0], values.shape[1] + 1), object)
+    table[:, :-1] = values
+    table[:, -1] = labels
+    return table.ravel().tolist()
 
 
 def nodal_svg(mesh, field):
-    """SVG figure: sign-shaded triangles, tagged boundary, zero-set segments."""
+    """SVG figure: sign-shaded triangles, tagged boundary, zero-set segments,
+    yielded in chunks of text by geometry.text_chunks."""
+    field = np.asarray(field, float)
+    graph = nodal_graph(mesh, field)
     coords = geometry.triangle_coords(mesh)
     lo = coords.reshape(-1, 2).min(axis=0)
     hi = coords.reshape(-1, 2).max(axis=0)
@@ -384,29 +384,35 @@ def nodal_svg(mesh, field):
         xy[..., 1] = height - (p[..., 1] - lo[1] + pad) * scale
         return xy.reshape(p.shape[0], 2 * p.shape[1])
 
-    field = np.asarray(field, float)
-    cen_val = field[mesh.triangles].mean(axis=1)
-    fills = np.where(cen_val > 0, "#fddcdc", "#dce8fd")
+    def triangle_fields(start, stop):
+        cen_val = field[mesh.triangles[start:stop]].mean(axis=1)
+        return _with_labels(pixels(coords[start:stop]),
+                            np.where(cen_val > 0, "#fddcdc", "#dce8fd"))
+
     edges = mesh.boundary_edges
-    pa = mesh.vertices[edges[:, 0]].astype(float)
-    pb = pa + geometry.edge_vector(mesh, edges[:, 0], edges[:, 1])
-    colors = [_TAG_COLORS.get(tag, "#000") for tag in mesh.boundary_tags.tolist()]
-    graph = nodal_graph(mesh, field)
-    return "".join([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
-        f'height="{height:.0f}" viewBox="0 0 {_SVG_WIDTH} {height:.0f}">\n',
-        _rows('<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="%s" stroke="none"/>\n',
-              pixels(coords), fills),
-        _rows('<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" '
-              'stroke="%s" stroke-width="2"/>\n',
-              pixels(np.stack([pa, pb], axis=1)), colors),
-        _rows('<polyline points="%.2f,%.2f %.2f,%.2f" '
-              'fill="none" stroke="#000" stroke-width="1.2"/>\n',
-              pixels(graph.positions[graph.segments])),
-        "</svg>\n",
-    ])
+
+    def edge_fields(start, stop):
+        a, b = edges[start:stop].T
+        pa = mesh.vertices[a].astype(float)
+        pb = pa + geometry.edge_vector(mesh, a, b)
+        colors = [_TAG_COLORS.get(tag, "#000") for tag in mesh.boundary_tags[start:stop].tolist()]
+        return _with_labels(pixels(np.stack([pa, pb], axis=1)), colors)
+
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
+           f'height="{height:.0f}" viewBox="0 0 {_SVG_WIDTH} {height:.0f}">\n')
+    yield from geometry.text_chunks(
+        '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="%s" stroke="none"/>\n',
+        mesh.n_triangles, triangle_fields)
+    yield from geometry.text_chunks(
+        '<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" stroke="%s" stroke-width="2"/>\n',
+        len(edges), edge_fields)
+    yield from geometry.text_chunks(
+        '<polyline points="%.2f,%.2f %.2f,%.2f" fill="none" stroke="#000" stroke-width="1.2"/>\n',
+        len(graph.segments),
+        lambda start, stop: pixels(graph.positions[graph.segments[start:stop]]).ravel().tolist())
+    yield "</svg>\n"
 
 
 def save_nodal_svg(mesh, field, path):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(nodal_svg(mesh, field))
+        fh.writelines(nodal_svg(mesh, field))

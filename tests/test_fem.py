@@ -197,6 +197,76 @@ def test_dirichlet_edge_anchors_a_second_component():
     assert np.max(np.abs(res.extensions[:, n:])) < 1e-10
 
 
+def test_connectivity_labels_kept_per_dirichlet_set(monkeypatch):
+    calls = []
+    label = geometry.label_components
+
+    def counted(*args):
+        calls.append(1)
+        return label(*args)
+
+    monkeypatch.setattr(geometry, "label_components", counted)
+    base = geometry.make_disk_mesh(1.0, 0.1)
+    rng = np.random.default_rng(5)
+    sibling = geometry.replace_mesh(base, edge_density=rng.uniform(0.5, 2.0, base.edge_density.size))
+    for mesh in (base, sibling):
+        fem.steklov_spectrum(mesh, 4)
+    assert len(calls) == 1
+    arcs = [((0.0, math.pi), STEKLOV), ((math.pi, 2 * math.pi), DIRICHLET)]
+    mixed = geometry.tag_boundary(base, arcs, by="angle", center=(0.0, 0.0))
+    assert mixed.stiffness_cache is base.stiffness_cache
+    for mesh in (mixed, geometry.replace_mesh(mixed, edge_density=2.0 * mixed.edge_density)):
+        fem.steklov_spectrum(mesh, 4)
+    assert len(calls) == 2
+
+    # kept labels, checked against the anchors of each solve: two disjoint
+    # triangles solve while both are steklov and fail once one is neumann
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                      [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
+    pair = geometry.build_mesh(verts, np.array([[0, 1, 2], [3, 4, 5]], np.int32))
+    fem.steklov_spectrum(pair, 2)
+    tags = np.where(pair.boundary_edges.min(axis=1) >= 3, NEUMANN, STEKLOV).astype(object)
+    retagged = geometry.replace_mesh(pair, boundary_tags=tags)
+    assert retagged.stiffness_cache is pair.stiffness_cache
+    with pytest.raises(fem.FactorizationError):
+        fem.steklov_spectrum(retagged, 2)
+    assert len(calls) == 3
+
+
+def test_factor_reads_the_shifted_matrix_as_its_own_transpose(monkeypatch):
+    # _factor hands the CSR arrays of K_f - SHIFT M_Gamma to splu as CSC
+    # arrays, which holds only while the matrix is exactly symmetric
+    seen = []
+    factor = fem._factor
+
+    def kept(A):
+        seen.append(A)
+        return factor(A)
+
+    monkeypatch.setattr(fem, "_factor", kept)
+    disk = geometry.make_disk_mesh(1.0, 0.1)
+    arcs = [((0.0, 2.0), STEKLOV), ((2.0, 4.0), DIRICHLET), ((4.0, 2 * math.pi), NEUMANN)]
+    rng = np.random.default_rng(9)
+    meshes = [
+        geometry.replace_mesh(disk, edge_density=rng.uniform(0.5, 2.0, disk.edge_density.size),
+                              tri_weight=rng.uniform(0.5, 2.0, disk.n_triangles)),
+        geometry.tag_boundary(disk, arcs, by="angle", center=(0.0, 0.0)),
+        geometry.make_strip_mesh(2 * math.pi, 0.5, 0.1, periodic=True),
+    ]
+    for mesh in meshes:
+        fem.steklov_spectrum(mesh, 4)
+    assert len(seen) == len(meshes)
+    for A in seen:
+        assert A.format == "csr"
+        assert (A != A.T).nnz == 0
+        lu, copied = factor(A), fem.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                         diag_pivot_thresh=0, options={"SymmetricMode": True})
+        for name in ("L", "U"):
+            assert (getattr(lu, name) != getattr(copied, name)).nnz == 0
+        assert np.array_equal(lu.perm_r, copied.perm_r)
+        assert np.array_equal(lu.perm_c, copied.perm_c)
+
+
 def test_degenerate_triangle_raises():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     mesh = geometry.build_mesh(verts, np.array([[0, 1, 2]], np.int32),

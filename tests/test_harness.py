@@ -181,9 +181,9 @@ def test_persist_writes_the_final_solve(tmp_path, monkeypatch):
     mesh, res = calls["solve"][-1]
     assert mesh is calls["build"][-1][1]
     text = (tmp_path / "meshes" / "k3-thickened.msh").read_text()
-    assert text == geometry.mesh_to_text(mesh)
+    assert text == "".join(geometry.mesh_to_text(mesh))
     svg = (tmp_path / "figures" / "k3-mode1.svg").read_text()
-    assert svg == nodal.nodal_svg(mesh, harness._mode1_field(res))
+    assert svg == "".join(nodal.nodal_svg(mesh, harness._mode1_field(res)))
 
 
 @pytest.mark.parametrize("name", ["k3", "5-cycle"])
@@ -197,7 +197,7 @@ def test_mode1_figure_does_not_depend_on_the_solve_size(name):
     mesh = thickening.build_thickened_mesh(thickening.embed_graph(g), 0.04)
     nv = g.n_vertices
     fields = [harness._mode1_field(fem.steklov_spectrum(mesh, n)) for n in (nv + 1, nv + 3)]
-    assert nodal.nodal_svg(mesh, fields[0]) == nodal.nodal_svg(mesh, fields[1])
+    assert "".join(nodal.nodal_svg(mesh, fields[0])) == "".join(nodal.nodal_svg(mesh, fields[1]))
     sigma_1 = fem.steklov_spectrum(mesh, nv + 1).eigenvalues[1]
     for f in fields:
         assert abs(fem.rayleigh_quotient(mesh, f) - sigma_1) < 1e-10

@@ -6,11 +6,13 @@ for a dead-zone vertex and ("e", i, j) for a sign-changing edge, in dicts and
 sets.  It is slow and obviously correct; the array version must report
 exactly the same statistics, in the same order, and draw the same segments.
 The writer oracles format one vertex, triangle or boundary edge at a time;
-the array-at-once writers must give the same bytes on every mesh here.
+the chunked writers must give the same bytes on every mesh here, with their
+default chunk and with chunks of a few rows that split every block.
 """
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,7 +190,7 @@ def test_zero_set_graph_matches_oracle(name):
 
         assert nodal.nodal_graph_stats(mesh, field) == [oracle_stats(mesh, field)]
 
-        drawn = _svg_segments(nodal.nodal_svg(mesh, field))
+        drawn = _svg_segments("".join(nodal.nodal_svg(mesh, field)))
         pt = _svg_point(mesh)
         assert len(drawn) == len(segments)
         assert set(drawn) == {frozenset((pt(nodes[a]), pt(nodes[b]))) for a, b in segments}
@@ -249,23 +251,54 @@ def test_meshes_cover_every_tag_and_periodicity():
     assert any(m.period_x > 0 for m in meshes)
 
 
+# rows per chunk that split every block of the meshes here, at odd offsets
+SMALL_CHUNK_ROWS = 7
+
+
 @pytest.mark.parametrize("name", sorted(MESHES))
-def test_mesh_text_matches_oracle(name):
+def test_mesh_text_matches_oracle(name, monkeypatch):
     mesh = MESHES[name]()
     rng = np.random.default_rng(3)
     # irregular densities and weights exercise every digit of %.17g
     varied = geometry.replace_mesh(
         mesh, edge_density=rng.uniform(0.1, 10.0, len(mesh.edge_density)),
         tri_weight=np.exp(rng.normal(size=mesh.n_triangles)))
-    for m in (mesh, varied):
-        assert geometry.mesh_to_text(m) == oracle_mesh_text(m)
+    for rows in (geometry._CHUNK_ROWS, SMALL_CHUNK_ROWS):
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", rows)
+        for m in (mesh, varied):
+            assert "".join(geometry.mesh_to_text(m)) == oracle_mesh_text(m)
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
-def test_nodal_svg_matches_oracle(name):
+def test_nodal_svg_matches_oracle(name, monkeypatch):
     mesh = MESHES[name]()
     fields = _fields(mesh)
     dead = [f for f in fields if np.any(oracle_signs(f) == 0)]
     assert dead
-    for field in fields:
-        assert nodal.nodal_svg(mesh, field) == oracle_svg(mesh, field)
+    for rows in (geometry._CHUNK_ROWS, SMALL_CHUNK_ROWS):
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", rows)
+        for field in fields:
+            assert "".join(nodal.nodal_svg(mesh, field)) == oracle_svg(mesh, field)
+
+
+def test_artifact_writers_keep_a_bounded_peak(tmp_path):
+    # the eps = 0.005 thickened 5-cycle has 66,445 triangles; formatted in one
+    # %-operation per block, its mesh text peaked at 12.0 MiB and its figure
+    # at 36.0 MiB of traced memory
+    g = graphs.MetricGraph(5, [[i, (i + 1) % 5] for i in range(5)], np.ones(5))
+    emb = thickening.embed_graph(g, "convex-boundary", 2.0)
+    mesh = thickening.build_thickened_mesh(emb, 0.005, 2.0, target_h=0.25 * 0.005)
+    field = mesh.vertices[:, 0].copy()
+    writers = [
+        ("mesh.msh", lambda path: geometry.save_mesh(mesh, path), 2),
+        ("mode1.svg", lambda path: nodal.save_nodal_svg(mesh, field, path), 14),
+    ]
+    peaks_mib = {}
+    for name, write, _ in writers:
+        tracemalloc.start()
+        try:
+            write(str(tmp_path / name))
+            peaks_mib[name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    assert all(peaks_mib[name] <= bound for name, _, bound in writers), peaks_mib
