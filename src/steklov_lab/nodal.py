@@ -368,6 +368,8 @@ def nodal_svg(mesh, field):
     """SVG figure: sign-shaded triangles, tagged boundary, zero-set segments,
     yielded in chunks of text by geometry.text_chunks."""
     field = np.asarray(field, float)
+    # the graph before the coordinates, so that its temporaries are freed
+    # before the (nt, 3, 2) array is made
     graph = nodal_graph(mesh, field)
     coords = geometry.triangle_coords(mesh)
     lo = coords.reshape(-1, 2).min(axis=0)
