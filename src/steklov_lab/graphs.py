@@ -34,6 +34,8 @@ class MetricGraph:
         lengths = np.asarray(self.lengths, float)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "lengths", lengths)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise GraphError("edges must be vertex pairs")
         if edges.shape[0] != lengths.shape[0]:
             raise GraphError("edge and length counts differ")
         if np.any(lengths <= 0):

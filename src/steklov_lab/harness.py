@@ -1,13 +1,12 @@
 """Experiment orchestration: configs, runners, reports, and table emission.
 
 Each experiment is a JSON config (kind + parameters + seed).  The registry at
-the end of this module maps every kind to its runner and to the columns of its
-CSV table; an audit kind also names the function that measures one randomized
-run and the point flags that become its checks.  ``run`` calls the runner,
-which collects per-point results (capturing per-point audit errors instead of
-aborting the sweep) and evaluates the checks, and returns a report whose hash
-is deterministic given config + seed (the environment stamp and wall-clock
-are excluded from the hash).
+the end of this module maps every kind to its runner, the schemas of its
+params and tolerances and its CSV columns, and an audit kind also to its
+point measure and flags.  ``run`` checks the config against the schemas and
+calls the runner, which collects per-point results and evaluates the checks;
+the report's hash is deterministic given config + seed (environment and
+wall-clock are excluded).
 """
 
 from collections import namedtuple
@@ -43,11 +42,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        for name in ("params", "tolerances"):
-            if not isinstance(getattr(self, name), dict):
-                raise ConfigError(f"{name} must be a JSON object")
+        for name, cls in (("name", str), ("params", dict), ("tolerances", dict)):
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"{name} must be a JSON {'string' if cls is str else 'object'}")
 
     def content_hash(self):
         blob = json.dumps(asdict(self), sort_keys=True)
@@ -58,8 +57,8 @@ def load_config(path, seed=None):
     """The config in a JSON file; a seed that is not None replaces its seed."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    if "kind" not in data:
-        raise ConfigError(f"{path} has no experiment kind")
+    if not isinstance(data, dict) or "kind" not in data:
+        raise ConfigError(f"{path} must hold a JSON object with an experiment kind")
     if seed is not None:
         data["seed"] = seed
     return ExperimentConfig(
@@ -69,6 +68,49 @@ def load_config(path, seed=None):
         params=data.get("params", {}),
         tolerances=data.get("tolerances", {}),
     )
+
+
+# A schema maps each key a runner reads to (rule, default); a key whose
+# default is ... must be given, and a default of None means absent.  A rule is
+# (int, lo) for an integer >= lo, float for a positive finite number, a tuple
+# of strings for one of them, or [rule] for a non-empty list of items that
+# each meet rule.
+def _checked(value, rule, where):
+    """value if it meets rule, with numbers of a float rule made floats."""
+    if isinstance(rule, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
+        return [_checked(v, rule[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if rule is float:
+        if not (number and 0 < value < math.inf):
+            raise ConfigError(f"{where} must be a positive number, got {value!r}")
+        return float(value)
+    if rule[0] is int:
+        if not (number and isinstance(value, int) and value >= rule[1]):
+            raise ConfigError(f"{where} must be an integer >= {rule[1]}, got {value!r}")
+        return value
+    if value not in rule:
+        raise ConfigError(f"{where} must be one of {', '.join(rule)}, got {value!r}")
+    return value
+
+
+def _filled(kind, what, given):
+    """The config's `what` mapping ("params" or "tolerances") checked against
+    the kind's schema, with the defaults filled in."""
+    schema = getattr(_REGISTRY[kind], what)
+    unknown = [key for key in given if key not in schema]
+    if unknown:
+        owners = [k for k, e in _REGISTRY.items() if set(unknown) & set(getattr(e, what))]
+        raise ConfigError(
+            f"{kind} has no {what} key {', '.join(map(repr, unknown))}"
+            + (f" (see kind {', '.join(owners)})" if owners else "")
+            + (f"; its {what} keys are {', '.join(schema)}" if schema else f"; it takes no {what}"))
+    missing = [key for key, (_, default) in schema.items() if default is ... and key not in given]
+    if missing:
+        raise ConfigError(f"{kind} needs the {what} key {missing[0]!r}")
+    return {key: _checked(given[key], rule, f"{kind} {what} {key!r}") if key in given else default
+            for key, (rule, default) in schema.items()}
 
 
 @dataclass(frozen=True)
@@ -148,46 +190,39 @@ def _base_mesh(domain, dims, h):
 def _make_domain(params, rng):
     """Build the domain named by params["domain"]; rng places the steklov arc
     of a mixed disk."""
-    domain = params.get("domain", "disk")
-    h = float(params.get("target_h", 0.08))
-    if domain == "disk":
-        return _base_mesh("disk", (float(params.get("radius", 1.0)),), h)
-    if domain == "annulus":
-        return _base_mesh("annulus", (float(params.get("r_inner", 0.5)),
-                                      float(params.get("r_outer", 1.0))), h)
-    if domain == "mixed-disk":
-        mesh = _base_mesh("disk", (float(params.get("radius", 1.0)),), h)
-        frac = rng.uniform(0.25, 0.75)
-        start = rng.uniform(0.0, 2 * math.pi)
-        arcs = [((start, start + 2 * math.pi * frac), STEKLOV),
-                ((start + 2 * math.pi * frac, start + 2 * math.pi), NEUMANN)]
-        return geometry.tag_boundary(mesh, arcs, by="angle", center=(0.0, 0.0))
-    raise ConfigError(f"unknown domain {domain!r}")
+    if params["domain"] == "annulus":
+        return _base_mesh("annulus", (params["r_inner"], params["r_outer"]), params["target_h"])
+    mesh = _base_mesh("disk", (params["radius"],), params["target_h"])
+    if params["domain"] == "disk":
+        return mesh
+    frac = rng.uniform(0.25, 0.75)
+    start = rng.uniform(0.0, 2 * math.pi)
+    arcs = [((start, start + 2 * math.pi * frac), STEKLOV),
+            ((start + 2 * math.pi * frac, start + 2 * math.pi), NEUMANN)]
+    return geometry.tag_boundary(mesh, arcs, by="angle", center=(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: runner(config, jobs) -> (points, checks, artifacts);
-# only the audits use jobs
+# experiment runners: runner(config, p, tol, jobs) -> (points, checks,
+# artifacts); p and tol are the config's params and tolerances with defaults
+# filled in, a runner checks only rules across keys, and only audits use jobs
 # ---------------------------------------------------------------------------
 
-def _run_spectrum(config, jobs):
-    p = config.params
-    n_eigs = int(p.get("n_eigs", 6))
-    ref = np.asarray(p.get("reference", []), float)
-    if "reference" in p and not 0 < ref.size < n_eigs:
+def _run_spectrum(config, p, tol, jobs):
+    n_eigs = p["n_eigs"]
+    if p["reference"] is not None and len(p["reference"]) >= n_eigs:
         raise ConfigError(f"reference needs 1 to {n_eigs - 1} values when n_eigs = {n_eigs}")
     mesh = _make_domain(p, np.random.default_rng(config.seed))
-    res = fem.steklov_spectrum(mesh, n_eigs, p.get("cluster_rel_tol"))
+    res = fem.steklov_spectrum(mesh, n_eigs, p["cluster_rel_tol"])
     points = [{"k": k, "sigma": float(res.eigenvalues[k])} for k in range(n_eigs)]
     checks = []
-    if "reference" in p:
-        tol = float(config.tolerances.get("rel_err", 0.01))
+    if p["reference"] is not None:
+        ref = np.asarray(p["reference"])
         err = float(np.max(np.abs(res.eigenvalues[1:ref.size + 1] - ref) / ref))
-        checks.append(_check("spectrum-vs-reference", err <= tol, err, tol))
-    if "cluster_sizes" in p:
+        checks.append(_check("spectrum-vs-reference", err <= tol["rel_err"], err, tol["rel_err"]))
+    if p["cluster_sizes"] is not None:
         sizes = [b - a for a, b in res.clusters[1:len(p["cluster_sizes"]) + 1]]
-        ok = sizes == list(p["cluster_sizes"])
-        checks.append(_check("cluster-sizes", ok,
+        checks.append(_check("cluster-sizes", sizes == p["cluster_sizes"],
                              f"observed {sizes}", f'expected {p["cluster_sizes"]}'))
     return points, checks, {"spectral": res, "mesh": mesh}
 
@@ -206,45 +241,33 @@ def _sweep_step(param, value, ks, sigma, reference):
     return points, float(rel.max())
 
 
-def _run_collar_sweep(config, jobs):
-    p = config.params
-    length = float(p.get("circle_length", 2 * math.pi))
-    widths = [float(w) for w in p["widths"]]
-    if not widths:
-        raise ConfigError("widths must not be empty")
-    mode = p.get("mode", "one-sided")
-    tol = float(config.tolerances.get("final_rel_err", 0.02))
+def _run_collar_sweep(config, p, tol, jobs):
+    length = p["circle_length"]
+    widths = p["widths"]
+    one_sided = p["mode"] == "one-sided"
+    if one_sided and any(b >= a for a, b in zip(widths, widths[1:])):
+        raise ConfigError("a one-sided collar-sweep needs strictly decreasing widths")
+    tol = tol["final_rel_err"]
     points = []
     finals = []
-    if mode == "one-sided":
+    if one_sided:
         # Steklov-Neumann collars of shrinking width eta, rescaled by 1/eta,
         # against the Laplacian spectrum of the steklov circle
-        n_eigs = int(p.get("n_eigs", 7))
-        across = int(p.get("elements_across", 8))
-        if n_eigs < 2:
-            raise ConfigError("a one-sided collar-sweep needs n_eigs >= 2")
-        if any(w <= 0 for w in widths):
-            raise ConfigError("widths must be positive")
-        if any(b >= a for a, b in zip(widths, widths[1:])):
-            raise ConfigError("widths must be strictly decreasing")
-        if across < 8:
-            raise ConfigError("elements_across must be at least 8")
+        n_eigs = p["n_eigs"]
         reference = deformations.circle_laplacian_eigenvalues(length, n_eigs)
         for eta in widths:
-            mesh = geometry.make_strip_mesh(length, eta, eta / across, periodic=True,
-                                            top_tag=NEUMANN)
+            mesh = geometry.make_strip_mesh(length, eta, eta / p["elements_across"],
+                                            periodic=True, top_tag=NEUMANN)
             sig = fem.steklov_spectrum(mesh, n_eigs).eigenvalues / eta
             step, worst = _sweep_step("eta", eta, range(n_eigs), sig, reference)
             points += step
             finals.append(worst)
-    elif mode == "two-sided":
+    else:
         # both circles steklov; the symmetric family obeys sqrt(l)*tanh(eta*sqrt(l))
-        k_max = int(p.get("k_max", 4))
-        if k_max < 1:
-            raise ConfigError("a two-sided collar-sweep needs k_max >= 1")
+        k_max = p["k_max"]
         for width in widths:
             eta = 0.5 * width
-            h = min(float(p.get("target_h", 0.05)), width / 8.0)
+            h = min(p["target_h"], width / 8.0)
             mesh = geometry.make_strip_mesh(length, width, h, periodic=True,
                                             top_tag=STEKLOV)
             sig = fem.steklov_spectrum(mesh, 4 * k_max + 2).eigenvalues
@@ -255,42 +278,32 @@ def _run_collar_sweep(config, jobs):
             step, worst = _sweep_step("eta", eta, range(1, k_max + 1), near, ref)
             points += step
             finals.append(worst)
-    else:
-        raise ConfigError(f"unknown collar mode {mode!r}")
     checks = [_check("final-error", finals[-1] <= tol, finals[-1], tol)]
-    if mode == "one-sided" and len(finals) > 1:
+    if one_sided and len(finals) > 1:
         dec = all(b < a for a, b in zip(finals, finals[1:]))
         checks.append(_check("error-decreasing", dec, finals, "strictly decreasing"))
-    if mode == "two-sided":
-        allok = max(finals) <= tol
-        checks.append(_check("all-widths", allok, max(finals), tol))
+    if not one_sided:
+        checks.append(_check("all-widths", max(finals) <= tol, max(finals), tol))
     return points, checks, {}
 
 
-def _family_sweep(config, param, family_at, limit, defaults):
-    """Spectra of family_at(2^-j), j = 1..j_max, against the limit mesh's.
+def _family_sweep(p, tol, param, family_at, limit):
+    """Spectra of family_at(2^-j), j = 1..p["j_max"], against the limit mesh's.
 
     One point per step and nonzero eigenvalue, keyed by `param`; the checks
     are the final step's max relative error and a non-increasing second half.
-    defaults gives n_eigs, j_max and final_rel_err when the config does not.
     """
-    p = config.params
-    j_max = int(p.get("j_max", defaults["j_max"]))
-    if j_max < 1:
-        raise ConfigError("j_max must be at least 1")
-    n_eigs = int(p.get("n_eigs", defaults["n_eigs"]))
-    if n_eigs < 2:
-        raise ConfigError(f"a {config.kind} needs n_eigs >= 2")
+    n_eigs = p["n_eigs"]
     ref = fem.steklov_spectrum(limit, n_eigs).eigenvalues
     points = []
     errs = []
-    for j in range(1, j_max + 1):
+    for j in range(1, p["j_max"] + 1):
         t = 2.0 ** -j
         sig = fem.steklov_spectrum(family_at(t), n_eigs).eigenvalues
         step, worst = _sweep_step(param, t, range(1, n_eigs), sig[1:], ref[1:])
         points += step
         errs.append(worst)
-    tol = float(config.tolerances.get("final_rel_err", defaults["final_rel_err"]))
+    tol = tol["final_rel_err"]
     tail = errs[len(errs) // 2:]
     checks = [
         _check("final-error", errs[-1] <= tol, errs[-1], tol),
@@ -300,44 +313,39 @@ def _family_sweep(config, param, family_at, limit, defaults):
     return points, checks, {}
 
 
-def _run_density_sweep(config, jobs):
-    p = config.params
+def _run_density_sweep(config, p, tol, jobs):
     rng = np.random.default_rng(config.seed)
-    mesh = geometry.make_disk_mesh(float(p.get("radius", 1.0)),
-                                   float(p.get("target_h", 0.05)))
+    mesh = geometry.make_disk_mesh(p["radius"], p["target_h"])
     rho = _apply_random_density(mesh, rng)[0].edge_density
     # dominate the base density rho = 1 edge-wise; every edge of the disk is steklov
     rho_bar = rho / rho.min()
-    fam = deformations.DensityFamily(mesh, rho_bar, int(p.get("virtual_dim", 3)))
+    fam = deformations.DensityFamily(mesh, rho_bar, p["virtual_dim"])
     limit = geometry.replace_mesh(mesh, edge_density=rho_bar)
-    return _family_sweep(config, "eps", lambda eps: deformations.density_family_at(fam, eps),
-                         limit, {"n_eigs": 6, "j_max": 7, "final_rel_err": 0.02})
+    return _family_sweep(p, tol, "eps", lambda eps: deformations.density_family_at(fam, eps),
+                         limit)
 
 
-def _run_subdomain_sweep(config, jobs):
-    p = config.params
-    mesh = geometry.make_disk_mesh(float(p.get("radius", 1.0)),
-                                   float(p.get("target_h", 0.05)))
+def _run_subdomain_sweep(config, p, tol, jobs):
+    mesh = geometry.make_disk_mesh(p["radius"], p["target_h"])
     cen = geometry.triangle_coords(mesh).mean(axis=1)
     mask = cen[:, 1] > 0.0  # half-disk touching the boundary
-    fam = deformations.SingularWeightFamily(mesh, mask, int(p.get("virtual_dim", 3)))
-    return _family_sweep(config, "eta", lambda eta: deformations.singular_family_at(fam, eta),
-                         deformations.subdomain_limit_mesh(fam),
-                         {"n_eigs": 5, "j_max": 8, "final_rel_err": 0.05})
+    fam = deformations.SingularWeightFamily(mesh, mask, p["virtual_dim"])
+    return _family_sweep(p, tol, "eta", lambda eta: deformations.singular_family_at(fam, eta),
+                         deformations.subdomain_limit_mesh(fam))
 
 
-def _load_or_build_graph(config):
-    p = config.params
-    if "edges" in p:
-        return graphs.MetricGraph(int(p["n_vertices"]),
-                                  np.asarray(p["edges"], np.int64),
-                                  np.asarray(p["lengths"], float))
-    n = int(p.get("complete", 3))
-    lengths = np.asarray(p.get("lengths", np.ones(n * (n - 1) // 2)), float)
-    return graphs.MetricGraph(n, graphs.complete_graph_edges(n), lengths)
+def _load_or_build_graph(p):
+    if p["edges"] is None and p["n_vertices"] is None:
+        n = p["complete"]
+        lengths = np.ones(n * (n - 1) // 2) if p["lengths"] is None else p["lengths"]
+        return graphs.MetricGraph(n, graphs.complete_graph_edges(n), lengths)
+    if None in (p["edges"], p["n_vertices"], p["lengths"]):
+        raise ConfigError("a graph-limit with edges or n_vertices needs all of edges, "
+                          "n_vertices and lengths")
+    return graphs.MetricGraph(p["n_vertices"], p["edges"], p["lengths"])
 
 
-def _run_graph_limit(config, jobs):
+def _run_graph_limit(config, p, tol, jobs):
     """Thickened-domain spectra against the graph Laplacian spectrum.
 
     For each eps the (|V|+1)-st eigenvalue over the |V|-th is the spectral
@@ -345,22 +353,17 @@ def _run_graph_limit(config, jobs):
     empirical proportionality constant (candidates c and 1/c) and its spread.
     The artifacts keep the (mesh, SpectralResult) of the final eps.
     """
-    p = config.params
-    eps_values = [float(e) for e in p["eps_values"]]
-    if not eps_values:
-        raise ConfigError("eps_values must not be empty")
-    g = _load_or_build_graph(config)
+    g = _load_or_build_graph(p)
     nv = g.n_vertices
-    c = float(p.get("c", 2.0))
-    emb = thickening.embed_graph(g, p.get("style", "convex-boundary"), c)
-    h_factor = float(p.get("target_h_factor", 0.25))
+    c = p["c"]
+    emb = thickening.embed_graph(g, p["style"], c)
     lam = graphs.graph_laplacian_spectrum(g).eigenvalues
     nz = lam > 1e-12
     nz[0] = False
     points = []
     gaps = []
-    for eps in eps_values:
-        mesh = thickening.build_thickened_mesh(emb, eps, c, target_h=h_factor * eps)
+    for eps in p["eps_values"]:
+        mesh = thickening.build_thickened_mesh(emb, eps, c, target_h=p["target_h_factor"] * eps)
         res = fem.steklov_spectrum(mesh, nv + 1)
         sig = res.eigenvalues
         for k in range(1, nv):
@@ -375,7 +378,7 @@ def _run_graph_limit(config, jobs):
     spread = float(ratios.max() - ratios.min()) / mean
     candidates = {"c": c, "1/c": 1.0 / c}
     closest = min(candidates, key=lambda name: abs(candidates[name] - mean))
-    spread_tol = float(config.tolerances.get("ratio_spread", 0.05))
+    spread_tol = tol["ratio_spread"]
     checks = [
         _check("ratio-spread", spread <= spread_tol, spread, spread_tol),
         _check("gap-monotone", all(b > a for a, b in zip(gaps, gaps[1:])),
@@ -387,21 +390,14 @@ def _run_graph_limit(config, jobs):
     return points, checks, {"graph": g, "thickened": (mesh, res)}
 
 
-def _run_prescriber_audit(config, jobs):
-    p = config.params
-    if p.get("mode") != "audit":
-        raise ConfigError(
-            'prescription-pipeline runs only the prescriber audit and needs mode "audit"; '
-            "for the graph limit of a prescribed graph, write the graph with "
-            "`steklov-lab prescribe --out` and run a graph-limit config on its edges")
-    tol = float(config.tolerances.get("prescriber_rel_err", 1e-8))
+def _run_prescriber_audit(config, p, tol, jobs):
+    if len(p["n_range"]) != 2 or p["n_range"][0] > p["n_range"][1]:
+        raise ConfigError("n_range must be two sizes [lo, hi] with lo <= hi")
+    lo, hi = p["n_range"]
+    tol = tol["prescriber_rel_err"]
     rng = np.random.default_rng(config.seed)
-    n_trials = int(p.get("trials", 50))
-    if n_trials < 1:
-        raise ConfigError("trials must be at least 1")
-    lo, hi = p.get("n_range", [2, 6])
     points = []
-    for trial in range(n_trials):
+    for trial in range(p["trials"]):
         n = int(rng.integers(lo, hi + 1))
         targets = np.sort(rng.uniform(0.5, 5.0, n))
         g = graphs.prescribe_spectrum(targets, seed=int(rng.integers(2 ** 32)))
@@ -426,13 +422,14 @@ def _run_prescriber_audit(config, jobs):
 def _audit_point(args):
     """One randomized audit run; top-level for process-pool dispatch.
 
-    An exception from mesh build, solve or nodal steps is recorded on the
-    point as its type name and message; the point then has no check flags.
+    params holds every key of the audit kind's schema.  An exception from
+    mesh build, solve or nodal steps is recorded on the point as its type
+    name and message; the point then has no check flags.
     """
     kind, params, tolerances, seed, run_id = args
-    if "domains" in params:
+    if params["domains"]:
         params = dict(params, domain=params["domains"][run_id % len(params["domains"])])
-    point = {"run": run_id, "seed": seed, "domain": params.get("domain", "disk")}
+    point = {"run": run_id, "seed": seed, "domain": params["domain"]}
     try:
         point.update(_audit_measurements(kind, params, seed))
     except Exception as exc:
@@ -444,8 +441,7 @@ def _audit_measurements(kind, params, seed):
     rng = np.random.default_rng(seed)
     mesh = _make_domain(params, rng)
     mesh, coeffs = _apply_random_density(mesh, rng)
-    n_eigs = int(params.get("k_max", 6)) + 1
-    res = fem.steklov_spectrum(mesh, n_eigs)
+    res = fem.steklov_spectrum(mesh, params["k_max"] + 1)
     point = {"density": coeffs,
              "eigenvalues": res.eigenvalues.tolist(),
              "clusters": [list(c) for c in res.clusters]}
@@ -455,8 +451,7 @@ def _audit_measurements(kind, params, seed):
 
 def _measure_nodal(mesh, res, params, seed):
     """Courant counts, boundary contact and zero-set structure of each mode."""
-    courant, modes = nodal.courant_check(mesh, res, int(params.get("n_rotations", 20)),
-                                         seed=seed)
+    courant, modes = nodal.courant_check(mesh, res, params["n_rotations"], seed=seed)
     # the Courant stack decomposed each mode as a row: slice the record's rows 1..n-1
     touches = nodal.boundary_touch_check(mesh, modes.rows(1, len(res.extensions)))
     stats = nodal.nodal_graph_stats(mesh, res.extensions[1:])
@@ -473,19 +468,9 @@ def _measure_multiplicity(mesh, res, params, seed):
     return {"bounds": recs, "bounds_ok": all(r["ok"] for r in recs)}
 
 
-def _run_audit(config, jobs):
-    p = config.params
-    n_runs = int(p.get("runs", 50))
-    if n_runs < 1:
-        raise ConfigError("an audit needs runs >= 1")
-    if int(p.get("k_max", 6)) < 1:
-        raise ConfigError("an audit needs k_max >= 1")
-    if int(p.get("n_rotations", 20)) < 0:
-        raise ConfigError("n_rotations must not be negative")
-    if "domains" in p and not p["domains"]:
-        raise ConfigError("domains must not be empty")
-    seeds = [config.seed + 1000 * i for i in range(n_runs)]
-    args = [(config.kind, p, config.tolerances, s, i) for i, s in enumerate(seeds)]
+def _run_audit(config, p, tol, jobs):
+    seeds = [config.seed + 1000 * i for i in range(p["runs"])]
+    args = [(config.kind, p, tol, s, i) for i, s in enumerate(seeds)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_audit_point, args))
@@ -520,7 +505,8 @@ def _jsonable(x):
 def run(config, out_dir=None, jobs=1):
     """Execute an experiment and (optionally) persist its artifact tree."""
     start = time.monotonic()
-    points, checks, artifacts = _REGISTRY[config.kind].runner(config, jobs)
+    p, tol = (_filled(config.kind, w, getattr(config, w)) for w in ("params", "tolerances"))
+    points, checks, artifacts = _REGISTRY[config.kind].runner(config, p, tol, jobs)
     report = ExperimentReport(
         config=asdict(config),
         config_hash=config.content_hash(),
@@ -604,36 +590,57 @@ def emit_tables(report, out_dir):
     return [path, summary]
 
 
-# The registry.  runner(config, jobs) returns (points, checks, artifacts) and
-# columns are the point fields of tables/sweep.csv.  An audit kind also has
+# The registry.  params and tolerances are the schemas of the config's mappings
+# and columns are the point fields of tables/sweep.csv.  An audit kind also has
 # measure(mesh, spectral_result, params, seed), which returns its fields of one
 # randomized run's point, and flags: (point flag, check name) pairs, each flag
 # becoming one check over all runs.
-_Kind = namedtuple("_Kind", "runner columns measure flags", defaults=(None, ()))
+_Kind = namedtuple("_Kind", "runner params tolerances columns measure flags", defaults=(None, ()))
+
+_DOMAINS = ("disk", "annulus", "mixed-disk")
+_DOMAIN = {"domain": (_DOMAINS, "disk"), "radius": (float, 1.0), "r_inner": (float, 0.5),
+           "r_outer": (float, 1.0), "target_h": (float, 0.08)}
+_FAMILY = {"radius": _DOMAIN["radius"], "target_h": (float, 0.05), "virtual_dim": ((int, 3), 3)}
+_AUDIT = dict(_DOMAIN, domains=([_DOMAINS], None), runs=((int, 1), 50), k_max=((int, 1), 6))
+_SWEEP_COLUMNS = ("k", "sigma", "reference", "abs_err", "rel_err")
 
 
-def _audit_kind(measure, flags):
-    return _Kind(_run_audit, ("run", "seed", "domain") + tuple(f for f, _ in flags),
+def _audit_kind(params, measure, flags):
+    return _Kind(_run_audit, params, {}, ("run", "seed", "domain") + tuple(f for f, _ in flags),
                  measure, flags)
 
 
-_SWEEP_COLUMNS = ("k", "sigma", "reference", "abs_err", "rel_err")
-
 _REGISTRY = {
-    "spectrum": _Kind(_run_spectrum, ("k", "sigma")),
-    "density-sweep": _Kind(_run_density_sweep, ("eps",) + _SWEEP_COLUMNS),
-    "subdomain-sweep": _Kind(_run_subdomain_sweep, ("eta",) + _SWEEP_COLUMNS),
-    "collar-sweep": _Kind(_run_collar_sweep, ("eta",) + _SWEEP_COLUMNS),
-    "graph-limit": _Kind(_run_graph_limit, ("eps", "k", "sigma", "lambda", "ratio")),
-    "prescription-pipeline": _Kind(_run_prescriber_audit,
-                                   ("trial", "n_targets", "rel_err", "homogeneity_err")),
-    "nodal-audit": _audit_kind(_measure_nodal, (
+    "spectrum": _Kind(_run_spectrum, dict(
+        _DOMAIN, n_eigs=((int, 1), 6), reference=([float], None),
+        cluster_sizes=([(int, 1)], None), cluster_rel_tol=(float, None)),
+        {"rel_err": (float, 0.01)}, ("k", "sigma")),
+    "density-sweep": _Kind(_run_density_sweep,
+                           dict(_FAMILY, n_eigs=((int, 2), 6), j_max=((int, 1), 7)),
+                           {"final_rel_err": (float, 0.02)}, ("eps",) + _SWEEP_COLUMNS),
+    "subdomain-sweep": _Kind(_run_subdomain_sweep,
+                             dict(_FAMILY, n_eigs=((int, 2), 5), j_max=((int, 1), 8)),
+                             {"final_rel_err": (float, 0.05)}, ("eta",) + _SWEEP_COLUMNS),
+    "collar-sweep": _Kind(_run_collar_sweep, {
+        "mode": (("one-sided", "two-sided"), "one-sided"), "widths": ([float], ...),
+        "circle_length": (float, 2 * math.pi), "n_eigs": ((int, 2), 7),
+        "elements_across": ((int, 8), 8), "k_max": ((int, 1), 4), "target_h": (float, 0.05)},
+        {"final_rel_err": (float, 0.02)}, ("eta",) + _SWEEP_COLUMNS),
+    "graph-limit": _Kind(_run_graph_limit, {
+        "complete": ((int, 2), 3), "n_vertices": ((int, 2), None),
+        "edges": ([[(int, 0)]], None), "lengths": ([float], None),
+        "style": (("convex-boundary", "path", "star"), "convex-boundary"),
+        "c": (float, 2.0), "eps_values": ([float], ...), "target_h_factor": (float, 0.25)},
+        {"ratio_spread": (float, 0.05)}, ("eps", "k", "sigma", "lambda", "ratio")),
+    "prescription-pipeline": _Kind(_run_prescriber_audit, {
+        "mode": (("audit",), ...), "trials": ((int, 1), 50), "n_range": ([(int, 1)], [2, 6])},
+        {"prescriber_rel_err": (float, 1e-8)}, ("trial", "n_targets", "rel_err", "homogeneity_err")),
+    "nodal-audit": _audit_kind(dict(_AUDIT, n_rotations=((int, 0), 20)), _measure_nodal, (
         ("courant_ok", "courant-ok"), ("touch_ok", "touch-ok"),
         ("cycle_rank_ok", "cycle-rank-ok"), ("parity_ok", "parity-ok"))),
-    "multiplicity-audit": _audit_kind(_measure_multiplicity,
+    "multiplicity-audit": _audit_kind(_AUDIT, _measure_multiplicity,
                                       (("bounds_ok", "multiplicity-bounds"),)),
 }
 
 KINDS = tuple(_REGISTRY)
 AUDIT_KINDS = tuple(k for k, entry in _REGISTRY.items() if entry.measure is not None)
-

@@ -48,11 +48,19 @@ def _run_in_fresh_interpreter(argv, cwd):
     (["run", "--config", "params-list.json"], False),
     (["run", "--config", "tolerances-list.json"], False),
     (["audit", "--config", "no-domains.json"], False),
+    (["audit", "--config", "misspelled-audit.json"], False),
+    (["run", "--config", "widths-number.json"], False),
+    (["audit", "--config", "domains-string.json"], False),
+    (["audit", "--config", "runs-bool.json"], False),
+    (["run", "--config", "trials-string.json"], False),
+    (["run", "--config", "top-level-number.json"], False),
 ], ids=["mesh-target-h", "spectrum-bad-file", "spectrum-n-eigs", "prescribe-unsorted",
         "thicken-k4", "thicken-wide-eps", "run-missing-config", "audit-bad-json",
         "spectrum-header-only-mesh", "thicken-empty-graph", "thicken-header-only-graph",
         "thicken-short-graph", "run-params-list", "run-tolerances-list",
-        "audit-empty-domains"])
+        "audit-empty-domains", "audit-misspelled-keys", "run-widths-number",
+        "audit-domains-string", "audit-runs-bool", "run-trials-string",
+        "run-top-level-number"])
 def test_cli_input_errors_exit_2_without_traceback(argv, fresh, tmp_path, monkeypatch,
                                                    capsys, recwarn):
     (tmp_path / "not-a-mesh.msh").write_text("garbage\n")
@@ -66,6 +74,15 @@ def test_cli_input_errors_exit_2_without_traceback(argv, fresh, tmp_path, monkey
         "tolerances-list": {"kind": "spectrum", "tolerances": [0.1],
                             "params": {"target_h": 0.3, "n_eigs": 3, "reference": [1.0]}},
         "no-domains": {"kind": "nodal-audit", "params": {"domains": [], "runs": 1}},
+        "misspelled-audit": {"kind": "nodal-audit", "tolerances": {"rel_eror": 0.01},
+                             "params": {"run": 2, "kmax": 2, "domians": ["annulus"]}},
+        "widths-number": {"kind": "collar-sweep", "params": {"widths": 5}},
+        "domains-string": {"kind": "nodal-audit",
+                           "params": {"domains": "disk", "target_h": 0.3, "runs": 4}},
+        "runs-bool": {"kind": "nodal-audit", "params": {"target_h": 0.3, "runs": True}},
+        "trials-string": {"kind": "prescription-pipeline",
+                          "params": {"mode": "audit", "trials": "3"}},
+        "top-level-number": 5,
     }
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))

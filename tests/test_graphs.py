@@ -47,6 +47,8 @@ def test_graph_validation():
         graphs.MetricGraph(2, np.array([[0, 1]]), np.array([-1.0]))
     with pytest.raises(graphs.GraphError):
         graphs.MetricGraph(2, np.array([[0, 2]]), np.array([1.0]))
+    with pytest.raises(graphs.GraphError):
+        graphs.MetricGraph(2, [[0], [1]], np.ones(2))  # not vertex pairs
 
 
 def test_disconnected_detection():

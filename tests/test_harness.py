@@ -28,7 +28,8 @@ def test_config_validation(tmp_path):
     with pytest.raises(harness.ConfigError):
         small_config(seed=-1)
     path = tmp_path / "c.json"
-    for data in ({"params": {}}, {"kind": "spectrum", "seed": 1.5}):
+    for data in ({"params": {}}, {"kind": "spectrum", "seed": 1.5},
+                 {"kind": "spectrum", "seed": True}, {"kind": "spectrum", "name": ["x"]}, 5):
         path.write_text(json.dumps(data))
         with pytest.raises(harness.ConfigError):
             harness.load_config(str(path))
@@ -131,6 +132,29 @@ def test_report_hash_independent_of_blas_threads():
     pytest.param("prescription-pipeline",
                  {"mode": "full", "targets": [1.0, 1.0], "eps_values": [0.04, 0.02]},
                  id="prescription-full-mode"),
+    pytest.param("graph-limit", {"edges": [[0, 1], [1, 2], [2, 0]], "lengths": [1.0] * 3,
+                                 "eps_values": [0.04]}, id="graph-limit-edges-no-n-vertices"),
+    pytest.param("graph-limit", {"n_vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]],
+                                 "eps_values": [0.04]}, id="graph-limit-edges-no-lengths"),
+    pytest.param("graph-limit", {"n_vertices": 3, "eps_values": [0.04]},
+                 id="graph-limit-n-vertices-no-edges"),
+    pytest.param("prescription-pipeline", {"mode": "audit", "n_range": [2, 3, 4]},
+                 id="prescriber-n-range-three-values"),
+    pytest.param("prescription-pipeline", {"mode": "audit", "n_range": [4, 2]},
+                 id="prescriber-n-range-reversed"),
+    pytest.param("collar-sweep", {"widths": 5}, id="collar-widths-number"),
+    pytest.param("graph-limit", {"eps_values": None}, id="graph-limit-eps-null"),
+    pytest.param("nodal-audit", {"domains": "disk", "runs": 1}, id="nodal-audit-domains-string"),
+    pytest.param("nodal-audit", {"runs": True}, id="nodal-audit-runs-bool"),
+    pytest.param("prescription-pipeline", {"mode": "audit", "trials": "3"},
+                 id="prescriber-trials-string"),
+    pytest.param("nodal-audit", {"domians": ["annulus"], "runs": 2, "kmax": 2},
+                 id="nodal-audit-misspelled-keys"),
+    pytest.param("multiplicity-audit", {"runs": 1, "n_rotations": 2},
+                 id="multiplicity-audit-n-rotations"),
+    pytest.param("spectrum", {"domain": "square"}, id="spectrum-unknown-domain"),
+    pytest.param("collar-sweep", {"mode": "three-sided", "widths": [0.1]},
+                 id="collar-unknown-mode"),
 ])
 def test_run_rejects_empty_or_inconsistent_config(kind, params, monkeypatch):
     def no_solve(*args, **kwargs):
@@ -140,6 +164,51 @@ def test_run_rejects_empty_or_inconsistent_config(kind, params, monkeypatch):
     config = harness.ExperimentConfig(kind=kind, name="bad", seed=0, params=params)
     with pytest.raises(harness.ConfigError):
         harness.run(config)
+
+
+@pytest.mark.parametrize("kind, params, tolerances, message", [
+    ("nodal-audit", {"domians": ["annulus"]}, {},
+     "nodal-audit has no params key 'domians'; its params keys are domain, "),
+    ("nodal-audit", {}, {"rel_eror": 0.1}, "nodal-audit has no tolerances key 'rel_eror'; "
+     "it takes no tolerances"),
+    ("spectrum", {}, {"rel_eror": 0.1}, "spectrum has no tolerances key 'rel_eror'; "
+     "its tolerances keys are rel_err"),
+    ("graph-limit", {"eps_values": [0.1, 0]}, {},
+     "graph-limit params 'eps_values'[1] must be a positive number, got 0"),
+    ("nodal-audit", {"runs": 2.0}, {}, "nodal-audit params 'runs' must be an integer >= 1"),
+    ("collar-sweep", {}, {}, "collar-sweep needs the params key 'widths'"),
+    ("spectrum", {}, {"rel_err": "0.1"}, "spectrum tolerances 'rel_err' must be a positive"),
+], ids=["unknown-param", "audit-tolerance", "unknown-tolerance", "list-item", "float-for-int",
+        "missing-required", "string-for-number"])
+def test_schema_error_names_the_key(kind, params, tolerances, message, monkeypatch):
+    monkeypatch.setattr(fem, "steklov_spectrum", None)
+    config = harness.ExperimentConfig(kind=kind, name="bad", seed=0, params=params,
+                                      tolerances=tolerances)
+    with pytest.raises(harness.ConfigError) as exc:
+        harness.run(config)
+    assert str(exc.value).startswith(message)
+
+
+def test_audit_point_takes_raw_params_with_every_key():
+    """The benchmark calls _audit_point with a raw nodal-audit params dict
+    plus domain; the point must solve, and an error would only be recorded."""
+    params = {"domains": ["disk", "annulus", "mixed-disk"], "radius": 1.0, "r_inner": 0.5,
+              "r_outer": 1.0, "target_h": 0.3, "runs": 90, "k_max": 6, "n_rotations": 20,
+              "domain": "mixed-disk"}
+    assert set(harness._REGISTRY["nodal-audit"].params) == set(params)
+    point = harness._audit_point(("nodal-audit", params, {}, 1, 0))
+    assert "error" not in point
+    assert point["domain"] == "disk" and point["courant_ok"]
+
+
+def test_readme_lists_every_config_key():
+    with open(os.path.join(CONFIG_DIR, os.pardir, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Experiment configs", 1)[1].split("\n## ", 1)[0]
+    blocks = {block.split("\n", 1)[0].strip("` "): block for block in section.split("\n### ")[1:]}
+    assert set(blocks) == set(harness.KINDS)
+    for kind, entry in harness._REGISTRY.items():
+        for key in list(entry.params) + list(entry.tolerances):
+            assert f"`{key}`" in blocks[kind], (kind, key)
 
 
 def test_prescription_pipeline_names_graph_limit_for_a_prescribed_graph():
@@ -215,10 +284,10 @@ def test_mixed_disk_audit_point():
 
 @pytest.mark.parametrize("kind", ["nodal-audit", "multiplicity-audit"])
 def test_audit_records_point_error(kind, monkeypatch):
-    cfg = harness.ExperimentConfig(
-        kind=kind, name="err", seed=5,
-        params={"domains": ["disk", "annulus"], "target_h": 0.15, "runs": 3,
-                "k_max": 3, "n_rotations": 2})
+    params = {"domains": ["disk", "annulus"], "target_h": 0.15, "runs": 3, "k_max": 3}
+    if kind == "nodal-audit":
+        params["n_rotations"] = 2
+    cfg = harness.ExperimentConfig(kind=kind, name="err", seed=5, params=params)
     clean = harness.run(cfg, jobs=1)
     solve = fem.steklov_spectrum
     calls = []
@@ -260,7 +329,8 @@ def test_audit_points_share_one_base_mesh(monkeypatch):
     make = geometry.make_disk_mesh
     monkeypatch.setattr(geometry, "make_disk_mesh",
                         lambda *args: built.append(args) or make(*args))
-    params = {"domain": "mixed-disk", "target_h": 0.15}
+    params = {"domain": "mixed-disk", "radius": 1.0, "r_inner": 0.5, "r_outer": 1.0,
+              "target_h": 0.15}
     mixed = [harness._make_domain(params, np.random.default_rng(s)) for s in (1, 2)]
     disk = harness._make_domain(dict(params, domain="disk"), np.random.default_rng(1))
     assert disk is harness._make_domain(dict(params, domain="disk"), np.random.default_rng(2))

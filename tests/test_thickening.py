@@ -121,13 +121,22 @@ def test_overlapping_disks_rejected():
         thk.build_thickened_mesh(emb, 0.3, c=2.0)  # disks of radius 0.6
 
 
-def test_graph_limit_converges_to_inverse_c():
+def test_graph_limit_converges_to_inverse_c(monkeypatch):
+    solves = []
+    solve = fem.steklov_spectrum
+
+    def recorded(mesh, *args):
+        solves.append((mesh, solve(mesh, *args)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(fem, "steklov_spectrum", recorded)
     config = harness.ExperimentConfig(
         kind="graph-limit", name="k3", seed=0,
         params={"complete": 3, "lengths": [1.0, 1.0, 1.0], "c": 2.0,
                 "eps_values": [0.08, 0.04]})
-    points, checks, artifacts = harness._run_graph_limit(config, 1)
-    checks = {c["name"]: c["observed"] for c in checks}
+    report = harness.run(config)
+    points = report.points
+    checks = {c["name"]: c["observed"] for c in report.checks}
     means = [np.mean([pt["ratio"] for pt in points
                       if pt["eps"] == eps and pt["ratio"] is not None])
              for eps in (0.08, 0.04)]
@@ -140,7 +149,7 @@ def test_graph_limit_converges_to_inverse_c():
     assert checks["ratio-spread"] < 1e-6
     # the final solve, which a graph-limit run draws: it is the last eps's
     # mesh and spectrum, and mode 1 lies in the double eigenspace of sigma_1
-    mesh, res = artifacts["thickened"]
+    mesh, res = solves[-1]
     emb = thk.embed_graph(unit_k3(), "convex-boundary")
     built = thk.build_thickened_mesh(emb, 0.04, c=2.0, target_h=0.01)
     assert geometry.mesh_hash(mesh) == geometry.mesh_hash(built)
