@@ -66,7 +66,7 @@ def _cmd_prescribe(args):
     targets = np.asarray([float(t) for t in args.targets.split(",")])
     g = graphs.prescribe_spectrum(targets, tol=1e-8 if args.tol is None else args.tol,
                                   seed=0 if args.seed is None else args.seed)
-    spec = graphs.graph_laplacian_spectrum(g).eigenvalues
+    spec = graphs.graph_laplacian_spectrum(g)
     print(f"K_{g.n_vertices} edge lengths:")
     for (a, b), l in zip(g.edges, g.lengths):
         print(f"  {a} -- {b}: {l:.12g}")

@@ -207,7 +207,6 @@ class SpectralResult:
     clusters: list                # list of (start, stop) index ranges, stop exclusive
     cluster_rel_tol: float
     steklov_vertices: np.ndarray
-    problem: dict
 
 
 def multiplicity_clusters(eigenvalues, rel_tol):
@@ -299,20 +298,12 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
     x *= _trace_signs(x[pos])
     extensions = np.zeros((n_eigs, mesh.n_vertices))
     extensions[:, free] = x.T
-    clusters = multiplicity_clusters(w, cluster_rel_tol)
-    problem = {
-        "n_eigs": int(n_eigs),
-        "n_vertices": int(mesh.n_vertices),
-        "n_steklov_vertices": int(ns),
-        "has_dirichlet": bool(dirichlet.size),
-    }
     return SpectralResult(
         eigenvalues=w,
         extensions=extensions,
-        clusters=clusters,
+        clusters=multiplicity_clusters(w, cluster_rel_tol),
         cluster_rel_tol=float(cluster_rel_tol),
         steklov_vertices=sk,
-        problem=problem,
     )
 
 
@@ -333,9 +324,16 @@ def rayleigh_quotient(mesh, field):
 # ---------------------------------------------------------------------------
 
 def save_spectral_result(mesh, result, path):
-    """Write the "steklov-spectrum v1" record of a solve on mesh; its problem
-    descriptor adds the mesh's hash to result.problem."""
-    problem = dict(result.problem, mesh_hash=geometry.mesh_hash(mesh))
+    """Write the "steklov-spectrum v1" record of a solve on mesh; has_dirichlet
+    says whether the solve pinned a vertex: a dirichlet one that is not steklov."""
+    sk = result.steklov_vertices
+    problem = {
+        "n_eigs": len(result.eigenvalues),
+        "n_vertices": mesh.n_vertices,
+        "n_steklov_vertices": sk.size,
+        "has_dirichlet": np.setdiff1d(geometry.tagged_vertices(mesh, DIRICHLET), sk).size > 0,
+        "mesh_hash": geometry.mesh_hash(mesh),
+    }
     record = {
         "format": "steklov-spectrum v1",
         "eigenvalues": [format(x, ".17g") for x in result.eigenvalues],

@@ -288,9 +288,10 @@ def _orient_ccw(vertices, triangles, period_x=0.0):
     return triangles
 
 
-def build_mesh(vertices, triangles, boundary_tag=STEKLOV, period_x=0.0, validate=True):
-    """Assemble a Mesh2D from raw arrays, deriving and tagging the boundary;
-    every edge density and triangle weight is 1."""
+def build_mesh(vertices, triangles, period_x=0.0):
+    """Assemble and validate a Mesh2D from raw arrays, deriving the boundary
+    and tagging every boundary edge steklov; every edge density and triangle
+    weight is 1.  Other tags, densities and weights come through replace_mesh."""
     vertices = np.asarray(vertices, float)
     triangles = _orient_ccw(vertices, np.asarray(triangles, np.int32), period_x)
     table = _edge_table(triangles, vertices.shape[0])
@@ -300,15 +301,13 @@ def build_mesh(vertices, triangles, boundary_tag=STEKLOV, period_x=0.0, validate
         vertices=vertices,
         triangles=triangles,
         boundary_edges=bedges,
-        boundary_tags=np.array([boundary_tag] * nb, object),
+        boundary_tags=np.array([STEKLOV] * nb, object),
         edge_density=np.ones(nb),
         tri_weight=np.ones(triangles.shape[0]),
         period_x=float(period_x),
     )
     mesh.__dict__["edge_table"] = table  # seed the cached_property
-    if validate:
-        validate_mesh(mesh)
-    return mesh
+    return validate_mesh(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +343,7 @@ def make_disk_mesh(radius, target_h):
         pts.append(ring)
     pts = np.vstack([np.asarray(pts[0])[None, :]] + pts[1:])
     tri = Delaunay(pts)
-    mesh = build_mesh(pts, tri.simplices, boundary_tag=STEKLOV)
+    mesh = build_mesh(pts, tri.simplices)
     if max_edge_length(mesh) > 1.5 * target_h:
         raise MeshError("disk mesh exceeds the 1.5*target_h edge-length budget")
     return mesh
@@ -366,7 +365,7 @@ def make_annulus_mesh(r_inner, r_outer, target_h):
     # and the cells are listed ring by ring
     i, j = np.divmod(grid_triangles(n_t, n_r, wrap_rows=True), n_r + 1)
     tris = (j * n_t + i).reshape(n_t, n_r, 2, 3).transpose(1, 0, 2, 3).reshape(-1, 3)
-    mesh = build_mesh(verts, tris, boundary_tag=STEKLOV)
+    mesh = build_mesh(verts, tris)
     if max_edge_length(mesh) > 1.5 * target_h:
         raise MeshError("annulus mesh exceeds the 1.5*target_h edge-length budget")
     return mesh
@@ -390,15 +389,13 @@ def make_strip_mesh(length_l, width_w, target_h, periodic, top_tag=NEUMANN):
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([xx.ravel(), yy.ravel()])
     period = length_l if periodic else 0.0
-    mesh = build_mesh(verts, grid_triangles(nx, ny, periodic), period_x=period,
-                      validate=False)
+    mesh = build_mesh(verts, grid_triangles(nx, ny, periodic), period_x=period)
     # build_mesh tagged every edge steklov: retag the top and the short sides
     tags = np.array(mesh.boundary_tags, object)
     mids = boundary_edge_midpoints(mesh)
     tags[~np.isclose(mids[:, 1], 0.0)] = NEUMANN
     tags[np.isclose(mids[:, 1], width_w)] = top_tag
-    mesh = replace_mesh(mesh, boundary_tags=tags)
-    return validate_mesh(mesh)
+    return replace_mesh(mesh, boundary_tags=tags)
 
 
 def tag_boundary(mesh, arcs, by, center):
@@ -445,24 +442,14 @@ def extract_submesh(mesh, tri_mask):
     keep = np.unique(tris)
     remap = -np.ones(mesh.n_vertices, np.int64)
     remap[keep] = np.arange(keep.size)
-    new_tris = remap[tris].astype(np.int32)
-    table = _edge_table(new_tris, keep.size)
-    bedges = table.edges[table.boundary]
+    sub = build_mesh(mesh.vertices[keep], remap[tris], mesh.period_x)
     # a new boundary edge that was a boundary edge keeps its tag and density
     slot = np.full(len(mesh.edge_table.edges), -1)
     slot[edge_ids(mesh, mesh.boundary_edges)] = np.arange(len(mesh.boundary_edges))
-    old = slot[edge_ids(mesh, keep[bedges])]
-    out = Mesh2D(
-        vertices=mesh.vertices[keep],
-        triangles=new_tris,
-        boundary_edges=bedges.astype(np.int32),
-        boundary_tags=np.where(old >= 0, mesh.boundary_tags[old], NEUMANN),
-        edge_density=np.where(old >= 0, mesh.edge_density[old], 1.0),
-        tri_weight=mesh.tri_weight[tri_mask].copy(),
-        period_x=mesh.period_x,
-    )
-    out.__dict__["edge_table"] = table
-    return validate_mesh(out)
+    old = slot[edge_ids(mesh, keep[sub.boundary_edges])]
+    return replace_mesh(sub, boundary_tags=np.where(old >= 0, mesh.boundary_tags[old], NEUMANN),
+                        edge_density=np.where(old >= 0, mesh.edge_density[old], 1.0),
+                        tri_weight=mesh.tri_weight[tri_mask])
 
 
 def replace_mesh(mesh, **changes):

@@ -49,12 +49,6 @@ class MetricGraph:
             raise GraphError("edge endpoint out of range")
 
 
-@dataclass(frozen=True)
-class GraphSpectrum:
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns
-
-
 def complete_graph_edges(n_vertices):
     return np.column_stack(np.triu_indices(n_vertices, 1)).astype(np.int64)
 
@@ -75,10 +69,11 @@ def graph_laplacian(g):
 
 
 def graph_laplacian_spectrum(g):
-    w, v = np.linalg.eigh(graph_laplacian(g))
+    """Ascending Laplacian eigenvalues, from eigh: eigvalsh can differ in the last bits."""
+    w = np.linalg.eigh(graph_laplacian(g))[0]
     if g.n_vertices > 1 and w[1] < 1e-12 * max(1.0, w[-1]):
         raise GraphError("graph is disconnected (zero eigenvalue is multiple)")
-    return GraphSpectrum(eigenvalues=w, eigenvectors=v)
+    return w
 
 
 def eigenvalues_and_weight_jacobian(n, edges, weights):
@@ -151,7 +146,7 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
             best = (rel, w)
         if rel <= tol:
             g = MetricGraph(n, edges, 1.0 / w)
-            check = graph_laplacian_spectrum(g).eigenvalues
+            check = graph_laplacian_spectrum(g)
             if np.max(np.abs(check[1:] - targets) / targets) <= tol:
                 return g
     raise PrescriptionError(

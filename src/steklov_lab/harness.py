@@ -205,8 +205,18 @@ def _make_domain(params, rng):
 # ---------------------------------------------------------------------------
 # experiment runners: runner(config, p, tol, jobs) -> (points, checks,
 # artifacts); p and tol are the config's params and tolerances with defaults
-# filled in, a runner checks only rules across keys, and only audits use jobs
+# filled in, a runner checks only rules across keys, and only audits use jobs;
+# artifacts maps each path relative to the output directory to its writer(path)
 # ---------------------------------------------------------------------------
+
+def _reject_unread(config, where, keys):
+    """ConfigError naming the keys of `keys` written in config.params: the
+    runner does not read them `where`, and a filled default would hide them."""
+    written = [key for key in keys if key in config.params]
+    if written:
+        raise ConfigError(f"{config.kind} {where} does not read the params key "
+                          f"{', '.join(map(repr, written))}")
+
 
 def _run_spectrum(config, p, tol, jobs):
     n_eigs = p["n_eigs"]
@@ -224,7 +234,9 @@ def _run_spectrum(config, p, tol, jobs):
         sizes = [b - a for a, b in res.clusters[1:len(p["cluster_sizes"]) + 1]]
         checks.append(_check("cluster-sizes", sizes == p["cluster_sizes"],
                              f"observed {sizes}", f'expected {p["cluster_sizes"]}'))
-    return points, checks, {"spectral": res, "mesh": mesh}
+    return points, checks, {
+        f"meshes/{config.name}.msh": functools.partial(geometry.save_mesh, mesh),
+        "spectrum.json": functools.partial(fem.save_spectral_result, mesh, res)}
 
 
 def _sweep_step(param, value, ks, sigma, reference):
@@ -247,6 +259,8 @@ def _run_collar_sweep(config, p, tol, jobs):
     one_sided = p["mode"] == "one-sided"
     if one_sided and any(b >= a for a, b in zip(widths, widths[1:])):
         raise ConfigError("a one-sided collar-sweep needs strictly decreasing widths")
+    _reject_unread(config, f"in {p['mode']} mode",
+                   ("k_max", "target_h") if one_sided else ("n_eigs", "elements_across"))
     tol = tol["final_rel_err"]
     points = []
     finals = []
@@ -334,7 +348,7 @@ def _run_subdomain_sweep(config, p, tol, jobs):
                          deformations.subdomain_limit_mesh(fam))
 
 
-def _load_or_build_graph(p):
+def _load_or_build_graph(config, p):
     if p["edges"] is None and p["n_vertices"] is None:
         n = p["complete"]
         lengths = np.ones(n * (n - 1) // 2) if p["lengths"] is None else p["lengths"]
@@ -342,6 +356,7 @@ def _load_or_build_graph(p):
     if None in (p["edges"], p["n_vertices"], p["lengths"]):
         raise ConfigError("a graph-limit with edges or n_vertices needs all of edges, "
                           "n_vertices and lengths")
+    _reject_unread(config, "with edges or n_vertices", ("complete",))
     return graphs.MetricGraph(p["n_vertices"], p["edges"], p["lengths"])
 
 
@@ -351,13 +366,13 @@ def _run_graph_limit(config, p, tol, jobs):
     For each eps the (|V|+1)-st eigenvalue over the |V|-th is the spectral
     gap; at the final eps the first |V| eigenvalues over the graph's give the
     empirical proportionality constant (candidates c and 1/c) and its spread.
-    The artifacts keep the (mesh, SpectralResult) of the final eps.
+    The artifacts are the graph, and the mesh and mode-1 figure of the final eps.
     """
-    g = _load_or_build_graph(p)
+    g = _load_or_build_graph(config, p)
     nv = g.n_vertices
     c = p["c"]
     emb = thickening.embed_graph(g, p["style"], c)
-    lam = graphs.graph_laplacian_spectrum(g).eigenvalues
+    lam = graphs.graph_laplacian_spectrum(g)
     nz = lam > 1e-12
     nz[0] = False
     points = []
@@ -387,7 +402,11 @@ def _run_graph_limit(config, p, tol, jobs):
                {"final_ratio": mean, "candidates": candidates, "closest": closest},
                "informational"),
     ]
-    return points, checks, {"graph": g, "thickened": (mesh, res)}
+    return points, checks, {
+        f"{config.name}.graph": functools.partial(graphs.save_graph, g),
+        f"meshes/{config.name}-thickened.msh": functools.partial(geometry.save_mesh, mesh),
+        f"figures/{config.name}-mode1.svg":
+            lambda path: nodal.save_nodal_svg(mesh, _mode1_field(res), path)}
 
 
 def _run_prescriber_audit(config, p, tol, jobs):
@@ -401,12 +420,12 @@ def _run_prescriber_audit(config, p, tol, jobs):
         n = int(rng.integers(lo, hi + 1))
         targets = np.sort(rng.uniform(0.5, 5.0, n))
         g = graphs.prescribe_spectrum(targets, seed=int(rng.integers(2 ** 32)))
-        got = graphs.graph_laplacian_spectrum(g).eigenvalues[1:]
+        got = graphs.graph_laplacian_spectrum(g)[1:]
         rel = float(np.max(np.abs(got - targets) / targets))
         # homogeneity: scaling lengths by 1/s scales the spectrum by s
         s = 2.0
         scaled = graphs.graph_laplacian_spectrum(
-            graphs.MetricGraph(g.n_vertices, g.edges, g.lengths / s)).eigenvalues[1:]
+            graphs.MetricGraph(g.n_vertices, g.edges, g.lengths / s))[1:]
         hom = float(np.max(np.abs(scaled - s * got) / (s * got)))
         points.append({"trial": trial, "n_targets": n, "rel_err": rel,
                        "homogeneity_err": hom})
@@ -469,6 +488,8 @@ def _measure_multiplicity(mesh, res, params, seed):
 
 
 def _run_audit(config, p, tol, jobs):
+    if p["domains"]:
+        _reject_unread(config, "with domains", ("domain",))
     seeds = [config.seed + 1000 * i for i in range(p["runs"])]
     args = [(config.kind, p, tol, s, i) for i, s in enumerate(seeds)]
     if jobs > 1:
@@ -516,35 +537,20 @@ def run(config, out_dir=None, jobs=1):
         wallclock_s=time.monotonic() - start,
     )
     if out_dir is not None:
-        _persist(report, artifacts, config, out_dir)
+        _persist(report, artifacts, out_dir)
     return report
 
 
-def _persist(report, artifacts, config, out_dir):
+def _persist(report, artifacts, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w", encoding="ascii") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     emit_tables(report, out_dir)
-    meshes = os.path.join(out_dir, "meshes")
-    figures = os.path.join(out_dir, "figures")
-    if "mesh" in artifacts:
-        os.makedirs(meshes, exist_ok=True)
-        geometry.save_mesh(artifacts["mesh"], os.path.join(meshes, f"{config.name}.msh"))
-    if "spectral" in artifacts:
-        fem.save_spectral_result(artifacts["mesh"], artifacts["spectral"],
-                                 os.path.join(out_dir, "spectrum.json"))
-    if "graph" in artifacts:
-        graphs.save_graph(artifacts["graph"],
-                          os.path.join(out_dir, f"{config.name}.graph"))
-    if "thickened" in artifacts:
-        # the final eps of the sweep: its mesh and the mode-1 field of its solve
-        mesh, res = artifacts["thickened"]
-        os.makedirs(meshes, exist_ok=True)
-        geometry.save_mesh(mesh, os.path.join(meshes, f"{config.name}-thickened.msh"))
-        os.makedirs(figures, exist_ok=True)
-        nodal.save_nodal_svg(mesh, _mode1_field(res),
-                             os.path.join(figures, f"{config.name}-mode1.svg"))
+    for relative, write in artifacts.items():
+        path = os.path.join(out_dir, relative)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write(path)
 
 
 def _mode1_field(res):

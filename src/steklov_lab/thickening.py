@@ -359,14 +359,13 @@ def build_thickened_mesh(embedding, eps, c=2.0, target_h=None):
     n_welded, new_ids = geometry.label_components(verts.shape[0], pairs[:, 0], pairs[:, 1])
     # each welded vertex keeps the coordinates of its lowest-index duplicate
     _, keep = np.unique(new_ids, return_index=True)
-    mesh = geometry.build_mesh(verts[keep], new_ids[tris], boundary_tag=NEUMANN)
+    mesh = geometry.build_mesh(verts[keep], new_ids[tris])
 
     owner = np.full(n_welded, -1)
     owner[new_ids[np.concatenate(diam_ids)]] = np.concatenate(diam_owner)
     ends = owner[mesh.boundary_edges]
     tags = np.where((ends[:, 0] >= 0) & (ends[:, 0] == ends[:, 1]), STEKLOV, NEUMANN)
-    mesh = geometry.validate_mesh(
-        geometry.replace_mesh(mesh, boundary_tags=tags.astype(object)))
+    mesh = geometry.replace_mesh(mesh, boundary_tags=tags.astype(object))
     expected = 2.0 * c * eps * g.n_vertices
     got = geometry.boundary_length(mesh, STEKLOV)
     if abs(got - expected) > 1e-6 * expected:

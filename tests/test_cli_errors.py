@@ -54,13 +54,14 @@ def _run_in_fresh_interpreter(argv, cwd):
     (["audit", "--config", "runs-bool.json"], False),
     (["run", "--config", "trials-string.json"], False),
     (["run", "--config", "top-level-number.json"], False),
+    (["run", "--config", "collar-mode-only-key.json"], False),
 ], ids=["mesh-target-h", "spectrum-bad-file", "spectrum-n-eigs", "prescribe-unsorted",
         "thicken-k4", "thicken-wide-eps", "run-missing-config", "audit-bad-json",
         "spectrum-header-only-mesh", "thicken-empty-graph", "thicken-header-only-graph",
         "thicken-short-graph", "run-params-list", "run-tolerances-list",
         "audit-empty-domains", "audit-misspelled-keys", "run-widths-number",
         "audit-domains-string", "audit-runs-bool", "run-trials-string",
-        "run-top-level-number"])
+        "run-top-level-number", "run-collar-mode-only-key"])
 def test_cli_input_errors_exit_2_without_traceback(argv, fresh, tmp_path, monkeypatch,
                                                    capsys, recwarn):
     (tmp_path / "not-a-mesh.msh").write_text("garbage\n")
@@ -83,6 +84,8 @@ def test_cli_input_errors_exit_2_without_traceback(argv, fresh, tmp_path, monkey
         "trials-string": {"kind": "prescription-pipeline",
                           "params": {"mode": "audit", "trials": "3"}},
         "top-level-number": 5,
+        "collar-mode-only-key": {"kind": "collar-sweep",
+                                 "params": {"widths": [0.2, 0.1], "k_max": 9, "target_h": 0.5}},
     }
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))

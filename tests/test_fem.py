@@ -268,9 +268,13 @@ def test_factor_reads_the_shifted_matrix_as_its_own_transpose(monkeypatch):
 
 
 def test_degenerate_triangle_raises():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    mesh = geometry.build_mesh(verts, np.array([[0, 1, 2]], np.int32),
-                               validate=False)
+    # build_mesh would reject the triangle, so no constructor validates it here
+    mesh = geometry.Mesh2D(
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+        triangles=np.array([[0, 1, 2]], np.int32),
+        boundary_edges=np.array([[0, 1], [1, 2], [0, 2]], np.int32),
+        boundary_tags=np.array([STEKLOV] * 3, object),
+        edge_density=np.ones(3), tri_weight=np.ones(1))
     with pytest.raises(fem.AssemblyError):
         fem.assemble_stiffness(mesh)
 
@@ -296,8 +300,9 @@ def test_spectral_result_serialization(tmp_path):
     assert data["format"] == "steklov-spectrum v1"
     back = np.array([float(s) for s in data["eigenvalues"]])
     assert np.array_equal(back, res.eigenvalues)  # 17 significant digits
-    # the writer, not the solve, hashes the mesh into the descriptor
-    assert data["problem"] == dict(res.problem, mesh_hash=geometry.mesh_hash(mesh))
+    # the writer derives the descriptor from the mesh and the result
+    assert data["problem"] == {"n_eigs": 3, "n_vertices": 98, "n_steklov_vertices": 32,
+                               "has_dirichlet": False, "mesh_hash": geometry.mesh_hash(mesh)}
     assert data["descriptor_hash"] == hashlib.sha256(
         json.dumps(data["problem"], sort_keys=True).encode()).hexdigest()
 
@@ -307,5 +312,29 @@ def test_solve_does_not_hash_the_mesh(monkeypatch):
         raise AssertionError("steklov_spectrum hashed the mesh")
 
     monkeypatch.setattr(geometry, "mesh_hash", fail)
-    res = fem.steklov_spectrum(geometry.make_disk_mesh(1.0, 0.2), 3)
-    assert "mesh_hash" not in res.problem
+    fem.steklov_spectrum(geometry.make_disk_mesh(1.0, 0.2), 3)
+
+
+def _descriptor(mesh, n_eigs, tmp_path):
+    path = tmp_path / "spec.json"
+    fem.save_spectral_result(mesh, fem.steklov_spectrum(mesh, n_eigs), str(path))
+    return json.loads(path.read_text())["problem"]
+
+
+def test_spectral_descriptor_counts_dirichlet_vertices(tmp_path):
+    disk = geometry.make_disk_mesh(1.0, 0.2)
+    arcs = [((0.0, math.pi), STEKLOV), ((math.pi, 2 * math.pi), DIRICHLET)]
+    mixed = geometry.tag_boundary(disk, arcs, by="angle", center=(0.0, 0.0))
+    steklov = np.unique(mixed.boundary_edges[mixed.boundary_tags == STEKLOV])
+    assert _descriptor(mixed, 4, tmp_path) == {
+        "n_eigs": 4, "n_vertices": 98, "n_steklov_vertices": steklov.size,
+        "has_dirichlet": True, "mesh_hash": geometry.mesh_hash(mixed)}
+    # one dirichlet edge between steklov edges: both its ends are steklov
+    # vertices, which the solve does not pin
+    mids = geometry.boundary_edge_midpoints(disk)
+    theta = float(np.mod(np.arctan2(mids[0, 1], mids[0, 0]), 2 * math.pi))
+    one = geometry.tag_boundary(disk, [((theta - 0.01, theta + 0.01), DIRICHLET)],
+                                by="angle", center=(0.0, 0.0))
+    assert np.count_nonzero(one.boundary_tags == DIRICHLET) == 1
+    problem = _descriptor(one, 4, tmp_path)
+    assert problem["n_steklov_vertices"] == 32 and not problem["has_dirichlet"]

@@ -132,6 +132,31 @@ def _three_tag_disk():
                                  tri_weight=rng.uniform(0.5, 2.0, mesh.n_triangles))
 
 
+def test_extract_submesh_inherits_tags_densities_and_weights():
+    mesh = _three_tag_disk()
+    mask = geometry.triangle_coords(mesh).mean(axis=1)[:, 1] < 0.2
+    sub = geometry.extract_submesh(mesh, mask)
+    keep = np.unique(mesh.triangles[mask])
+    assert np.array_equal(sub.vertices, mesh.vertices[keep])
+    assert np.array_equal(keep[sub.triangles], mesh.triangles[mask])
+    parent = {tuple(sorted(e)): (tag, rho) for e, tag, rho in
+              zip(mesh.boundary_edges.tolist(), mesh.boundary_tags, mesh.edge_density)}
+    inherited, new = set(), 0
+    for e, tag, rho in zip(keep[sub.boundary_edges].tolist(), sub.boundary_tags,
+                           sub.edge_density):
+        if tuple(sorted(e)) in parent:
+            assert (tag, rho) == parent[tuple(sorted(e))]
+            inherited.add(tag)
+        else:
+            assert (tag, rho) == (NEUMANN, 1.0)
+            new += 1
+    assert inherited == {STEKLOV, NEUMANN, DIRICHLET} and new > 0
+    assert np.array_equal(sub.tri_weight, mesh.tri_weight[mask])
+    fresh = geometry._edge_table(sub.triangles, sub.n_vertices)
+    for f in dataclasses.fields(fresh):
+        assert np.array_equal(getattr(sub.edge_table, f.name), getattr(fresh, f.name))
+
+
 def test_mesh_text_roundtrip(tmp_path):
     strip = geometry.make_strip_mesh(1.0, 0.3, 0.1, periodic=True)
     for mesh in (strip, _three_tag_disk()):

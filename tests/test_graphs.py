@@ -22,19 +22,18 @@ def test_laplacian_values():
 
 def test_k3_unit_spectrum():
     g = graphs.MetricGraph(3, graphs.complete_graph_edges(3), np.ones(3))
-    spec = graphs.graph_laplacian_spectrum(g)
-    assert np.allclose(spec.eigenvalues, [0.0, 3.0, 3.0])
-    # orthonormal in the canonical euclidean structure
-    assert np.allclose(spec.eigenvectors.T @ spec.eigenvectors, np.eye(3))
+    assert np.allclose(graphs.graph_laplacian_spectrum(g), [0.0, 3.0, 3.0])
 
 
 def test_homogeneity():
     rng = np.random.default_rng(3)
     g = graphs.MetricGraph(4, graphs.complete_graph_edges(4),
                            rng.uniform(0.5, 3.0, 6))
-    base = graphs.graph_laplacian_spectrum(g).eigenvalues
+    base = graphs.graph_laplacian_spectrum(g)
+    # the values eigh gives, to the bit: the reports were written from them
+    assert np.array_equal(base, np.linalg.eigh(graphs.graph_laplacian(g))[0])
     scaled = graphs.graph_laplacian_spectrum(
-        graphs.MetricGraph(4, g.edges, g.lengths / 2.0)).eigenvalues
+        graphs.MetricGraph(4, g.edges, g.lengths / 2.0))
     assert np.allclose(scaled, 2.0 * base, rtol=1e-13, atol=1e-13)
 
 
@@ -123,13 +122,13 @@ def test_prescriber_decomposes_each_point_once(monkeypatch):
 
 def test_prescribe_single_target():
     g = graphs.prescribe_spectrum([2.5])
-    spec = graphs.graph_laplacian_spectrum(g).eigenvalues
+    spec = graphs.graph_laplacian_spectrum(g)
     assert np.allclose(spec, [0.0, 2.5])
 
 
 def test_prescribe_triple_one():
     g = graphs.prescribe_spectrum([1.0, 1.0, 1.0])
-    spec = graphs.graph_laplacian_spectrum(g).eigenvalues
+    spec = graphs.graph_laplacian_spectrum(g)
     assert np.allclose(spec, [0.0, 1.0, 1.0, 1.0], atol=1e-9)
     assert np.allclose(g.lengths, 4.0, atol=1e-6)
 
@@ -140,7 +139,7 @@ def test_prescribe_random_targets():
         n = int(rng.integers(2, 6))
         targets = np.sort(rng.uniform(0.5, 5.0, n))
         g = graphs.prescribe_spectrum(targets)
-        got = graphs.graph_laplacian_spectrum(g).eigenvalues[1:]
+        got = graphs.graph_laplacian_spectrum(g)[1:]
         assert np.max(np.abs(got - targets) / targets) <= 1e-8
 
 
@@ -148,7 +147,7 @@ def test_prescribe_random_targets():
                                      [0.5, 3.0, 3.0, 3.0, 4.0]])
 def test_prescribe_repeated_targets(targets):
     g = graphs.prescribe_spectrum(targets)
-    got = graphs.graph_laplacian_spectrum(g).eigenvalues[1:]
+    got = graphs.graph_laplacian_spectrum(g)[1:]
     assert np.max(np.abs(got - targets) / np.asarray(targets)) <= 1e-8
 
 

@@ -155,6 +155,21 @@ def test_report_hash_independent_of_blas_threads():
     pytest.param("spectrum", {"domain": "square"}, id="spectrum-unknown-domain"),
     pytest.param("collar-sweep", {"mode": "three-sided", "widths": [0.1]},
                  id="collar-unknown-mode"),
+    pytest.param("collar-sweep", {"widths": [0.2, 0.1], "k_max": 9},
+                 id="collar-one-sided-k-max"),
+    pytest.param("collar-sweep", {"mode": "one-sided", "widths": [0.2, 0.1], "target_h": 0.5},
+                 id="collar-one-sided-target-h"),
+    pytest.param("collar-sweep", {"mode": "two-sided", "widths": [1.0], "n_eigs": 7},
+                 id="collar-two-sided-n-eigs"),
+    pytest.param("collar-sweep", {"mode": "two-sided", "widths": [1.0], "elements_across": 9},
+                 id="collar-two-sided-elements-across"),
+    pytest.param("graph-limit", {"complete": 4, "n_vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]],
+                                 "lengths": [1.0] * 3, "eps_values": [0.04]},
+                 id="graph-limit-complete-beside-edges"),
+    pytest.param("nodal-audit", {"domain": "annulus", "domains": ["disk"], "runs": 1},
+                 id="nodal-audit-domain-beside-domains"),
+    pytest.param("multiplicity-audit", {"domain": "disk", "domains": ["annulus"], "runs": 1},
+                 id="multiplicity-audit-domain-beside-domains"),
 ])
 def test_run_rejects_empty_or_inconsistent_config(kind, params, monkeypatch):
     def no_solve(*args, **kwargs):
@@ -178,8 +193,17 @@ def test_run_rejects_empty_or_inconsistent_config(kind, params, monkeypatch):
     ("nodal-audit", {"runs": 2.0}, {}, "nodal-audit params 'runs' must be an integer >= 1"),
     ("collar-sweep", {}, {}, "collar-sweep needs the params key 'widths'"),
     ("spectrum", {}, {"rel_err": "0.1"}, "spectrum tolerances 'rel_err' must be a positive"),
+    ("collar-sweep", {"mode": "two-sided", "widths": [1.0], "n_eigs": 7, "elements_across": 9},
+     {}, "collar-sweep in two-sided mode does not read the params key 'n_eigs', "
+     "'elements_across'"),
+    ("graph-limit", {"complete": 4, "n_vertices": 2, "edges": [[0, 1]], "lengths": [1.0],
+                     "eps_values": [0.04]}, {},
+     "graph-limit with edges or n_vertices does not read the params key 'complete'"),
+    ("multiplicity-audit", {"domain": "disk", "domains": ["disk"]}, {},
+     "multiplicity-audit with domains does not read the params key 'domain'"),
 ], ids=["unknown-param", "audit-tolerance", "unknown-tolerance", "list-item", "float-for-int",
-        "missing-required", "string-for-number"])
+        "missing-required", "string-for-number", "collar-mode-only", "graph-limit-source-only",
+        "audit-domain-only"])
 def test_schema_error_names_the_key(kind, params, tolerances, message, monkeypatch):
     monkeypatch.setattr(fem, "steklov_spectrum", None)
     config = harness.ExperimentConfig(kind=kind, name="bad", seed=0, params=params,
@@ -366,6 +390,38 @@ def test_emit_tables_and_empty_sweep(tmp_path):
         rows = list(csv.reader(fh))
     assert rows == [["k", "sigma"]]  # header-only CSV
     assert "overall: PASS" in open(paths[1]).read()
+
+
+def _written(out_dir):
+    return {os.path.relpath(os.path.join(d, name), out_dir).replace(os.sep, "/")
+            for d, _, names in os.walk(out_dir) for name in names}
+
+
+def test_runs_write_exactly_their_files(tmp_path, monkeypatch):
+    common = {"report.json", "summary.txt", "tables/sweep.csv"}
+    harness.run(small_config(), out_dir=str(tmp_path / "spectrum"))
+    assert _written(tmp_path / "spectrum") == common | {"meshes/t.msh", "spectrum.json"}
+    sweep = harness.ExperimentConfig(kind="collar-sweep", name="collar", seed=0,
+                                     params={"widths": [0.4], "n_eigs": 3})
+    harness.run(sweep, out_dir=str(tmp_path / "sweep"))
+    assert _written(tmp_path / "sweep") == common
+    # the mode-1 field is computed only to write the figure
+    fields = []
+    field = harness._mode1_field
+
+    def counted(res):
+        fields.append(res)
+        return field(res)
+
+    monkeypatch.setattr(harness, "_mode1_field", counted)
+    limit = harness.ExperimentConfig(kind="graph-limit", name="k3", seed=0,
+                                     params={"complete": 3, "eps_values": [0.08]})
+    harness.run(limit)
+    assert not fields
+    harness.run(limit, out_dir=str(tmp_path / "limit"))
+    assert len(fields) == 1
+    assert _written(tmp_path / "limit") == common | {
+        "k3.graph", "meshes/k3-thickened.msh", "figures/k3-mode1.svg"}
 
 
 def test_persisted_tree(tmp_path):
