@@ -54,6 +54,12 @@ class Mesh2D:
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # dataclasses.replace runs this too, so a loaded mesh and every
+        # replace_mesh retag are checked
+        unknown = set(self.boundary_tags.tolist()).difference(TAGS)
+        if unknown:
+            raise MeshError(f"unknown boundary tag {', '.join(sorted(map(repr, unknown)))}; "
+                            f"tags are {', '.join(TAGS)}")
 
     @property
     def n_vertices(self):
@@ -409,8 +415,6 @@ def tag_boundary(mesh, arcs, by, center):
         raise TaggingError("by must be 'angle'")
     intervals = []
     for (a, b), tag in arcs:
-        if tag not in TAGS:
-            raise TaggingError(f"unknown tag {tag!r}")
         if not b > a:
             raise TaggingError("interval must satisfy b > a")
         intervals.append((float(a), float(b), tag))
@@ -430,7 +434,8 @@ def tag_boundary(mesh, arcs, by, center):
         tags[inside] = tag
     if not np.any(tags == STEKLOV):
         raise TaggingError("tagging removed the whole steklov boundary")
-    return validate_mesh(replace_mesh(mesh, boundary_tags=tags))
+    # a retag changes no area, weight or density of a validated mesh
+    return replace_mesh(mesh, boundary_tags=tags)
 
 
 def extract_submesh(mesh, tri_mask):

@@ -17,10 +17,7 @@ class GraphError(ValueError):
 
 
 class PrescriptionError(RuntimeError):
-    def __init__(self, message, best_lengths=None, best_residual=None):
-        super().__init__(message)
-        self.best_lengths = best_lengths
-        self.best_residual = best_residual
+    pass
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
     rng = np.random.default_rng(seed)
     # uniform weights give the constant spectrum mean(targets); good basin
     w_uniform = np.full(len(edges), targets.mean() / n)
-    best = None
+    best = np.inf
     for start in range(_N_STARTS):
         w = w_uniform if start == 0 else w_uniform * np.exp(rng.normal(0.0, 0.5, len(edges)))
         lam, jac = eigenvalues_and_weight_jacobian(n, edges, w)
@@ -142,8 +139,7 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
             if not accepted:
                 break
         rel = np.max(np.abs(lam[1:] - targets) / targets)
-        if best is None or rel < best[0]:
-            best = (rel, w)
+        best = min(best, rel)
         if rel <= tol:
             g = MetricGraph(n, edges, 1.0 / w)
             check = graph_laplacian_spectrum(g)
@@ -151,8 +147,7 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
                 return g
     raise PrescriptionError(
         f"no start reached tol={tol} within {_MAX_ITERS} Gauss-Newton iterations "
-        f"(best max relative error {best[0]:.3e})",
-        best_lengths=1.0 / best[1], best_residual=best[0])
+        f"(best max relative error {best:.3e})")
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,17 @@ def _reject_unread(config, where, keys):
                           f"{', '.join(map(repr, written))}")
 
 
+def _reject_unread_dims(config, domains):
+    """ConfigError for a written radius when no domain in `domains` is a disk
+    or mixed disk, and for r_inner or r_outer when none is an annulus."""
+    unread = () if {"disk", "mixed-disk"} & set(domains) else ("radius",)
+    if "annulus" not in domains:
+        unread += ("r_inner", "r_outer")
+    _reject_unread(config, f"on {', '.join(domains)}", unread)
+
+
 def _run_spectrum(config, p, tol, jobs):
+    _reject_unread_dims(config, [p["domain"]])
     n_eigs = p["n_eigs"]
     if p["reference"] is not None and len(p["reference"]) >= n_eigs:
         raise ConfigError(f"reference needs 1 to {n_eigs - 1} values when n_eigs = {n_eigs}")
@@ -472,13 +482,13 @@ def _measure_nodal(mesh, res, params, seed):
     """Courant counts, boundary contact and zero-set structure of each mode."""
     courant, modes = nodal.courant_check(mesh, res, params["n_rotations"], seed=seed)
     # the Courant stack decomposed each mode as a row: slice the record's rows 1..n-1
-    touches = nodal.boundary_touch_check(mesh, modes.rows(1, len(res.extensions)))
-    stats = nodal.nodal_graph_stats(mesh, res.extensions[1:])
+    touch = nodal.boundary_touch_check(mesh, modes.rows(1, len(res.extensions)))
+    cycle_rank, all_even = nodal.nodal_graph_stats(mesh, res.extensions[1:])
     return {"courant": courant,
             "courant_ok": all(r["ok"] for r in courant),
-            "touch_ok": all(t["all_touch"] for t in touches),
-            "cycle_rank_ok": all(st["cycle_rank"] == 0 for st in stats),
-            "parity_ok": all(st["all_even"] for st in stats)}
+            "touch_ok": bool(touch.all()),
+            "cycle_rank_ok": bool(np.all(cycle_rank == 0)),
+            "parity_ok": bool(all_even.all())}
 
 
 def _measure_multiplicity(mesh, res, params, seed):
@@ -490,6 +500,7 @@ def _measure_multiplicity(mesh, res, params, seed):
 def _run_audit(config, p, tol, jobs):
     if p["domains"]:
         _reject_unread(config, "with domains", ("domain",))
+    _reject_unread_dims(config, p["domains"] or [p["domain"]])
     seeds = [config.seed + 1000 * i for i in range(p["runs"])]
     args = [(config.kind, p, tol, s, i) for i, s in enumerate(seeds)]
     if jobs > 1:

@@ -27,14 +27,13 @@ ZERO_TOL = 1e-7
 class NodalDecomposition:
     """Nodal domains of an (m, nv) stack of fields, row by row.
 
-    Row r's pieces are entries piece_start[r]:piece_start[r + 1] of piece_sign
-    and piece_domain; piece ids and domain labels count from 0 in every row.
+    Row r's pieces are entries piece_start[r]:piece_start[r + 1] of
+    piece_domain; piece ids and domain labels count from 0 in every row.
     """
 
     vertex_signs: np.ndarray   # (m, nv) in {-1, 0, +1}
     piece_pos: np.ndarray      # (m, nt) piece id of the positive piece, or -1
     piece_neg: np.ndarray      # (m, nt) piece id of the negative piece, or -1
-    piece_sign: np.ndarray     # (n_pieces,) +1 / -1
     piece_domain: np.ndarray   # (n_pieces,) domain label in 0..n_domains[r]-1
     piece_start: np.ndarray    # (m + 1,) offsets of the rows' pieces
     domain_start: np.ndarray   # (m + 1,) offsets of the rows' domains
@@ -49,7 +48,7 @@ class NodalDecomposition:
         p0, p1 = self.piece_start[[start, stop]]
         return NodalDecomposition(
             *(a[start:stop].copy() for a in (self.vertex_signs, self.piece_pos, self.piece_neg)),
-            *(a[p0:p1].copy() for a in (self.piece_sign, self.piece_domain)),
+            self.piece_domain[p0:p1].copy(),
             self.piece_start[start:stop + 1] - p0,
             self.domain_start[start:stop + 1] - self.domain_start[start])
 
@@ -89,8 +88,8 @@ def decompose_nodal(mesh, fields):
     fields = _vertex_fields(mesh, fields)
     blocks = [_decompose_block(mesh, fields[start:start + _BLOCK_ROWS])
               for start in range(0, len(fields), _BLOCK_ROWS)]
-    signs, pos, neg, sign, domain, n_pieces, n_domains = map(np.concatenate, zip(*blocks))
-    return NodalDecomposition(signs, pos, neg, sign, domain,
+    signs, pos, neg, domain, n_pieces, n_domains = map(np.concatenate, zip(*blocks))
+    return NodalDecomposition(signs, pos, neg, domain,
                               _offsets(n_pieces), _offsets(n_domains))
 
 
@@ -114,8 +113,6 @@ def _decompose_block(mesh, fields):
     piece_pos = np.where(has_pos, np.cumsum(has_pos, axis=1, dtype=np.int32) - 1, -1)
     piece_neg = np.where(has_neg, (n_pos[:, None] - 1).astype(np.int32)
                          + np.cumsum(has_neg, axis=1, dtype=np.int32), -1)
-    piece_sign = np.repeat(np.tile(np.array([1, -1], np.int8), len(fields)),
-                           np.stack([n_pos, n_pieces - n_pos], axis=1).ravel())
 
     # pieces of sign s are glued across an interior edge carrying s
     edges, tri_a, tri_b = geometry.interior_edges_with_triangles(mesh)
@@ -133,7 +130,7 @@ def _decompose_block(mesh, fields):
     # a nonzero field has a piece at its largest vertex, so no row is empty
     domain_start = np.append(labels[piece_start[:-1]], n_labels)
     labels -= np.repeat(domain_start[:-1], n_pieces).astype(labels.dtype)
-    return signs, piece_pos, piece_neg, piece_sign, labels, n_pieces, np.diff(domain_start)
+    return signs, piece_pos, piece_neg, labels, n_pieces, np.diff(domain_start)
 
 
 def courant_check(mesh, result, n_rotations=20, seed=0):
@@ -169,8 +166,8 @@ def courant_check(mesh, result, n_rotations=20, seed=0):
 
 
 def boundary_touch_check(mesh, decomp):
-    """Whether every nodal domain reaches the steklov boundary, one dict per
-    row of the NodalDecomposition decomp, all checked at once."""
+    """Whether every nodal domain reaches the steklov boundary: an (m,) bool
+    array, one verdict per row of the NodalDecomposition decomp."""
     # stack-wide domain of every piece
     domain = decomp.piece_domain + np.repeat(decomp.domain_start[:-1],
                                              np.diff(decomp.piece_start))
@@ -183,14 +180,8 @@ def boundary_touch_check(mesh, decomp):
         hit = np.any(tri_tagged & (tri_signs == sign), axis=2) & (pieces >= 0)
         row, tri = np.nonzero(hit)
         touched[domain[decomp.piece_start[row] + pieces[row, tri]]] = True
-    untouched = np.nonzero(~touched)[0]
-    row = np.searchsorted(decomp.domain_start, untouched, side="right") - 1
-    out = [{"all_touch": True, "untouched": [], "n_domains": k}
-           for k in decomp.n_domains.tolist()]
-    for r, label in zip(row.tolist(), (untouched - decomp.domain_start[row]).tolist()):
-        out[r]["all_touch"] = False
-        out[r]["untouched"].append(label)
-    return out
+    # every row has a domain, so no two offsets are equal
+    return np.logical_and.reduceat(touched, decomp.domain_start[:-1])
 
 
 def multiplicity_bounds(mesh, ks):
@@ -239,17 +230,15 @@ def multiplicity_bound_check(mesh, result):
 class ZeroSetGraph:
     """The zero set of a P1 field, or of a stack of fields, as a graph.
 
-    Node ids are v for a vertex in the dead zone and nv + e for an edge e of
-    the mesh's edge table with a strict sign change; the ids of row r of a
-    stack are offset by r * (nv + n_edges).  Nodes are listed in order of first
-    appearance: row by row, triangle order inside a row, vertex nodes before
-    edge nodes inside a triangle.  Segments index into `nodes`, one row per
-    node pair, and are ordered row by row, then by (first end, second end) with
-    edge nodes (by edge id) ranking before vertex nodes (by vertex), the
-    lower-ranked end first.
+    Node ids are e for an edge e of the mesh's edge table with a strict sign
+    change and n_edges + v for a vertex v in the dead zone; the ids of row r
+    of a stack are offset by r * (n_edges + nv).  Nodes are listed by id, so
+    row by row, a row's edge nodes before its vertex nodes.  Segments index
+    into `nodes`, one row per node pair, the lower index first, and are
+    sorted; this order fixes the order in which nodal_svg draws them.
     """
 
-    nodes: np.ndarray      # (n,) node ids
+    nodes: np.ndarray      # (n,) node ids, increasing
     positions: np.ndarray  # (n, 2) node coordinates
     segments: np.ndarray   # (m, 2) indices into nodes
 
@@ -265,40 +254,31 @@ def nodal_graph(mesh, fields):
     """
     fields = _vertex_fields(mesh, fields)
     signs = vertex_signs(fields)
-    nv = mesh.n_vertices
     table = mesh.edge_table
-    n_keys = nv + len(table.edges)
+    n_edges = len(table.edges)
+    n_keys = n_edges + mesh.n_vertices
     tri_signs = signs[:, mesh.triangles]
     zero = tri_signs == 0
     cross = tri_signs * np.roll(tri_signs, -1, axis=2) == -1   # edges 01, 12, 20
-    keys = (np.concatenate([mesh.triangles, nv + table.tri_edges], axis=1)
+    keys = (np.concatenate([n_edges + mesh.triangles, table.tri_edges], axis=1)
             + (n_keys * np.arange(len(fields)))[:, None, None])
     mask = np.concatenate([zero, cross], axis=2)
+    nodes, index = np.unique(keys[mask], return_inverse=True)
 
-    found = keys[mask]
-    ids, first = np.unique(found, return_index=True)
-    nodes = ids[np.argsort(first)]
-    index = np.empty(n_keys * len(fields), np.int64)
-    index[nodes] = np.arange(nodes.size)
+    # a triangle has three keys only when its three vertices are dead
+    count = mask.sum(axis=2).ravel()
+    two = index[np.repeat(count == 2, count)].reshape(-1, 2)
+    full = index[np.repeat(count == 3, count)].reshape(-1, 3)
+    ends = np.concatenate([two, full[:, [0, 1]], full[:, [1, 2]], full[:, [2, 0]]])
+    ends.sort(axis=1)
+    code = np.unique(ends[:, 0] * nodes.size + ends[:, 1])
+    segments = np.stack(np.divmod(code, nodes.size), axis=1)
 
-    two = mask.sum(axis=2) == 2
-    pairs = keys[two][mask[two]].reshape(-1, 2)
-    row, tri = np.nonzero(zero.all(axis=2))
-    full = mesh.triangles[tri] + n_keys * row[:, None]
-    pairs = np.concatenate([pairs, full[:, [0, 1]], full[:, [1, 2]], full[:, [2, 0]]])
-    # edge nodes rank by edge id before vertex nodes; ordering segments by rank
-    # fixes the order in which nodal_svg draws them
     node_row, key = np.divmod(nodes, n_keys)
-    rank = n_keys * node_row + np.where(key >= nv, key - nv, len(table.edges) + key)
-    ends = index[pairs]
-    ends = np.where((rank[ends[:, 0]] > rank[ends[:, 1]])[:, None], ends[:, ::-1], ends)
-    _, keep = np.unique(rank[ends[:, 0]] * index.size + rank[ends[:, 1]], return_index=True)
-    segments = ends[keep]
-
     positions = np.empty((nodes.size, 2))
-    on_edge = key >= nv
-    positions[~on_edge] = mesh.vertices[key[~on_edge]]
-    i, j = table.edges[key[on_edge] - nv].T
+    on_edge = key < n_edges
+    positions[~on_edge] = mesh.vertices[key[~on_edge] - n_edges]
+    i, j = table.edges[key[on_edge]].T
     fi = fields[node_row[on_edge], i]
     t = fi / (fi - fields[node_row[on_edge], j])
     positions[on_edge] = (mesh.vertices[i].astype(float)
@@ -307,44 +287,33 @@ def nodal_graph(mesh, fields):
 
 
 def nodal_graph_stats(mesh, fields):
-    """Component count, cycle rank, and boundary-endpoint parity of the zero set.
+    """Cycle rank and boundary-endpoint parity of the zero set of each row.
 
-    One dict per row of an (m, nv) stack, from one graph of the whole stack
-    and one components call; a single field is a stack of one.
+    Returns (cycle_rank, all_even), two (m,) arrays for an (m, nv) stack, from
+    one graph of the whole stack and one components call: all_even says that
+    every component of the row's zero set has an even number of arc endpoints
+    on the boundary.  A single field is a stack of one.
     """
     graph = nodal_graph(mesh, fields)
     m = len(np.atleast_2d(fields))
-    node_row, key = np.divmod(graph.nodes, mesh.n_vertices + len(mesh.edge_table.edges))
-    n_nodes = np.bincount(node_row, minlength=m)
-    n_segments = np.bincount(node_row[graph.segments[:, 0]], minlength=m)
-    degree = np.bincount(graph.segments.ravel(), minlength=graph.nodes.size)
-    _, labels = geometry.label_components(graph.nodes.size, *graph.segments.T)
-    # components are numbered by their lowest node and nodes come row by row,
-    # so the components of a row are one run of labels
-    _, lowest = np.unique(labels, return_index=True)
-    node_start = _offsets(n_nodes)
-    comp_start = np.searchsorted(lowest, node_start)
-    cycle_rank = n_segments - n_nodes + np.diff(comp_start)
+    n_edges = len(mesh.edge_table.edges)
+    node_row, key = np.divmod(graph.nodes, n_edges + mesh.n_vertices)
+    n_comp, labels = geometry.label_components(graph.nodes.size, *graph.segments.T)
+    # no component spans two rows; a row's cycle rank is its segments less
+    # its nodes plus its components
+    comp_row = np.empty(n_comp, np.int64)
+    comp_row[labels] = node_row
+    cycle_rank = (np.bincount(node_row[graph.segments[:, 0]], minlength=m)
+                  - np.bincount(node_row, minlength=m) + np.bincount(comp_row, minlength=m))
 
-    on_boundary = np.zeros(mesh.n_vertices, bool)
-    on_boundary[mesh.boundary_edges.ravel()] = True
-    on_boundary = np.concatenate([on_boundary, mesh.edge_table.boundary])
+    on_vertex = np.zeros(mesh.n_vertices, bool)
+    on_vertex[mesh.boundary_edges.ravel()] = True
+    on_boundary = np.concatenate([mesh.edge_table.boundary, on_vertex])
+    degree = np.bincount(graph.segments.ravel(), minlength=graph.nodes.size)
     # isolated touch points carry no arc endpoints
     hit = labels[(degree > 0) & on_boundary[key]]
-    comps, first, counts = np.unique(hit, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    comp_row = np.searchsorted(comp_start, comps[order], side="right") - 1
-    per_row = np.split(counts[order], np.searchsorted(comp_row, np.arange(1, m)))
-    return [{
-        "n_nodes": nodes,
-        "n_segments": segs,
-        "n_components": n_comp,
-        "cycle_rank": rank,
-        "boundary_endpoints_per_component": ends.tolist(),
-        "all_even": bool(np.all(ends % 2 == 0)),
-    } for nodes, segs, n_comp, rank, ends in zip(
-        n_nodes.tolist(), n_segments.tolist(), np.diff(comp_start).tolist(),
-        cycle_rank.tolist(), per_row)]
+    odd = np.bincount(hit, minlength=n_comp) % 2 == 1
+    return cycle_rank, np.bincount(comp_row[odd], minlength=m) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +366,7 @@ def nodal_svg(mesh, field):
         a, b = edges[start:stop].T
         pa = mesh.vertices[a].astype(float)
         pb = pa + geometry.edge_vector(mesh, a, b)
-        colors = [_TAG_COLORS.get(tag, "#000") for tag in mesh.boundary_tags[start:stop].tolist()]
+        colors = [_TAG_COLORS[tag] for tag in mesh.boundary_tags[start:stop].tolist()]
         return _with_labels(pixels(np.stack([pa, pb], axis=1)), colors)
 
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '

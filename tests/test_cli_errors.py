@@ -55,13 +55,16 @@ def _run_in_fresh_interpreter(argv, cwd):
     (["run", "--config", "trials-string.json"], False),
     (["run", "--config", "top-level-number.json"], False),
     (["run", "--config", "collar-mode-only-key.json"], False),
+    (["spectrum", "--mesh", "bad-tag.msh"], False),
+    (["run", "--config", "spectrum-unread-r-inner.json"], False),
 ], ids=["mesh-target-h", "spectrum-bad-file", "spectrum-n-eigs", "prescribe-unsorted",
         "thicken-k4", "thicken-wide-eps", "run-missing-config", "audit-bad-json",
         "spectrum-header-only-mesh", "thicken-empty-graph", "thicken-header-only-graph",
         "thicken-short-graph", "run-params-list", "run-tolerances-list",
         "audit-empty-domains", "audit-misspelled-keys", "run-widths-number",
         "audit-domains-string", "audit-runs-bool", "run-trials-string",
-        "run-top-level-number", "run-collar-mode-only-key"])
+        "run-top-level-number", "run-collar-mode-only-key", "spectrum-bad-tag",
+        "run-spectrum-unread-r-inner"])
 def test_cli_input_errors_exit_2_without_traceback(argv, fresh, tmp_path, monkeypatch,
                                                    capsys, recwarn):
     (tmp_path / "not-a-mesh.msh").write_text("garbage\n")
@@ -86,10 +89,14 @@ def test_cli_input_errors_exit_2_without_traceback(argv, fresh, tmp_path, monkey
         "top-level-number": 5,
         "collar-mode-only-key": {"kind": "collar-sweep",
                                  "params": {"widths": [0.2, 0.1], "k_max": 9, "target_h": 0.5}},
+        "spectrum-unread-r-inner": {"kind": "spectrum",
+                                    "params": {"domain": "disk", "r_inner": 0.9, "target_h": 0.3}},
     }
     for name, config in configs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     geometry.save_mesh(geometry.make_disk_mesh(1.0, 0.3), str(tmp_path / "disk.msh"))
+    (tmp_path / "bad-tag.msh").write_text(
+        (tmp_path / "disk.msh").read_text().replace(" steklov ", " stekolv ", 5))
     graphs.save_graph(_complete_graph(4), str(tmp_path / "k4.graph"))
     graphs.save_graph(_complete_graph(3), str(tmp_path / "k3.graph"))
     if fresh:

@@ -111,6 +111,35 @@ def test_tag_boundary_requires_steklov():
                               by="angle", center=(0.0, 0.0))
 
 
+def test_tag_boundary_does_not_revalidate(monkeypatch):
+    mesh = geometry.make_disk_mesh(1.0, 0.1)
+
+    def fail(mesh):
+        raise AssertionError("a retag cannot invalidate a validated mesh")
+
+    monkeypatch.setattr(geometry, "validate_mesh", fail)
+    arcs = [((0.0, math.pi), STEKLOV), ((math.pi, 2 * math.pi), NEUMANN)]
+    tagged = geometry.tag_boundary(mesh, arcs, by="angle", center=(0.0, 0.0))
+    assert set(tagged.boundary_tags) == {STEKLOV, NEUMANN}
+
+
+def test_every_mesh_rejects_an_unknown_tag(tmp_path):
+    mesh = geometry.make_disk_mesh(1.0, 0.3)
+    tags = np.array(mesh.boundary_tags, object)
+    tags[:5] = "stekolv"
+    with pytest.raises(geometry.MeshError, match="unknown boundary tag 'stekolv'"):
+        geometry.replace_mesh(mesh, boundary_tags=tags)
+    # a saved mesh with five misspelled tags, which would solve as neumann
+    path = tmp_path / "bad-tag.msh"
+    path.write_text("".join(geometry.mesh_to_text(mesh)).replace(" steklov ", " stekolv ", 5))
+    with pytest.raises(geometry.MeshError, match="unknown boundary tag 'stekolv'"):
+        geometry.load_mesh(str(path))
+    with pytest.raises(geometry.MeshError, match="unknown boundary tag 'dirichelt'"):
+        geometry.make_strip_mesh(2.0, 0.5, 0.25, periodic=True, top_tag="dirichelt")
+    with pytest.raises(geometry.MeshError, match="unknown boundary tag 'robin'"):
+        geometry.tag_boundary(mesh, [((0.0, 1.0), "robin")], by="angle", center=(0.0, 0.0))
+
+
 def test_extract_submesh_interface_tag():
     mesh = geometry.make_disk_mesh(1.0, 0.1)
     cen = geometry.triangle_coords(mesh).mean(axis=1)

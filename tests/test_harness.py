@@ -170,6 +170,15 @@ def test_report_hash_independent_of_blas_threads():
                  id="nodal-audit-domain-beside-domains"),
     pytest.param("multiplicity-audit", {"domain": "disk", "domains": ["annulus"], "runs": 1},
                  id="multiplicity-audit-domain-beside-domains"),
+    pytest.param("spectrum", {"domain": "disk", "r_inner": 0.9}, id="spectrum-disk-r-inner"),
+    pytest.param("spectrum", {"r_outer": 2.0}, id="spectrum-default-disk-r-outer"),
+    pytest.param("spectrum", {"domain": "annulus", "radius": 5.0}, id="spectrum-annulus-radius"),
+    pytest.param("spectrum", {"domain": "mixed-disk", "r_inner": 0.2},
+                 id="spectrum-mixed-disk-r-inner"),
+    pytest.param("nodal-audit", {"domains": ["disk", "mixed-disk"], "r_outer": 1.0, "runs": 1},
+                 id="nodal-audit-disks-r-outer"),
+    pytest.param("multiplicity-audit", {"domain": "annulus", "radius": 1.0, "runs": 1},
+                 id="multiplicity-audit-annulus-radius"),
 ])
 def test_run_rejects_empty_or_inconsistent_config(kind, params, monkeypatch):
     def no_solve(*args, **kwargs):
@@ -201,9 +210,11 @@ def test_run_rejects_empty_or_inconsistent_config(kind, params, monkeypatch):
      "graph-limit with edges or n_vertices does not read the params key 'complete'"),
     ("multiplicity-audit", {"domain": "disk", "domains": ["disk"]}, {},
      "multiplicity-audit with domains does not read the params key 'domain'"),
+    ("nodal-audit", {"domains": ["disk", "mixed-disk"], "r_inner": 0.5, "r_outer": 1.0}, {},
+     "nodal-audit on disk, mixed-disk does not read the params key 'r_inner', 'r_outer'"),
 ], ids=["unknown-param", "audit-tolerance", "unknown-tolerance", "list-item", "float-for-int",
         "missing-required", "string-for-number", "collar-mode-only", "graph-limit-source-only",
-        "audit-domain-only"])
+        "audit-domain-only", "audit-unread-dims"])
 def test_schema_error_names_the_key(kind, params, tolerances, message, monkeypatch):
     monkeypatch.setattr(fem, "steklov_spectrum", None)
     config = harness.ExperimentConfig(kind=kind, name="bad", seed=0, params=params,

@@ -23,10 +23,10 @@ def test_linear_field_two_domains():
     mesh = disk()
     d = nodal.decompose_nodal(mesh, mesh.vertices[:, 0])
     assert d.n_domains.tolist() == [2]
-    signs = set(d.piece_sign[np.unique(
-        np.concatenate([d.piece_pos[d.piece_pos >= 0],
-                        d.piece_neg[d.piece_neg >= 0]]))])
-    assert signs == {1, -1}
+    # one positive and one negative domain
+    pos = np.unique(d.piece_domain[d.piece_pos[d.piece_pos >= 0]])
+    neg = np.unique(d.piece_domain[d.piece_neg[d.piece_neg >= 0]])
+    assert pos.size == neg.size == 1 and pos[0] != neg[0]
 
 
 def test_constant_field_one_domain():
@@ -61,8 +61,7 @@ def test_boundary_touch_on_mixed_disk():
     res = fem.steklov_spectrum(mesh, 5)
     for k in range(1, 5):
         d = nodal.decompose_nodal(mesh, res.extensions[k])
-        [out] = nodal.boundary_touch_check(mesh, d)
-        assert out["all_touch"]
+        assert nodal.boundary_touch_check(mesh, d).tolist() == [True]
 
 
 def test_boundary_touch_detects_interior_domain():
@@ -70,29 +69,24 @@ def test_boundary_touch_detects_interior_domain():
     r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
     bump = 0.5 - r  # positive inner disk, negative collar: inner domain is trapped
     d = nodal.decompose_nodal(mesh, bump)
-    [out] = nodal.boundary_touch_check(mesh, d)
-    assert not out["all_touch"]
-    assert len(out["untouched"]) == 1
+    assert d.n_domains.tolist() == [2]
+    assert nodal.boundary_touch_check(mesh, d).tolist() == [False]
 
 
 def test_nodal_graph_stats_diameter_line():
     mesh = disk()
-    # a single field is a stack of one: a one-item list
-    out = nodal.nodal_graph_stats(mesh, mesh.vertices[:, 0])
-    assert isinstance(out, list) and len(out) == 1
-    stats = out[0]
-    assert stats["n_components"] == 1
-    assert stats["cycle_rank"] == 0
-    assert stats["boundary_endpoints_per_component"] == [2]
-    assert stats["all_even"]
+    # a single field is a stack of one: arrays of one verdict
+    cycle_rank, all_even = nodal.nodal_graph_stats(mesh, mesh.vertices[:, 0])
+    assert cycle_rank.tolist() == [0]
+    assert all_even.tolist() == [True]
 
 
 def test_nodal_graph_stats_closed_circle_has_cycle():
     mesh = disk(0.06)
     r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    [stats] = nodal.nodal_graph_stats(mesh, 0.5 - r)
-    assert stats["cycle_rank"] == 1
-    assert stats["boundary_endpoints_per_component"] == []
+    cycle_rank, all_even = nodal.nodal_graph_stats(mesh, 0.5 - r)
+    assert cycle_rank.tolist() == [1]
+    assert all_even.tolist() == [True]
 
 
 def test_multiplicity_bounds_rules():

@@ -3,8 +3,9 @@
 Every nodal entry point takes an (m, nv) stack and decomposes or graphs all
 rows together; decompose_nodal gives one record for the whole stack.  Each row
 must come out exactly as the same field does alone: its signs, pieces and
-domains, the boundary-touch verdict, the zero-set graph and its statistics.  The audit points of a nodal audit are also compared with the
-per-field loop that the stack replaced.
+domains, the boundary-touch verdict, the zero-set graph and its two verdicts.
+The audit points of a nodal audit are also compared with the per-field loop
+that the stack replaced.
 """
 
 import dataclasses
@@ -49,8 +50,8 @@ def _row(decomp, r):
     """Row r of a decomposition, read from the record's arrays."""
     pieces = slice(*decomp.piece_start[r:r + 2])
     return {"vertex_signs": decomp.vertex_signs[r], "piece_pos": decomp.piece_pos[r],
-            "piece_neg": decomp.piece_neg[r], "piece_sign": decomp.piece_sign[pieces],
-            "piece_domain": decomp.piece_domain[pieces], "n_domains": decomp.n_domains[r]}
+            "piece_neg": decomp.piece_neg[r], "piece_domain": decomp.piece_domain[pieces],
+            "n_domains": decomp.n_domains[r]}
 
 
 def _same_row(mesh, decomp, r, field):
@@ -74,12 +75,15 @@ def test_stack_rows_match_single_fields(name):
     for r, field in enumerate(fields):
         _same_row(mesh, decomp, r, field)
 
-    touches = nodal.boundary_touch_check(mesh, decomp)
-    assert touches == [t for f in fields
-                       for t in nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f))]
+    touch = nodal.boundary_touch_check(mesh, decomp)
+    assert touch.shape == (len(fields),)
+    assert np.array_equal(touch, np.concatenate(
+        [nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f)) for f in fields]))
 
-    stats = nodal.nodal_graph_stats(mesh, fields)
-    assert stats == [s for f in fields for s in nodal.nodal_graph_stats(mesh, f)]
+    alone = [nodal.nodal_graph_stats(mesh, f) for f in fields]
+    for got, want in zip(nodal.nodal_graph_stats(mesh, fields), zip(*alone)):
+        assert got.shape == (len(fields),)
+        assert np.array_equal(got, np.concatenate(want))
 
     graph = nodal.nodal_graph(mesh, fields)
     n_keys = mesh.n_vertices + len(mesh.edge_table.edges)
@@ -103,14 +107,11 @@ def test_flagged_rows_stay_in_their_row():
     cap = -y - 0.5                  # a cap on the neumann arc only: no cycle
     fields = np.array([res.extensions[1], res.extensions[2], circle,
                        res.extensions[3], cap, res.extensions[4]])
-    touches = nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, fields))
-    stats = nodal.nodal_graph_stats(mesh, fields)
-    assert [r for r, t in enumerate(touches) if not t["all_touch"]] == [2, 4]
-    assert [r for r, s in enumerate(stats) if s["cycle_rank"] != 0] == [2]
-    assert all(s["all_even"] for s in stats)
-    assert touches[2]["untouched"] == nodal.boundary_touch_check(
-        mesh, nodal.decompose_nodal(mesh, circle))[0]["untouched"]
-    assert stats[2]["boundary_endpoints_per_component"] == []
+    touch = nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, fields))
+    cycle_rank, all_even = nodal.nodal_graph_stats(mesh, fields)
+    assert np.nonzero(~touch)[0].tolist() == [2, 4]
+    assert cycle_rank.tolist() == [0, 0, 1, 0, 0, 0]
+    assert all_even.all()
 
 
 def _per_field_courant(mesh, res, n_rotations, seed):
@@ -163,7 +164,7 @@ def test_courant_check_keeps_only_the_eigenvector_rows():
     assert decomp.n_domains.size == len(decomp.vertex_signs) == len(decomp.piece_pos) == n
     assert len(decomp.piece_neg) == n
     assert decomp.piece_start[0] == decomp.domain_start[0] == 0
-    assert decomp.piece_start[-1] == decomp.piece_sign.size == decomp.piece_domain.size
+    assert decomp.piece_start[-1] == decomp.piece_domain.size
     for r, field in enumerate(res.extensions):
         _same_row(mesh, decomp, r, field)
     # no array is a view that would keep the rotation rows alive
@@ -175,14 +176,13 @@ def _per_field_measure(mesh, res, params, seed):
     """The nodal measurements one field at a time, as before the stack."""
     courant = _per_field_courant(mesh, res, int(params.get("n_rotations", 20)), seed)
     modes = res.extensions[1:]
-    touches = [t for f in modes
-               for t in nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f))]
-    stats = [s for f in modes for s in nodal.nodal_graph_stats(mesh, f)]
+    touches = [nodal.boundary_touch_check(mesh, nodal.decompose_nodal(mesh, f)) for f in modes]
+    stats = [nodal.nodal_graph_stats(mesh, f) for f in modes]
     return {"courant": courant,
             "courant_ok": all(r["ok"] for r in courant),
-            "touch_ok": all(t["all_touch"] for t in touches),
-            "cycle_rank_ok": all(st["cycle_rank"] == 0 for st in stats),
-            "parity_ok": all(st["all_even"] for st in stats)}
+            "touch_ok": all(bool(t[0]) for t in touches),
+            "cycle_rank_ok": all(rank[0] == 0 for rank, _ in stats),
+            "parity_ok": all(bool(even[0]) for _, even in stats)}
 
 
 @pytest.mark.parametrize("seed, runs", [(21, 41), (22, 28)])

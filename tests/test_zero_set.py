@@ -3,8 +3,9 @@ SVG writers against per-line oracles.
 
 The graph oracle walks the triangles one by one and keys nodes as ("v", i)
 for a dead-zone vertex and ("e", i, j) for a sign-changing edge, in dicts and
-sets.  It is slow and obviously correct; the array version must report
-exactly the same statistics, in the same order, and draw the same segments.
+sets.  It is slow and obviously correct; the array version must list the same
+nodes in id order with the same positions, the same sorted segments, and the
+same two verdicts for every row, and draw the same segments.
 The writer oracles format one vertex, triangle or boundary edge at a time;
 the chunked writers must give the same bytes on every mesh here, with their
 default chunk and with chunks of a few rows that split every block.
@@ -63,7 +64,9 @@ def oracle_graph(mesh, field):
     return nodes, segments
 
 
-def oracle_stats(mesh, field):
+def oracle_verdicts(mesh, field):
+    """The cycle rank of the zero set, and whether each of its components has
+    an even number of arc endpoints on the boundary."""
     nodes, segments = oracle_graph(mesh, field)
     keys = list(nodes)
     index = {k: i for i, k in enumerate(keys)}
@@ -77,21 +80,15 @@ def oracle_stats(mesh, field):
         on_boundary = key[1] in bvert if key[0] == "v" else key[1:] in bedge
         if degree[i] > 0 and on_boundary:
             per_component[int(labels[i])] = per_component.get(int(labels[i]), 0) + 1
-    counts = list(per_component.values())
-    return {
-        "n_nodes": len(keys),
-        "n_segments": len(segments),
-        "n_components": n_components,
-        "cycle_rank": len(segments) - len(keys) + n_components,
-        "boundary_endpoints_per_component": counts,
-        "all_even": all(c % 2 == 0 for c in counts),
-    }
+    return (len(segments) - len(keys) + n_components,
+            all(c % 2 == 0 for c in per_component.values()))
 
 
 def _node_id(mesh, key):
+    """Edge e has id e and vertex v has id n_edges + v."""
     if key[0] == "v":
-        return key[1]
-    return mesh.n_vertices + int(geometry.edge_ids(mesh, [key[1:]])[0])
+        return len(mesh.edge_table.edges) + key[1]
+    return int(geometry.edge_ids(mesh, [key[1:]])[0])
 
 
 def _svg_segments(text):
@@ -161,7 +158,7 @@ def _fields(mesh):
     touch[np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_edges)[0]] = 0.0
     fields.append(touch)
     # a cross of two lines and a separate chord: components with 4 and 2
-    # boundary endpoints, whose order in the report matters
+    # boundary endpoints
     x, y = (mesh.vertices - mesh.vertices.mean(axis=0)).T
     for th in (0.0, math.pi / 4):
         u = x * math.cos(th) + y * math.sin(th)
@@ -181,20 +178,28 @@ def test_zero_set_graph_matches_oracle(name):
         signs = oracle_signs(field)
         dead_triangles += int(np.all(signs[mesh.triangles] == 0, axis=1).sum())
         nodes, segments = oracle_graph(mesh, field)
+        keys = sorted(nodes, key=lambda k: _node_id(mesh, k))
+        index = {k: i for i, k in enumerate(keys)}
         graph = nodal.nodal_graph(mesh, field)
-        assert graph.nodes.tolist() == [_node_id(mesh, k) for k in nodes]
-        assert np.array_equal(graph.positions, np.array(list(nodes.values())).reshape(-1, 2))
-        got = {frozenset(p) for p in graph.nodes[graph.segments].tolist()}
-        assert len(got) == len(graph.segments)
-        assert got == {frozenset(_node_id(mesh, k) for k in s) for s in segments}
+        assert graph.nodes.tolist() == [_node_id(mesh, k) for k in keys]
+        assert np.array_equal(graph.positions, np.array([nodes[k] for k in keys]).reshape(-1, 2))
+        assert graph.segments.tolist() == sorted(sorted([index[a], index[b]])
+                                                 for a, b in segments)
 
-        assert nodal.nodal_graph_stats(mesh, field) == [oracle_stats(mesh, field)]
+        cycle_rank, all_even = nodal.nodal_graph_stats(mesh, field)
+        assert (cycle_rank.tolist(), all_even.tolist()) == tuple(
+            [v] for v in oracle_verdicts(mesh, field))
 
         drawn = _svg_segments("".join(nodal.nodal_svg(mesh, field)))
         pt = _svg_point(mesh)
         assert len(drawn) == len(segments)
         assert set(drawn) == {frozenset((pt(nodes[a]), pt(nodes[b]))) for a, b in segments}
     assert dead_triangles > 0
+    # the whole stack at once: one verdict per row, each taking both values
+    cycle_rank, all_even = nodal.nodal_graph_stats(mesh, np.array(fields))
+    assert cycle_rank.any() and cycle_rank.min() == 0 and all_even.any() and not all_even.all()
+    assert list(zip(cycle_rank.tolist(), all_even.tolist())) == [
+        oracle_verdicts(mesh, f) for f in fields]
 
 
 def oracle_mesh_text(mesh):
@@ -236,7 +241,7 @@ def oracle_svg(mesh, field):
         pa = mesh.vertices[a].astype(float)
         pb = pa + geometry.edge_vector(mesh, np.array([a]), np.array([b]))[0]
         out.append(f'<polyline points="{pt(pa)} {pt(pb)}" fill="none" '
-                   f'stroke="{nodal._TAG_COLORS.get(tag, "#000")}" stroke-width="2"/>')
+                   f'stroke="{nodal._TAG_COLORS[tag]}" stroke-width="2"/>')
     graph = nodal.nodal_graph(mesh, field)
     for pa, pb in graph.positions[graph.segments]:
         out.append(f'<polyline points="{pt(pa)} {pt(pb)}" '
