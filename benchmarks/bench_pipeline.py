@@ -1,6 +1,6 @@
-"""Solve-stage benchmark of ``fem.steklov_spectrum``, the nearest-edge
-search of ``deformations.DensityFamily``, the artifact writers, the audit
-process pool and the graph prescriber.
+"""Solve-stage benchmark of ``fem.steklov_spectrum``, the nodal layer of an
+audit point, the nearest-edge search of ``deformations.DensityFamily``, the
+artifact writers, the audit process pool and the graph prescriber.
 
 Run from the repository root:
 
@@ -18,6 +18,13 @@ It records, with one BLAS thread:
   mesh's median solve time over the passes after the first, the median pass
   time, the operator applications and LU fill, and how many times the
   stiffness matrix was assembled in the first pass and in each later one;
+- the nodal layer of an audit point on the same 90 meshes, each solved once
+  with its audit seed: the median over the points of each point's median
+  time, over 5 passes after a warm-up, of ``nodal.courant_check`` (20
+  rotations per multiple cluster), ``nodal.boundary_touch_check`` of the
+  modes 1..6 and ``nodal.nodal_graph_stats`` of the same modes, as
+  ``harness._measure_nodal`` calls them, and the largest ``tracemalloc`` peak
+  of one ``courant_check`` call over the points;
 - the nearest-steklov-edge search ``DensityFamily.steklov_distance`` on the
   unit disk at h = 0.05, 0.02 and 0.01 and on the periodic 2*pi x 0.5 strip
   at h = 0.02: the median time of a search by a new family, and the
@@ -76,6 +83,8 @@ AUDIT_PARAMS = {"domains": ["disk", "annulus", "mixed-disk"], "radius": 1.0,
 AUDIT_SEED = 1
 AUDIT_RUNS = 90
 AUDIT_PASSES = 5
+NODAL_PASSES = 5
+NODAL_ROTATIONS = 20
 STRIP = (2 * np.pi, 0.5, 0.02)  # periodic strip: length, height, target_h
 ARTIFACT_EPS = 0.005
 ARTIFACT_REPEATS = 5
@@ -181,6 +190,45 @@ def bench_audit(counters):
                                 "max": max(ops), "total": sum(ops)},
             "lu_nnz_median": statistics.median(nnz),
             "stiffness_assemblies_per_pass": assemblies}
+
+
+def bench_nodal():
+    """The nodal layer of an audit point on the audit meshes, each solved once."""
+    points = []
+    for i, mesh in enumerate(audit_meshes()):
+        res = fem.steklov_spectrum(mesh, N_EIGS)
+        points.append((mesh, res, AUDIT_SEED + 1000 * i))
+    stages = ("courant_check", "boundary_touch_check", "nodal_graph_stats")
+    times = np.zeros((NODAL_PASSES + 1, len(stages), len(points)))
+    for p in range(NODAL_PASSES + 1):  # the first pass is a warm-up
+        for j, (mesh, res, seed) in enumerate(points):
+            # the calls of harness._measure_nodal
+            t0 = time.perf_counter()
+            _, modes = nodal.courant_check(mesh, res, NODAL_ROTATIONS, seed=seed)
+            t1 = time.perf_counter()
+            nodal.boundary_touch_check(mesh, modes.rows(1, len(res.extensions)))
+            t2 = time.perf_counter()
+            nodal.nodal_graph_stats(mesh, res.extensions[1:])
+            times[p, :, j] = t1 - t0, t2 - t1, time.perf_counter() - t2
+    per_point = np.median(times[1:], axis=0)
+    # the largest rise of the traced memory over one courant_check call
+    peak = 0
+    tracemalloc.start()
+    try:
+        for mesh, res, seed in points:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            nodal.courant_check(mesh, res, NODAL_ROTATIONS, seed=seed)
+            peak = max(peak, tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    out = {"seed": AUDIT_SEED, "meshes": len(points), "passes": NODAL_PASSES,
+           "n_rotations": NODAL_ROTATIONS,
+           "point_ms_median": 1e3 * float(np.median(per_point.sum(axis=0))),
+           "courant_check_traced_peak_mb": peak / 2 ** 20}
+    for name, row in zip(stages, per_point):
+        out[f"{name}_ms_median"] = 1e3 * float(np.median(row))
+    return out
 
 
 def bench_nearest_edge(name, mesh, repeats):
@@ -319,6 +367,7 @@ def main():
     commit, clean = checkout_state(os.path.dirname(os.path.abspath(fem.__file__)), args.out)
     pool = bench_pool()
     prescriber = bench_prescriber()
+    nodal_layer = bench_nodal()
     counters = Counters()
     result = {
         "commit": commit,
@@ -328,6 +377,7 @@ def main():
                         "cpus": os.cpu_count(), "blas_threads": 1},
         "disk": [bench_disk(counters, h) for h in DISK_H],
         "nodal_audit": bench_audit(counters),
+        "nodal": nodal_layer,
         "nearest_edge": bench_nearest_edges(),
         "artifacts": bench_artifacts(),
         "pool": pool,

@@ -45,10 +45,6 @@ class EmptyBoundaryError(ValueError):
     pass
 
 
-class ZeroBoundaryTraceError(ValueError):
-    pass
-
-
 def _stiffness_local(coords, weights):
     """Local 3x3 Dirichlet-energy matrices for P1 triangles, vectorized.
 
@@ -305,18 +301,6 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
         cluster_rel_tol=float(cluster_rel_tol),
         steklov_vertices=sk,
     )
-
-
-def rayleigh_quotient(mesh, field):
-    """(f' K f) / (f_b' B f_b) over the steklov boundary."""
-    field = np.asarray(field, float)
-    K = _stiffness(mesh)
-    B = assemble_boundary_mass(mesh, STEKLOV)
-    fb = field[B.vertices]
-    denom = float(fb @ (B.matrix @ fb))
-    if denom == 0.0:
-        raise ZeroBoundaryTraceError("field has zero trace on the steklov boundary")
-    return float(field @ (K @ field)) / denom
 
 
 # ---------------------------------------------------------------------------

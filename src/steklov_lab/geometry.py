@@ -139,10 +139,6 @@ def triangle_areas(mesh):
     return 0.5 * _doubled_areas(triangle_coords(mesh))
 
 
-def mesh_area(mesh):
-    return float(np.sum(triangle_areas(mesh)))
-
-
 def edge_vector(mesh, v0, v1):
     d = mesh.vertices[v1] - mesh.vertices[v0]
     d = d.astype(float)

@@ -93,6 +93,11 @@ _N_STARTS = 8
 _MAX_HALVINGS = 30
 _FIT_REL_ERR = 1e-12
 _MAX_STEP = 2.0
+# at a repeated target the jacobian is only a subgradient and ||r|| can creep
+# down for every iteration of a start: a start ends once ||r|| is still above
+# _STALL_RATIO times its value _STALL_WINDOW accepted steps before
+_STALL_WINDOW = 5
+_STALL_RATIO = 0.5
 
 
 def prescribe_spectrum(targets, tol=1e-8, seed=0):
@@ -101,7 +106,8 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
     Gauss-Newton in the log-weights z (positivity by construction) from a
     symmetric start, then seeded random ones.  The N equations have N(N+1)/2
     unknowns, so the step is the minimum-norm dz = -J^+ r (Ben-Israel 1966),
-    halved until the residual norm falls.
+    halved until the residual norm falls.  A start that stalls gives way to
+    the next one.
     """
     targets = np.asarray(targets, float)
     if targets.size < 1 or np.any(targets <= 0) or np.any(np.diff(targets) < 0):
@@ -118,11 +124,16 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
     for start in range(_N_STARTS):
         w = w_uniform if start == 0 else w_uniform * np.exp(rng.normal(0.0, 0.5, len(edges)))
         lam, jac = eigenvalues_and_weight_jacobian(n, edges, w)
+        norms = []   # ||r|| at each accepted point of the start
         for _ in range(_MAX_ITERS):
             if np.max(np.abs(lam[1:] - targets) / targets) <= _FIT_REL_ERR:
                 break
             # the step in z = log(w), where d(lambda)/dz_i = w_i d(lambda)/dw_i
             r = lam[1:] - targets
+            norms.append(np.linalg.norm(r))
+            if (len(norms) > _STALL_WINDOW
+                    and norms[-1] > _STALL_RATIO * norms[-1 - _STALL_WINDOW]):
+                break
             step = np.linalg.lstsq(jac[1:] * w, -r, rcond=None)[0]
             step *= min(1.0, _MAX_STEP / np.abs(step).max())
             accepted, tried = False, None
@@ -132,7 +143,7 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
                     break  # halving no longer moves the weights
                 tried = w_trial
                 lam_trial, jac_trial = eigenvalues_and_weight_jacobian(n, edges, w_trial)
-                if np.linalg.norm(lam_trial[1:] - targets) < np.linalg.norm(r):
+                if np.linalg.norm(lam_trial[1:] - targets) < norms[-1]:
                     w, lam, jac, accepted = w_trial, lam_trial, jac_trial, True
                     break
                 step /= 2.0
@@ -146,7 +157,7 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
             if np.max(np.abs(check[1:] - targets) / targets) <= tol:
                 return g
     raise PrescriptionError(
-        f"no start reached tol={tol} within {_MAX_ITERS} Gauss-Newton iterations "
+        f"none of {_N_STARTS} Gauss-Newton starts reached tol={tol} "
         f"(best max relative error {best:.3e})")
 
 

@@ -1,10 +1,10 @@
 """Nodal decomposition and combinatorial audits of eigenfunction sign patterns.
 
 A P1 field is linear per triangle, so its zero set crosses each triangle in a
-single line and each triangle carries at most one positive and one negative
-piece.  Pieces are glued across interior edges where the shared edge carries
-the sign, giving the nodal domains; the zero set itself becomes a graph whose
-nodes are keyed combinatorially (mesh vertices and crossed edges).
+single line.  A nodal domain of sign s is one connected component of the
+vertices of sign s, joined by the mesh edges whose two ends both carry s; the
+zero set itself becomes a graph whose nodes are keyed combinatorially (mesh
+vertices and crossed edges).
 """
 
 from dataclasses import dataclass
@@ -27,15 +27,12 @@ ZERO_TOL = 1e-7
 class NodalDecomposition:
     """Nodal domains of an (m, nv) stack of fields, row by row.
 
-    Row r's pieces are entries piece_start[r]:piece_start[r + 1] of
-    piece_domain; piece ids and domain labels count from 0 in every row.
+    Domain ids count from 0 in every row; row r's domains are entries
+    domain_start[r]:domain_start[r + 1] of the stack's domains.
     """
 
     vertex_signs: np.ndarray   # (m, nv) in {-1, 0, +1}
-    piece_pos: np.ndarray      # (m, nt) piece id of the positive piece, or -1
-    piece_neg: np.ndarray      # (m, nt) piece id of the negative piece, or -1
-    piece_domain: np.ndarray   # (n_pieces,) domain label in 0..n_domains[r]-1
-    piece_start: np.ndarray    # (m + 1,) offsets of the rows' pieces
+    vertex_domain: np.ndarray  # (m, nv) int32 domain id in its row, -1 in the dead zone
     domain_start: np.ndarray   # (m + 1,) offsets of the rows' domains
 
     @property
@@ -45,11 +42,8 @@ class NodalDecomposition:
     def rows(self, start, stop):
         """Rows start..stop-1 as a record of their own.  The arrays are
         copies, so the rest of the stack is freed with the original."""
-        p0, p1 = self.piece_start[[start, stop]]
         return NodalDecomposition(
-            *(a[start:stop].copy() for a in (self.vertex_signs, self.piece_pos, self.piece_neg)),
-            self.piece_domain[p0:p1].copy(),
-            self.piece_start[start:stop + 1] - p0,
+            self.vertex_signs[start:stop].copy(), self.vertex_domain[start:stop].copy(),
             self.domain_start[start:stop + 1] - self.domain_start[start])
 
 
@@ -78,59 +72,47 @@ def _vertex_fields(mesh, fields):
     return np.atleast_2d(fields)
 
 
-def _offsets(counts):
-    return np.concatenate([[0], np.cumsum(counts)])
-
-
 def decompose_nodal(mesh, fields):
     """Connected components of {field > 0} and {field < 0} on the mesh, for
-    every row of an (m, nv) stack, as one NodalDecomposition."""
+    every row of an (m, nv) stack, as one NodalDecomposition.
+
+    A triangle's s-vertices are joined by its edges, two triangles glued
+    across an edge share the edge's s-ends, and the triangles around a vertex
+    form an edge-connected fan; so the sign-s components of the triangle
+    pieces are the components of the sign-s vertices under the edges with
+    both ends of sign s.
+    """
     fields = _vertex_fields(mesh, fields)
     blocks = [_decompose_block(mesh, fields[start:start + _BLOCK_ROWS])
               for start in range(0, len(fields), _BLOCK_ROWS)]
-    signs, pos, neg, domain, n_pieces, n_domains = map(np.concatenate, zip(*blocks))
-    return NodalDecomposition(signs, pos, neg, domain,
-                              _offsets(n_pieces), _offsets(n_domains))
+    signs, domain, n_domains = map(np.concatenate, zip(*blocks))
+    return NodalDecomposition(signs, domain, np.concatenate([[0], np.cumsum(n_domains)]))
 
 
 def _decompose_block(mesh, fields):
-    """The record's arrays for a few rows, through one components call, with
-    each row's counts of pieces and of domains.
+    """The record's arrays for a few rows, through one components call on
+    the block's vertices, with each row's count of domains.
 
-    Pieces are numbered row-major, each row's positive pieces before its
-    negative ones, each sign in triangle order.  Components are numbered by
-    their lowest piece, so the domains of a row are one contiguous run of
-    labels and, less the run's start, the labels the row has alone.
+    Vertex v of row r is node r * nv + v.  Components are numbered by their
+    lowest node, so the components of a row are one contiguous run of labels;
+    a dead-zone vertex is a component of its own and no domain.
     """
     signs = vertex_signs(fields)
-    tri_signs = signs[:, mesh.triangles]
-    has_pos = np.any(tri_signs == 1, axis=2)
-    has_neg = np.any(tri_signs == -1, axis=2)
-    n_pos = has_pos.sum(axis=1)
-    n_pieces = n_pos + has_neg.sum(axis=1)
-    piece_start = _offsets(n_pieces)
-    # row-local ids; a row's pieces sit at piece_start[row] in the block graph
-    piece_pos = np.where(has_pos, np.cumsum(has_pos, axis=1, dtype=np.int32) - 1, -1)
-    piece_neg = np.where(has_neg, (n_pos[:, None] - 1).astype(np.int32)
-                         + np.cumsum(has_neg, axis=1, dtype=np.int32), -1)
-
-    # pieces of sign s are glued across an interior edge carrying s
-    edges, tri_a, tri_b = geometry.interior_edges_with_triangles(mesh)
-    sign_a = signs[:, edges[:, 0]]
-    sign_b = signs[:, edges[:, 1]]
-    offset = piece_start[:-1, None].astype(np.int32)
-    glue_a, glue_b = [], []
-    for s, piece in ((1, piece_pos), (-1, piece_neg)):
-        pa, pb = piece[:, tri_a], piece[:, tri_b]
-        glue = ((sign_a == s) | (sign_b == s)) & (pa >= 0) & (pb >= 0)
-        glue_a.append((pa + offset)[glue])
-        glue_b.append((pb + offset)[glue])
-    n_labels, labels = geometry.label_components(
-        int(piece_start[-1]), np.concatenate(glue_a), np.concatenate(glue_b))
-    # a nonzero field has a piece at its largest vertex, so no row is empty
-    domain_start = np.append(labels[piece_start[:-1]], n_labels)
-    labels -= np.repeat(domain_start[:-1], n_pieces).astype(labels.dtype)
-    return signs, piece_pos, piece_neg, labels, n_pieces, np.diff(domain_start)
+    m, nv = signs.shape
+    a, b = mesh.edge_table.edges.T
+    sign_a = signs[:, a]
+    glue = (sign_a == signs[:, b]) & (sign_a != 0)
+    first = np.arange(0, m * nv, nv)[:, None]
+    n_labels, labels = geometry.label_components(m * nv, (first + a)[glue], (first + b)[glue])
+    live = np.zeros(n_labels, bool)
+    live[labels[signs.ravel() != 0]] = True
+    # the domains before each label, and before each row: a row's first
+    # vertex carries the row's lowest label
+    before = np.concatenate([[0], np.cumsum(live)])
+    start = before[np.append(labels[::nv], n_labels)]
+    domain = (before[labels].reshape(m, nv) - start[:-1, None]).astype(np.int32)
+    domain[signs == 0] = -1
+    return signs, domain, np.diff(start)
 
 
 def courant_check(mesh, result, n_rotations=20, seed=0):
@@ -167,19 +149,13 @@ def courant_check(mesh, result, n_rotations=20, seed=0):
 
 def boundary_touch_check(mesh, decomp):
     """Whether every nodal domain reaches the steklov boundary: an (m,) bool
-    array, one verdict per row of the NodalDecomposition decomp."""
-    # stack-wide domain of every piece
-    domain = decomp.piece_domain + np.repeat(decomp.domain_start[:-1],
-                                             np.diff(decomp.piece_start))
-    tagged = np.zeros(mesh.n_vertices, bool)
-    tagged[geometry.tagged_vertices(mesh, STEKLOV)] = True
-    tri_tagged = tagged[mesh.triangles]
-    tri_signs = decomp.vertex_signs[:, mesh.triangles]
+    array, one verdict per row of the NodalDecomposition decomp.  A domain
+    reaches it when it holds a vertex of a steklov edge."""
+    domain = decomp.vertex_domain[:, geometry.tagged_vertices(mesh, STEKLOV)]
+    # stack-wide ids of the domains that hold a steklov vertex
+    hit = (domain + decomp.domain_start[:-1, None])[domain >= 0]
     touched = np.zeros(decomp.domain_start[-1], bool)
-    for sign, pieces in ((1, decomp.piece_pos), (-1, decomp.piece_neg)):
-        hit = np.any(tri_tagged & (tri_signs == sign), axis=2) & (pieces >= 0)
-        row, tri = np.nonzero(hit)
-        touched[domain[decomp.piece_start[row] + pieces[row, tri]]] = True
+    touched[hit] = True
     # every row has a domain, so no two offsets are equal
     return np.logical_and.reduceat(touched, decomp.domain_start[:-1])
 
@@ -253,6 +229,24 @@ def nodal_graph(mesh, fields):
     two rows share a node; a single field is a stack of one.
     """
     fields = _vertex_fields(mesh, fields)
+    nodes, segments = _zero_set(mesh, fields)
+    table = mesh.edge_table
+    n_edges = len(table.edges)
+    node_row, key = np.divmod(nodes, n_edges + mesh.n_vertices)
+    positions = np.empty((nodes.size, 2))
+    on_edge = key < n_edges
+    positions[~on_edge] = mesh.vertices[key[~on_edge] - n_edges]
+    i, j = table.edges[key[on_edge]].T
+    fi = fields[node_row[on_edge], i]
+    t = fi / (fi - fields[node_row[on_edge], j])
+    positions[on_edge] = (mesh.vertices[i].astype(float)
+                          + t[:, None] * geometry.edge_vector(mesh, i, j))
+    return ZeroSetGraph(nodes=nodes, positions=positions, segments=segments)
+
+
+def _zero_set(mesh, fields):
+    """Node ids and segments of the zero-set graph of an (m, nv) stack, as
+    ZeroSetGraph lists them."""
     signs = vertex_signs(fields)
     table = mesh.edge_table
     n_edges = len(table.edges)
@@ -265,51 +259,42 @@ def nodal_graph(mesh, fields):
     mask = np.concatenate([zero, cross], axis=2)
     nodes, index = np.unique(keys[mask], return_inverse=True)
 
-    # a triangle has three keys only when its three vertices are dead
-    count = mask.sum(axis=2).ravel()
+    # a triangle has three keys only when its three vertices are dead; the
+    # keys are counted by a product, as numpy sums a short last axis slowly
+    count = (mask.view(np.int8) @ np.ones(mask.shape[2], np.int8)).ravel()
     two = index[np.repeat(count == 2, count)].reshape(-1, 2)
     full = index[np.repeat(count == 3, count)].reshape(-1, 3)
     ends = np.concatenate([two, full[:, [0, 1]], full[:, [1, 2]], full[:, [2, 0]]])
     ends.sort(axis=1)
     code = np.unique(ends[:, 0] * nodes.size + ends[:, 1])
-    segments = np.stack(np.divmod(code, nodes.size), axis=1)
-
-    node_row, key = np.divmod(nodes, n_keys)
-    positions = np.empty((nodes.size, 2))
-    on_edge = key < n_edges
-    positions[~on_edge] = mesh.vertices[key[~on_edge] - n_edges]
-    i, j = table.edges[key[on_edge]].T
-    fi = fields[node_row[on_edge], i]
-    t = fi / (fi - fields[node_row[on_edge], j])
-    positions[on_edge] = (mesh.vertices[i].astype(float)
-                          + t[:, None] * geometry.edge_vector(mesh, i, j))
-    return ZeroSetGraph(nodes=nodes, positions=positions, segments=segments)
+    return nodes, np.stack(np.divmod(code, nodes.size), axis=1)
 
 
 def nodal_graph_stats(mesh, fields):
     """Cycle rank and boundary-endpoint parity of the zero set of each row.
 
     Returns (cycle_rank, all_even), two (m,) arrays for an (m, nv) stack, from
-    one graph of the whole stack and one components call: all_even says that
+    the nodes and segments of one zero-set graph of the whole stack, with no
+    node positions, and one components call: all_even says that
     every component of the row's zero set has an even number of arc endpoints
     on the boundary.  A single field is a stack of one.
     """
-    graph = nodal_graph(mesh, fields)
-    m = len(np.atleast_2d(fields))
-    n_edges = len(mesh.edge_table.edges)
-    node_row, key = np.divmod(graph.nodes, n_edges + mesh.n_vertices)
-    n_comp, labels = geometry.label_components(graph.nodes.size, *graph.segments.T)
+    fields = _vertex_fields(mesh, fields)
+    nodes, segments = _zero_set(mesh, fields)
+    m = len(fields)
+    node_row, key = np.divmod(nodes, len(mesh.edge_table.edges) + mesh.n_vertices)
+    n_comp, labels = geometry.label_components(nodes.size, *segments.T)
     # no component spans two rows; a row's cycle rank is its segments less
     # its nodes plus its components
     comp_row = np.empty(n_comp, np.int64)
     comp_row[labels] = node_row
-    cycle_rank = (np.bincount(node_row[graph.segments[:, 0]], minlength=m)
+    cycle_rank = (np.bincount(node_row[segments[:, 0]], minlength=m)
                   - np.bincount(node_row, minlength=m) + np.bincount(comp_row, minlength=m))
 
     on_vertex = np.zeros(mesh.n_vertices, bool)
     on_vertex[mesh.boundary_edges.ravel()] = True
     on_boundary = np.concatenate([mesh.edge_table.boundary, on_vertex])
-    degree = np.bincount(graph.segments.ravel(), minlength=graph.nodes.size)
+    degree = np.bincount(segments.ravel(), minlength=nodes.size)
     # isolated touch points carry no arc endpoints
     hit = labels[(degree > 0) & on_boundary[key]]
     odd = np.bincount(hit, minlength=n_comp) % 2 == 1

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov_lab import fem, geometry, nodal
+from steklov_lab import fem, geometry, graphs, nodal, thickening
 from steklov_lab.geometry import NEUMANN, STEKLOV
 
 # the dead zone of nodal.vertex_signs, copied so that the oracle stands alone
@@ -78,13 +78,28 @@ def _oracle_partition(mesh, field):
     return {frozenset(g) for g in groups.values()}
 
 
-def _partition(decomp, r):
-    """Row r of a decomposition as sets of (triangle, sign) pieces."""
-    domain = decomp.piece_domain[decomp.piece_start[r]:decomp.piece_start[r + 1]]
+def _oracle_touch(mesh, field):
+    """Whether every domain of the piece oracle holds a piece whose triangle
+    has a vertex of its sign on a steklov edge."""
+    signs = _oracle_signs(field.tolist())
+    steklov = set(mesh.boundary_edges[mesh.boundary_tags == STEKLOV].ravel().tolist())
+    tris = mesh.triangles.tolist()
+    return all(any(v in steklov and signs[v] == s for t, s in domain for v in tris[t])
+               for domain in _oracle_partition(mesh, field))
+
+
+def _partition(mesh, decomp, r):
+    """Row r of a decomposition as sets of (triangle, sign) pieces: a
+    triangle's s-piece lies in the domain of its s-vertices."""
+    signs, domain = decomp.vertex_signs[r], decomp.vertex_domain[r]
+    assert np.array_equal(domain < 0, signs == 0)
     groups = {}
-    for sign, piece in ((1, decomp.piece_pos[r]), (-1, decomp.piece_neg[r])):
-        for t in np.nonzero(piece >= 0)[0].tolist():
-            groups.setdefault(int(domain[piece[t]]), set()).add((t, sign))
+    for t, tri in enumerate(mesh.triangles.tolist()):
+        for sign in (1, -1):
+            ids = {int(domain[v]) for v in tri if signs[v] == sign}
+            if ids:
+                assert len(ids) == 1, (t, sign)
+                groups.setdefault(ids.pop(), set()).add((t, sign))
     assert sorted(groups) == list(range(decomp.n_domains[r]))
     return {frozenset(g) for g in groups.values()}
 
@@ -96,11 +111,20 @@ def _mixed_disk(h):
                                  by="angle", center=(0.0, 0.0))
 
 
+def _five_cycle(eps):
+    cycle = np.array([[i, (i + 1) % 5] for i in range(5)])
+    g = graphs.MetricGraph(5, cycle, np.array([1.0, 0.9, 1.1, 1.0, 1.0]))
+    emb = thickening.embed_graph(g, "convex-boundary", 2.0)
+    return thickening.build_thickened_mesh(emb, eps, 2.0, target_h=eps / 2)
+
+
 @pytest.mark.parametrize("make_mesh", [
     lambda: geometry.make_disk_mesh(1.0, 0.12),
     lambda: geometry.make_annulus_mesh(0.5, 1.0, 0.12),
     lambda: _mixed_disk(0.12),
-], ids=["disk", "annulus", "mixed-disk"])
+    lambda: geometry.make_strip_mesh(2 * math.pi, 0.5, 0.12, periodic=True),
+    lambda: _five_cycle(0.02),
+], ids=["disk", "annulus", "mixed-disk", "periodic-strip", "five-cycle"])
 def test_decompose_nodal_matches_union_find(make_mesh):
     mesh = make_mesh()
     res = fem.steklov_spectrum(mesh, 7)
@@ -111,8 +135,24 @@ def test_decompose_nodal_matches_union_find(make_mesh):
             for _ in range(3):
                 coef = rng.normal(size=b - a)
                 fields.append(coef / np.linalg.norm(coef) @ res.extensions[a:b])
+    # rounded to a few levels: whole vertices, edges and triangles in the dead zone
+    rounded = np.round(2 * res.extensions[3] / np.abs(res.extensions[3]).max())
+    dead = _oracle_signs(rounded.tolist())
+    assert 0 in dead and -1 in dead and 1 in dead
+    assert any(all(dead[v] == 0 for v in tri) for tri in mesh.triangles.tolist())
+    # a small negative blob around the vertex farthest from the boundary:
+    # a domain that does not reach the steklov boundary
+    bverts = mesh.vertices[np.unique(mesh.boundary_edges)]
+    gap = np.linalg.norm(mesh.vertices[:, None] - bverts, axis=2).min(axis=1)
+    dist = np.linalg.norm(mesh.vertices - mesh.vertices[np.argmax(gap)], axis=1)
+    fields += [rounded, dist - gap.max() / 2]
     stack = nodal.decompose_nodal(mesh, np.array(fields))
+    touch = nodal.boundary_touch_check(mesh, stack)
     for r, field in enumerate(fields):
         oracle = _oracle_partition(mesh, field)
-        assert _partition(nodal.decompose_nodal(mesh, field), 0) == oracle
-        assert _partition(stack, r) == oracle
+        alone = nodal.decompose_nodal(mesh, field)
+        assert _partition(mesh, alone, 0) == oracle
+        assert _partition(mesh, stack, r) == oracle
+        assert nodal.boundary_touch_check(mesh, alone).tolist() == [_oracle_touch(mesh, field)]
+        assert bool(touch[r]) == _oracle_touch(mesh, field)
+    assert not touch[-1]

@@ -151,6 +151,23 @@ def test_prescribe_repeated_targets(targets):
     assert np.max(np.abs(got - targets) / np.asarray(targets)) <= 1e-8
 
 
+def test_stalled_start_gives_way(monkeypatch):
+    """At a repeated target ||r|| falls only linearly; a start that stalls
+    ends before its _MAX_ITERS iterations and the next start fits."""
+    calls = []
+    evaluate = graphs.eigenvalues_and_weight_jacobian
+
+    def counted(n, edges, weights):
+        calls.append(1)
+        return evaluate(n, edges, weights)
+
+    monkeypatch.setattr(graphs, "eigenvalues_and_weight_jacobian", counted)
+    targets = [0.5, 3.0, 3.0, 3.0, 4.0]
+    got = graphs.graph_laplacian_spectrum(graphs.prescribe_spectrum(targets))[1:]
+    assert np.max(np.abs(got - targets) / np.asarray(targets)) <= 1e-8
+    assert len(calls) <= 600
+
+
 def test_prescriber_audit_fits_in_few_evaluations(monkeypatch):
     """The target sets of the shipped prescriber audit, drawn as its runner
     draws them: each fit takes few eigendecompositions."""

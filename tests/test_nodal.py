@@ -24,8 +24,8 @@ def test_linear_field_two_domains():
     d = nodal.decompose_nodal(mesh, mesh.vertices[:, 0])
     assert d.n_domains.tolist() == [2]
     # one positive and one negative domain
-    pos = np.unique(d.piece_domain[d.piece_pos[d.piece_pos >= 0]])
-    neg = np.unique(d.piece_domain[d.piece_neg[d.piece_neg >= 0]])
+    pos = np.unique(d.vertex_domain[d.vertex_signs == 1])
+    neg = np.unique(d.vertex_domain[d.vertex_signs == -1])
     assert pos.size == neg.size == 1 and pos[0] != neg[0]
 
 

@@ -2,8 +2,9 @@
 
 Every nodal entry point takes an (m, nv) stack and decomposes or graphs all
 rows together; decompose_nodal gives one record for the whole stack.  Each row
-must come out exactly as the same field does alone: its signs, pieces and
-domains, the boundary-touch verdict, the zero-set graph and its two verdicts.
+must come out exactly as the same field does alone: its signs, vertex domains
+and domain count, the boundary-touch verdict, the zero-set graph and its two
+verdicts.
 The audit points of a nodal audit are also compared with the per-field loop
 that the stack replaced.
 """
@@ -48,9 +49,7 @@ def _stack(mesh):
 
 def _row(decomp, r):
     """Row r of a decomposition, read from the record's arrays."""
-    pieces = slice(*decomp.piece_start[r:r + 2])
-    return {"vertex_signs": decomp.vertex_signs[r], "piece_pos": decomp.piece_pos[r],
-            "piece_neg": decomp.piece_neg[r], "piece_domain": decomp.piece_domain[pieces],
+    return {"vertex_signs": decomp.vertex_signs[r], "vertex_domain": decomp.vertex_domain[r],
             "n_domains": decomp.n_domains[r]}
 
 
@@ -161,10 +160,10 @@ def test_courant_check_keeps_only_the_eigenvector_rows():
     assert sum(b - a > 1 for a, b in res.clusters) >= 2
     records, decomp = nodal.courant_check(mesh, res, n_rotations=20, seed=3)
     n = len(res.extensions)
-    assert decomp.n_domains.size == len(decomp.vertex_signs) == len(decomp.piece_pos) == n
-    assert len(decomp.piece_neg) == n
-    assert decomp.piece_start[0] == decomp.domain_start[0] == 0
-    assert decomp.piece_start[-1] == decomp.piece_domain.size
+    assert decomp.n_domains.size == len(decomp.vertex_signs) == len(decomp.vertex_domain) == n
+    assert decomp.vertex_domain.shape == (n, mesh.n_vertices)
+    assert decomp.domain_start[0] == 0
+    assert decomp.domain_start[-1] == (decomp.vertex_domain.max(axis=1) + 1).sum()
     for r, field in enumerate(res.extensions):
         _same_row(mesh, decomp, r, field)
     # no array is a view that would keep the rotation rows alive
