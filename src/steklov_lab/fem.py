@@ -2,9 +2,9 @@
 eigenproblems.
 
 The Dirichlet energy K is assembled over all vertices, once per geometry: the
-meshes that geometry.replace_mesh derives with the same vertices, triangles,
-weights and period share one read-only K.  Dirichlet vertices are pinned to
-zero by removing them (without them, K itself is used); the pencil
+meshes that geometry.replace_mesh derives without new triangle weights share
+one read-only K.  Dirichlet vertices are pinned to zero by removing them
+(without them, K itself is used); the pencil
 (K_f, M_Gamma) over the remaining free vertices is solved through one sparse
 factorization of K_f - SHIFT * M_Gamma.
 
@@ -81,8 +81,8 @@ def assemble_stiffness(mesh):
 
 def _stiffness(mesh):
     """The stiffness matrix of the mesh, assembled once per geometry: the
-    meshes that geometry.replace_mesh derives with the same vertices,
-    triangles, weights and period share it, so its arrays are read-only."""
+    meshes that geometry.replace_mesh derives without new triangle weights
+    share it, so its arrays are read-only."""
     cache = mesh.stiffness_cache
     if "K" not in cache:
         K = assemble_stiffness(mesh)

@@ -78,8 +78,7 @@ class Mesh2D:
     def stiffness_cache(self):
         """A holder that fem fills with the stiffness matrix, the default
         cluster tolerance and the connectivity labels of each dirichlet set;
-        replace_mesh hands it on while the vertices, triangles, tri_weight and
-        period_x stay the same."""
+        replace_mesh hands it on unless the triangle weights change."""
         return {}
 
 
@@ -88,17 +87,12 @@ class EdgeTable:
     """Unique edges of a triangulation and their incidences.
 
     Edges are sorted vertex pairs in lexicographic order, so an edge id is its
-    rank in that order.  Interior edges are listed in edge-id order with their
-    two triangles; tri_a is the one whose (local edge, triangle) comes first
-    in the order 01, 12, 20 over all triangles.
+    rank in that order.
     """
 
     edges: np.ndarray       # (ne, 2) sorted vertex pairs, lexicographic
     tri_edges: np.ndarray   # (nt, 3) edge ids of local edges 01, 12, 20
     boundary: np.ndarray    # (ne,) bool, edge has a single incident triangle
-    interior: np.ndarray    # (ni,) ids of edges shared by two triangles
-    tri_a: np.ndarray       # (ni,) first incident triangle
-    tri_b: np.ndarray       # (ni,) second incident triangle
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +100,8 @@ class EdgeTable:
 # ---------------------------------------------------------------------------
 
 def _wrap_delta(dx, period):
-    if period > 0:
-        return dx - period * np.round(dx / period)
-    return dx
+    """Minimum-image differences modulo period > 0."""
+    return dx - period * np.round(dx / period)
 
 
 def _unwrapped_coords(vertices, triangles, period_x):
@@ -152,11 +145,8 @@ def boundary_edge_lengths(mesh):
     return np.hypot(d[:, 0], d[:, 1])
 
 
-def boundary_length(mesh, tag=None):
-    lens = boundary_edge_lengths(mesh)
-    if tag is None:
-        return float(lens.sum())
-    return float(lens[mesh.boundary_tags == tag].sum())
+def boundary_length(mesh, tag):
+    return float(boundary_edge_lengths(mesh)[mesh.boundary_tags == tag].sum())
 
 
 def boundary_edge_midpoints(mesh):
@@ -198,25 +188,18 @@ def _all_edges(triangles):
 def _edge_table(triangles, n_vertices):
     nt = triangles.shape[0]
     e = _all_edges(triangles).astype(np.int64)
-    owner = np.tile(np.arange(nt), 3)
-    # a stable sort keeps equal edges in (local edge, triangle) order
-    order = np.argsort(e[:, 0] * n_vertices + e[:, 1], kind="stable")
+    # the copies of an edge are equal, so their order after the sort is free
+    order = np.argsort(e[:, 0] * n_vertices + e[:, 1])
     e = e[order]
-    owner = owner[order]
-    same = np.all(e[1:] == e[:-1], axis=1)
     first = np.ones(len(e), bool)
-    first[1:] = ~same
+    first[1:] = np.any(e[1:] != e[:-1], axis=1)
     sorted_ids = np.cumsum(first) - 1
     ids = np.empty_like(sorted_ids)
     ids[order] = sorted_ids
-    idx = np.nonzero(same)[0]
     table = EdgeTable(
         edges=e[first],
         tri_edges=ids.reshape(3, nt).T.copy(),
         boundary=np.bincount(sorted_ids, minlength=int(first.sum())) == 1,
-        interior=sorted_ids[idx],
-        tri_a=owner[idx],
-        tri_b=owner[idx + 1],
     )
     for arr in vars(table).values():
         arr.flags.writeable = False
@@ -233,12 +216,6 @@ def edge_ids(mesh, pairs):
     if np.any(ids == len(keys)) or not np.array_equal(keys[ids], query):
         raise MeshError("vertex pair is not an edge of the mesh")
     return ids
-
-
-def interior_edges_with_triangles(mesh):
-    """Interior edges (sorted pairs) with the two incident triangle indices."""
-    table = mesh.edge_table
-    return table.edges[table.interior], table.tri_a, table.tri_b
 
 
 def label_components(n, a, b):
@@ -331,8 +308,8 @@ def grid_triangles(n_rows, n_cols, wrap_rows):
 
 def make_disk_mesh(radius, target_h):
     """Deterministic ring-based triangulation of a disk, all-steklov boundary."""
-    if radius <= 0 or target_h <= 0 or target_h >= radius:
-        raise ParameterError("need radius > 0 and 0 < target_h < radius")
+    if not 0 < target_h < radius < math.inf:
+        raise ParameterError("need 0 < target_h < radius, radius finite")
     n_r = max(2, math.ceil(radius / target_h))
     dr = radius / n_r
     pts = [(0.0, 0.0)]
@@ -353,9 +330,9 @@ def make_disk_mesh(radius, target_h):
 
 def make_annulus_mesh(r_inner, r_outer, target_h):
     """Structured triangulation of an annulus, both circles steklov-tagged."""
-    if not 0 < r_inner < r_outer:
-        raise ParameterError("need 0 < r_inner < r_outer")
-    if target_h <= 0 or target_h >= r_outer - r_inner:
+    if not 0 < r_inner < r_outer < math.inf:
+        raise ParameterError("need 0 < r_inner < r_outer, r_outer finite")
+    if not 0 < target_h < r_outer - r_inner:
         raise ParameterError("target_h must be in (0, r_outer - r_inner)")
     n_t = max(6, math.ceil(2 * math.pi * r_outer / target_h))
     n_r = max(1, math.ceil((r_outer - r_inner) / target_h))
@@ -379,9 +356,9 @@ def make_strip_mesh(length_l, width_w, target_h, periodic, top_tag=NEUMANN):
     The long side y=0 is steklov and the long side y=w gets top_tag; the
     short sides of the non-periodic rectangle are neumann.
     """
-    if length_l <= 0 or width_w <= 0 or target_h <= 0:
-        raise ParameterError("lengths must be positive")
-    if target_h >= min(length_l, width_w):
+    if not (0 < length_l < math.inf and 0 < width_w < math.inf and 0 < target_h):
+        raise ParameterError("lengths must be positive and finite")
+    if not target_h < min(length_l, width_w):
         raise ParameterError("target_h must be smaller than min(L, w)")
     nx = max(3, math.ceil(length_l / target_h))
     ny = max(1, math.ceil(width_w / target_h))
@@ -453,18 +430,15 @@ def extract_submesh(mesh, tri_mask):
                         tri_weight=mesh.tri_weight[tri_mask])
 
 
-def replace_mesh(mesh, **changes):
-    """dataclasses.replace for a Mesh2D that keeps the cached edge table when
-    the triangles and the vertex count are unchanged, and the stiffness holder
-    when the vertices, triangles, tri_weight and period_x are."""
-    out = replace(mesh, **changes)
-    if out.n_vertices != mesh.n_vertices or not np.array_equal(out.triangles, mesh.triangles):
-        return out
-    table = mesh.__dict__.get("edge_table")
-    if table is not None:
-        out.__dict__["edge_table"] = table
-    if (out.period_x == mesh.period_x and np.array_equal(out.vertices, mesh.vertices)
-            and np.array_equal(out.tri_weight, mesh.tri_weight)):
+def replace_mesh(mesh, *, boundary_tags=None, edge_density=None, tri_weight=None):
+    """The mesh with the given boundary tags, edge densities or triangle
+    weights in place of its own.  The geometry stays, so the copy keeps the
+    mesh's edge table, and its stiffness holder unless tri_weight is given."""
+    changes = {"boundary_tags": boundary_tags, "edge_density": edge_density,
+               "tri_weight": tri_weight}
+    out = replace(mesh, **{k: v for k, v in changes.items() if v is not None})
+    out.__dict__["edge_table"] = mesh.edge_table
+    if tri_weight is None:
         out.__dict__["stiffness_cache"] = mesh.stiffness_cache
     return out
 

@@ -35,8 +35,8 @@ class MetricGraph:
             raise GraphError("edges must be vertex pairs")
         if edges.shape[0] != lengths.shape[0]:
             raise GraphError("edge and length counts differ")
-        if np.any(lengths <= 0):
-            raise GraphError("all edge lengths must be positive")
+        if not np.all((0 < lengths) & (lengths < np.inf)):
+            raise GraphError("all edge lengths must be positive and finite")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise GraphError("loops are not allowed")
         key = {tuple(sorted(e)) for e in edges.tolist()}
@@ -110,8 +110,9 @@ def prescribe_spectrum(targets, tol=1e-8, seed=0):
     the next one.
     """
     targets = np.asarray(targets, float)
-    if targets.size < 1 or np.any(targets <= 0) or np.any(np.diff(targets) < 0):
-        raise GraphError("targets must be positive and sorted ascending")
+    if not (targets.size and np.all((0 < targets) & (targets < np.inf))
+            and np.all(np.diff(targets) >= 0)):
+        raise GraphError("targets must be positive, finite and sorted ascending")
     if targets.size == 1:
         # K_2: single edge, spectrum (0, 2/l)
         return MetricGraph(2, np.array([[0, 1]]), np.array([2.0 / targets[0]]))

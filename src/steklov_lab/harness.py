@@ -518,20 +518,7 @@ def _run_audit(config, p, tol, jobs):
 
 
 def _check(name, passed, observed, required):
-    return {"name": name, "passed": bool(passed),
-            "observed": _jsonable(observed), "required": _jsonable(required)}
-
-
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
+    return {"name": name, "passed": bool(passed), "observed": observed, "required": required}
 
 
 def run(config, out_dir=None, jobs=1):
@@ -542,7 +529,7 @@ def run(config, out_dir=None, jobs=1):
     report = ExperimentReport(
         config=asdict(config),
         config_hash=config.content_hash(),
-        points=_jsonable(points),
+        points=points,
         checks=checks,
         environment=_environment_stamp(),
         wallclock_s=time.monotonic() - start,
@@ -591,20 +578,17 @@ def emit_tables(report, out_dir):
     os.makedirs(tables, exist_ok=True)
     kind = report.config["kind"]
     columns = _REGISTRY[kind].columns
-    path = os.path.join(tables, "sweep.csv")
-    with open(path, "w", newline="", encoding="ascii") as fh:
+    with open(os.path.join(tables, "sweep.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for pt in report.points:
             writer.writerow([pt.get(c, "") for c in columns])
-    summary = os.path.join(out_dir, "summary.txt")
-    with open(summary, "w", encoding="ascii") as fh:
+    with open(os.path.join(out_dir, "summary.txt"), "w", encoding="ascii") as fh:
         fh.write(f"experiment: {report.config['name']} ({kind})\n")
         fh.write(f"config hash: {report.config_hash}\n")
         fh.write(f"report hash: {report.report_hash()}\n\n")
         fh.write("".join(check_line(c) + "\n" for c in report.checks))
         fh.write(f"\noverall: {'PASS' if report.passed else 'FAIL'}\n")
-    return [path, summary]
 
 
 # The registry.  params and tolerances are the schemas of the config's mappings

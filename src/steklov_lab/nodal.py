@@ -28,10 +28,10 @@ class NodalDecomposition:
     """Nodal domains of an (m, nv) stack of fields, row by row.
 
     Domain ids count from 0 in every row; row r's domains are entries
-    domain_start[r]:domain_start[r + 1] of the stack's domains.
+    domain_start[r]:domain_start[r + 1] of the stack's domains.  The sign of
+    a domain is that of its vertices under vertex_signs.
     """
 
-    vertex_signs: np.ndarray   # (m, nv) in {-1, 0, +1}
     vertex_domain: np.ndarray  # (m, nv) int32 domain id in its row, -1 in the dead zone
     domain_start: np.ndarray   # (m + 1,) offsets of the rows' domains
 
@@ -42,9 +42,8 @@ class NodalDecomposition:
     def rows(self, start, stop):
         """Rows start..stop-1 as a record of their own.  The arrays are
         copies, so the rest of the stack is freed with the original."""
-        return NodalDecomposition(
-            self.vertex_signs[start:stop].copy(), self.vertex_domain[start:stop].copy(),
-            self.domain_start[start:stop + 1] - self.domain_start[start])
+        return NodalDecomposition(self.vertex_domain[start:stop].copy(),
+                                  self.domain_start[start:stop + 1] - self.domain_start[start])
 
 
 # rows decomposed together: one components call per block, and the block's
@@ -85,13 +84,13 @@ def decompose_nodal(mesh, fields):
     fields = _vertex_fields(mesh, fields)
     blocks = [_decompose_block(mesh, fields[start:start + _BLOCK_ROWS])
               for start in range(0, len(fields), _BLOCK_ROWS)]
-    signs, domain, n_domains = map(np.concatenate, zip(*blocks))
-    return NodalDecomposition(signs, domain, np.concatenate([[0], np.cumsum(n_domains)]))
+    domain, n_domains = map(np.concatenate, zip(*blocks))
+    return NodalDecomposition(domain, np.concatenate([[0], np.cumsum(n_domains)]))
 
 
 def _decompose_block(mesh, fields):
-    """The record's arrays for a few rows, through one components call on
-    the block's vertices, with each row's count of domains.
+    """The vertex domains of a few rows, through one components call on the
+    block's vertices, with each row's count of domains.
 
     Vertex v of row r is node r * nv + v.  Components are numbered by their
     lowest node, so the components of a row are one contiguous run of labels;
@@ -112,7 +111,7 @@ def _decompose_block(mesh, fields):
     start = before[np.append(labels[::nv], n_labels)]
     domain = (before[labels].reshape(m, nv) - start[:-1, None]).astype(np.int32)
     domain[signs == 0] = -1
-    return signs, domain, np.diff(start)
+    return domain, np.diff(start)
 
 
 def courant_check(mesh, result, n_rotations=20, seed=0):
@@ -141,7 +140,7 @@ def courant_check(mesh, result, n_rotations=20, seed=0):
         [result.extensions, np.reshape(rotations, (-1, mesh.n_vertices))]))
     worst = [int(decomp.n_domains[rows].max()) for rows in members]
     # the worst index in a cluster is b-1, so its bound is (b-1)+1
-    records = [{"cluster": (int(a), int(b)), "k": int(b - 1), "bound": int(b),
+    records = [{"cluster": [int(a), int(b)], "k": int(b - 1), "bound": int(b),
                 "max_domains": w, "ok": w <= b}
                for (a, b), w in zip(result.clusters, worst)]
     return records, decomp.rows(0, n)
@@ -189,7 +188,7 @@ def multiplicity_bound_check(mesh, result):
     # the zero eigenvalue is simple by connectivity
     clusters = [(a, b) for a, b in result.clusters if a > 0]
     bounds = multiplicity_bounds(mesh, [a for a, _ in clusters])
-    return [{"cluster": (int(a), int(b)),
+    return [{"cluster": [int(a), int(b)],
              "k": int(a),
              "multiplicity": int(b - a),
              "bound": int(info["bound"]),
@@ -204,19 +203,13 @@ def multiplicity_bound_check(mesh, result):
 
 @dataclass(frozen=True)
 class ZeroSetGraph:
-    """The zero set of a P1 field, or of a stack of fields, as a graph.
+    """The zero set of a P1 field, or of a stack of fields, as a graph: the
+    positions of its nodes, in the order of _zero_set's node ids, and its
+    segments, which index into them and fix the order in which nodal_svg
+    draws them."""
 
-    Node ids are e for an edge e of the mesh's edge table with a strict sign
-    change and n_edges + v for a vertex v in the dead zone; the ids of row r
-    of a stack are offset by r * (n_edges + nv).  Nodes are listed by id, so
-    row by row, a row's edge nodes before its vertex nodes.  Segments index
-    into `nodes`, one row per node pair, the lower index first, and are
-    sorted; this order fixes the order in which nodal_svg draws them.
-    """
-
-    nodes: np.ndarray      # (n,) node ids, increasing
     positions: np.ndarray  # (n, 2) node coordinates
-    segments: np.ndarray   # (m, 2) indices into nodes
+    segments: np.ndarray   # (m, 2) node indices, the lower first; sorted
 
 
 def nodal_graph(mesh, fields):
@@ -241,12 +234,18 @@ def nodal_graph(mesh, fields):
     t = fi / (fi - fields[node_row[on_edge], j])
     positions[on_edge] = (mesh.vertices[i].astype(float)
                           + t[:, None] * geometry.edge_vector(mesh, i, j))
-    return ZeroSetGraph(nodes=nodes, positions=positions, segments=segments)
+    return ZeroSetGraph(positions=positions, segments=segments)
 
 
 def _zero_set(mesh, fields):
-    """Node ids and segments of the zero-set graph of an (m, nv) stack, as
-    ZeroSetGraph lists them."""
+    """Node ids and segments of the zero-set graph of an (m, nv) stack.
+
+    Node ids are e for an edge e of the mesh's edge table with a strict sign
+    change and n_edges + v for a vertex v in the dead zone; the ids of row r
+    are offset by r * (n_edges + nv).  Nodes are listed by id, so row by row,
+    a row's edge nodes before its vertex nodes.  Segments index into the
+    nodes, one row per node pair, the lower index first, and are sorted.
+    """
     signs = vertex_signs(fields)
     table = mesh.edge_table
     n_edges = len(table.edges)

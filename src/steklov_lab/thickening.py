@@ -38,7 +38,6 @@ class GraphEmbedding:
 
     graph: graphs.MetricGraph
     positions: np.ndarray   # (n, 2)
-    style: str
 
     def __post_init__(self):
         pos = np.asarray(self.positions, float)
@@ -81,8 +80,8 @@ def embed_graph(g, style="convex-boundary", c=2.0):
     star: spokes of a star graph fanned inside a cone whose opening is set by
     the thickening parameter c.
     """
-    if c <= 1.0:
-        raise EmbeddingError("need c > 1")
+    if not 1.0 < c < math.inf:
+        raise EmbeddingError("need finite c > 1")
     deg = np.bincount(g.edges.ravel(), minlength=g.n_vertices)
     pos = np.zeros((g.n_vertices, 2))
     lookup = {tuple(sorted((int(a), int(b)))): float(l)
@@ -134,7 +133,7 @@ def embed_graph(g, style="convex-boundary", c=2.0):
             pos[v] = (l * math.cos(ang), l * math.sin(ang))
     else:
         raise EmbeddingError(f"unknown embedding style {style!r}")
-    return GraphEmbedding(graph=g, positions=pos, style=style)
+    return GraphEmbedding(graph=g, positions=pos)
 
 
 def _circumscribed_radius(lens):
@@ -304,12 +303,12 @@ def build_thickened_mesh(embedding, eps, c=2.0, target_h=None):
     A boundary edge is steklov when both of its ends lie on the diameter of
     the same graph vertex, as the junction polylines lay the diameters out.
     """
-    if eps <= 0 or c <= 1.0:
-        raise ThickeningError("need eps > 0 and c > 1")
+    if not (0 < eps < math.inf and 1.0 < c < math.inf):
+        raise ThickeningError("need finite eps > 0 and c > 1")
     if target_h is None:
         target_h = eps / 4.0
-    if target_h <= 10 * _WELD_TOL:
-        raise ThickeningError("target_h too small for the welding tolerance")
+    if not target_h > 10 * _WELD_TOL:
+        raise ThickeningError("target_h must exceed the welding tolerance")
     g = embedding.graph
     pos = embedding.positions
     _check_clearances(embedding, eps, c)

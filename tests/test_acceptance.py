@@ -4,6 +4,7 @@ Each test runs the corresponding named config end to end and prints a single
 pass/fail line with the observed margin at the stated tolerance.
 """
 
+import json
 import os
 
 import numpy as np
@@ -24,6 +25,9 @@ def report_line(criterion, report, detail):
     for c in report.checks:
         assert c["passed"], f"criterion {criterion} check {c['name']}: " \
                             f"observed={c['observed']} required={c['required']}"
+    # the report holds JSON values only: a tuple or a numpy number would not
+    # come back as it went in
+    assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
 
 def test_criterion_01_disk_spectrum_oracle():

@@ -57,6 +57,9 @@ def _run_in_fresh_interpreter(argv, cwd):
     (["run", "--config", "collar-mode-only-key.json"], False),
     (["spectrum", "--mesh", "bad-tag.msh"], False),
     (["run", "--config", "spectrum-unread-r-inner.json"], False),
+    (["prescribe", "--targets", "nan"], False),
+    (["mesh", "--radius", "inf"], False),
+    (["mesh", "--kind", "strip", "--length", "inf"], False),
 ], ids=["mesh-target-h", "spectrum-bad-file", "spectrum-n-eigs", "prescribe-unsorted",
         "thicken-k4", "thicken-wide-eps", "run-missing-config", "audit-bad-json",
         "spectrum-header-only-mesh", "thicken-empty-graph", "thicken-header-only-graph",
@@ -64,7 +67,8 @@ def _run_in_fresh_interpreter(argv, cwd):
         "audit-empty-domains", "audit-misspelled-keys", "run-widths-number",
         "audit-domains-string", "audit-runs-bool", "run-trials-string",
         "run-top-level-number", "run-collar-mode-only-key", "spectrum-bad-tag",
-        "run-spectrum-unread-r-inner"])
+        "run-spectrum-unread-r-inner", "prescribe-nan", "mesh-radius-inf",
+        "mesh-strip-length-inf"])
 def test_cli_input_errors_exit_2_without_traceback(argv, fresh, tmp_path, monkeypatch,
                                                    capsys, recwarn):
     (tmp_path / "not-a-mesh.msh").write_text("garbage\n")

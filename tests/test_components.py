@@ -88,10 +88,10 @@ def _oracle_touch(mesh, field):
                for domain in _oracle_partition(mesh, field))
 
 
-def _partition(mesh, decomp, r):
-    """Row r of a decomposition as sets of (triangle, sign) pieces: a
-    triangle's s-piece lies in the domain of its s-vertices."""
-    signs, domain = decomp.vertex_signs[r], decomp.vertex_domain[r]
+def _partition(mesh, field, decomp, r):
+    """Row r of a decomposition, that of field, as sets of (triangle, sign)
+    pieces: a triangle's s-piece lies in the domain of its s-vertices."""
+    signs, domain = nodal.vertex_signs(field), decomp.vertex_domain[r]
     assert np.array_equal(domain < 0, signs == 0)
     groups = {}
     for t, tri in enumerate(mesh.triangles.tolist()):
@@ -151,8 +151,8 @@ def test_decompose_nodal_matches_union_find(make_mesh):
     for r, field in enumerate(fields):
         oracle = _oracle_partition(mesh, field)
         alone = nodal.decompose_nodal(mesh, field)
-        assert _partition(mesh, alone, 0) == oracle
-        assert _partition(mesh, stack, r) == oracle
+        assert _partition(mesh, field, alone, 0) == oracle
+        assert _partition(mesh, field, stack, r) == oracle
         assert nodal.boundary_touch_check(mesh, alone).tolist() == [_oracle_touch(mesh, field)]
         assert bool(touch[r]) == _oracle_touch(mesh, field)
     assert not touch[-1]

@@ -22,7 +22,7 @@ def test_disk_mesh_basic():
     geometry.validate_mesh(mesh)
     assert np.all(geometry.triangle_areas(mesh) > 0)
     assert abs(oracles.mesh_area(mesh) - math.pi) < 0.02
-    assert abs(geometry.boundary_length(mesh) - 2 * math.pi) < 0.02
+    assert abs(geometry.boundary_length(mesh, STEKLOV) - 2 * math.pi) < 0.02
     assert geometry.max_edge_length(mesh) <= 1.5 * 0.1
     assert set(mesh.boundary_tags) == {STEKLOV}
 
@@ -39,6 +39,20 @@ def test_disk_mesh_rejects_bad_params():
         geometry.make_disk_mesh(1.0, 2.0)
     with pytest.raises(geometry.ParameterError):
         geometry.make_disk_mesh(-1.0, 0.1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_mesh_builders_reject_non_finite_numbers(bad):
+    for build in (lambda: geometry.make_disk_mesh(bad, 0.1),
+                  lambda: geometry.make_disk_mesh(1.0, bad),
+                  lambda: geometry.make_annulus_mesh(0.5, bad, 0.1),
+                  lambda: geometry.make_annulus_mesh(bad, 1.0, 0.1),
+                  lambda: geometry.make_annulus_mesh(0.5, 1.0, bad),
+                  lambda: geometry.make_strip_mesh(bad, 0.5, 0.1, periodic=True),
+                  lambda: geometry.make_strip_mesh(1.0, bad, 0.1, periodic=False),
+                  lambda: geometry.make_strip_mesh(1.0, 0.5, bad, periodic=True)):
+        with pytest.raises(geometry.ParameterError):
+            build()
 
 
 def test_annulus_mesh():
@@ -278,18 +292,11 @@ def test_edge_table_matches_sorted_incidence(make_mesh):
     assert np.array_equal(table.edges, np.unique(np.sort(local.reshape(-1, 2), axis=1), axis=0))
     declared = {tuple(e) for e in np.sort(mesh.boundary_edges, axis=1).tolist()}
     assert {tuple(e) for e in table.edges[table.boundary].tolist()} == declared
-    # the interior pairs in the order of a stable lexicographic sort of all
-    # (local edge, triangle) incidences
-    e = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
-    owner = np.tile(np.arange(mesh.n_triangles), 3)
-    order = np.lexsort((e[:, 1], e[:, 0]))
-    e, owner = e[order], owner[order]
-    idx = np.nonzero(np.all(e[1:] == e[:-1], axis=1))[0]
-    edges, tri_a, tri_b = geometry.interior_edges_with_triangles(mesh)
-    assert np.array_equal(edges, e[idx])
-    assert np.array_equal(tri_a, owner[idx])
-    assert np.array_equal(tri_b, owner[idx + 1])
-    assert np.array_equal(geometry.edge_ids(mesh, edges[:, ::-1]), table.interior)
+    # a boundary edge has one incident triangle and every other edge two
+    count = np.bincount(table.tri_edges.ravel(), minlength=len(table.edges))
+    assert np.array_equal(count, np.where(table.boundary, 1, 2))
+    assert np.array_equal(geometry.edge_ids(mesh, table.edges[:, ::-1]),
+                          np.arange(len(table.edges)))
     with pytest.raises(geometry.MeshError):
         geometry.edge_ids(mesh, [[tris[0, 0], tris[0, 0]]])
 
@@ -366,8 +373,10 @@ def test_replace_mesh_keeps_edge_table_for_same_triangles():
     tagged = geometry.tag_boundary(mesh, [((0.0, 1.0), geometry.NEUMANN)],
                                    by="angle", center=(0.0, 0.0))
     assert tagged.edge_table is table
-    flipped = mesh.triangles[:, [1, 2, 0]]
-    rolled = geometry.replace_mesh(mesh, triangles=flipped)
-    assert rolled.edge_table is not table
-    assert np.array_equal(rolled.edge_table.tri_edges,
-                          geometry._edge_table(flipped, mesh.n_vertices).tri_edges)
+    weighted = geometry.replace_mesh(mesh, tri_weight=2.0 * mesh.tri_weight)
+    assert weighted.edge_table is table
+    # the geometry of a mesh is not replaced
+    with pytest.raises(TypeError):
+        geometry.replace_mesh(mesh, triangles=mesh.triangles[:, [1, 2, 0]])
+    with pytest.raises(TypeError):
+        geometry.replace_mesh(mesh, vertices=1.5 * mesh.vertices)

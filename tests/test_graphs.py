@@ -44,6 +44,9 @@ def test_graph_validation():
         graphs.MetricGraph(2, np.array([[0, 1], [1, 0]]), np.ones(2))  # multi
     with pytest.raises(graphs.GraphError):
         graphs.MetricGraph(2, np.array([[0, 1]]), np.array([-1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(graphs.GraphError):
+            graphs.MetricGraph(2, np.array([[0, 1]]), np.array([bad]))
     with pytest.raises(graphs.GraphError):
         graphs.MetricGraph(2, np.array([[0, 2]]), np.array([1.0]))
     with pytest.raises(graphs.GraphError):
@@ -207,6 +210,10 @@ def test_prescribe_rejects_bad_targets():
         graphs.prescribe_spectrum([2.0, 1.0])
     with pytest.raises(graphs.GraphError):
         graphs.prescribe_spectrum([-1.0])
+    for bad in (np.nan, np.inf):
+        for targets in ([bad], [1.0, bad], [bad, 1.0, 2.0]):
+            with pytest.raises(graphs.GraphError):
+                graphs.prescribe_spectrum(targets)
 
 
 def test_graph_roundtrip(tmp_path):

@@ -398,11 +398,11 @@ def test_emit_tables_and_empty_sweep(tmp_path):
     empty = harness.ExperimentReport(
         config=report.config, config_hash=report.config_hash, points=[],
         checks=[], environment=report.environment, wallclock_s=0.0)
-    paths = harness.emit_tables(empty, str(tmp_path))
-    with open(paths[0]) as fh:
+    harness.emit_tables(empty, str(tmp_path))
+    with open(tmp_path / "tables" / "sweep.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["k", "sigma"]]  # header-only CSV
-    assert "overall: PASS" in open(paths[1]).read()
+    assert "overall: PASS" in (tmp_path / "summary.txt").read_text()
 
 
 def _written(out_dir):

@@ -24,8 +24,9 @@ def test_linear_field_two_domains():
     d = nodal.decompose_nodal(mesh, mesh.vertices[:, 0])
     assert d.n_domains.tolist() == [2]
     # one positive and one negative domain
-    pos = np.unique(d.vertex_domain[d.vertex_signs == 1])
-    neg = np.unique(d.vertex_domain[d.vertex_signs == -1])
+    signs = nodal.vertex_signs(mesh.vertices[:, 0])
+    pos = np.unique(d.vertex_domain[0, signs == 1])
+    neg = np.unique(d.vertex_domain[0, signs == -1])
     assert pos.size == neg.size == 1 and pos[0] != neg[0]
 
 

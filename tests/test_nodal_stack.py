@@ -49,14 +49,13 @@ def _stack(mesh):
 
 def _row(decomp, r):
     """Row r of a decomposition, read from the record's arrays."""
-    return {"vertex_signs": decomp.vertex_signs[r], "vertex_domain": decomp.vertex_domain[r],
-            "n_domains": decomp.n_domains[r]}
+    return {"vertex_domain": decomp.vertex_domain[r], "n_domains": decomp.n_domains[r]}
 
 
 def _same_row(mesh, decomp, r, field):
     """Row r of decomp against field decomposed alone, a stack of one."""
     alone = nodal.decompose_nodal(mesh, field)
-    assert len(alone.vertex_signs) == 1
+    assert len(alone.vertex_domain) == 1
     got, want = _row(decomp, r), _row(alone, 0)
     for name in want:
         assert np.array_equal(got[name], want[name]), name
@@ -70,7 +69,7 @@ def test_stack_rows_match_single_fields(name):
     assert np.any(nodal.vertex_signs(fields[-1]) == 0)
 
     decomp = nodal.decompose_nodal(mesh, fields)
-    assert decomp.n_domains.size == len(decomp.vertex_signs) == len(fields)
+    assert decomp.n_domains.size == len(decomp.vertex_domain) == len(fields)
     for r, field in enumerate(fields):
         _same_row(mesh, decomp, r, field)
 
@@ -85,12 +84,13 @@ def test_stack_rows_match_single_fields(name):
         assert np.array_equal(got, np.concatenate(want))
 
     graph = nodal.nodal_graph(mesh, fields)
+    nodes, _ = nodal._zero_set(mesh, fields)
     n_keys = mesh.n_vertices + len(mesh.edge_table.edges)
-    row = graph.nodes // n_keys
+    row = nodes // n_keys
     for r, field in enumerate(fields):
         alone = nodal.nodal_graph(mesh, field)
         mine = np.nonzero(row == r)[0]
-        assert np.array_equal(graph.nodes[mine] - r * n_keys, alone.nodes)
+        assert np.array_equal(nodes[mine] - r * n_keys, nodal._zero_set(mesh, field[None])[0])
         assert np.array_equal(graph.positions[mine], alone.positions)
         segs = graph.segments[row[graph.segments[:, 0]] == r]
         assert np.array_equal(segs - mine[0] if mine.size else segs, alone.segments)
@@ -125,7 +125,7 @@ def _per_field_courant(mesh, res, n_rotations, seed):
                 coef /= np.linalg.norm(coef)
                 vectors.append(coef @ res.extensions[a:b])
         worst = max(int(nodal.decompose_nodal(mesh, v).n_domains[0]) for v in vectors)
-        courant.append({"cluster": (int(a), int(b)), "k": int(b - 1), "bound": int(b),
+        courant.append({"cluster": [int(a), int(b)], "k": int(b - 1), "bound": int(b),
                         "max_domains": int(worst), "ok": worst <= b})
     return courant
 
@@ -160,7 +160,7 @@ def test_courant_check_keeps_only_the_eigenvector_rows():
     assert sum(b - a > 1 for a, b in res.clusters) >= 2
     records, decomp = nodal.courant_check(mesh, res, n_rotations=20, seed=3)
     n = len(res.extensions)
-    assert decomp.n_domains.size == len(decomp.vertex_signs) == len(decomp.vertex_domain) == n
+    assert decomp.n_domains.size == len(decomp.vertex_domain) == n
     assert decomp.vertex_domain.shape == (n, mesh.n_vertices)
     assert decomp.domain_start[0] == 0
     assert decomp.domain_start[-1] == (decomp.vertex_domain.max(axis=1) + 1).sum()

@@ -18,6 +18,7 @@ ABSENT = {
     "kernels.stiffness_local", "kernels.union_sign_pieces", "kernels.resolve_roots",
     "fem.dtn_matrix", "fem.eigh", "fem.DtNMatrix.extend",
     "deformations.collar_convergence_run", "thickening.verify_graph_limit",
+    "geometry.interior_edges_with_triangles",
 }
 
 

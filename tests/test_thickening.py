@@ -47,15 +47,28 @@ def test_star_embedding_needs_room():
 def test_collinear_interior_vertex_rejected():
     g = graphs.MetricGraph(3, np.array([[0, 1], [1, 2]]), np.ones(2))
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    emb = thk.GraphEmbedding(g, pos, "custom")
+    emb = thk.GraphEmbedding(g, pos)
     with pytest.raises(thk.ThickeningError):
         thk.build_thickened_mesh(emb, 0.05)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_thickening_rejects_non_finite_numbers(bad):
+    emb = thk.embed_graph(unit_k3(), "convex-boundary")
+    with pytest.raises(thk.EmbeddingError):
+        thk.embed_graph(unit_k3(), "convex-boundary", c=bad)
+    for kwargs in ({"eps": bad}, {"eps": 0.05, "c": bad}):
+        with pytest.raises(thk.ThickeningError):
+            thk.build_thickened_mesh(emb, **kwargs)
+    if math.isnan(bad):
+        with pytest.raises(thk.ThickeningError):
+            thk.build_thickened_mesh(emb, 0.05, target_h=bad)
 
 
 def test_embedding_must_realize_lengths():
     g = graphs.MetricGraph(2, np.array([[0, 1]]), np.array([2.0]))
     with pytest.raises(thk.EmbeddingError):
-        thk.GraphEmbedding(g, np.array([[0.0, 0.0], [1.0, 0.0]]), "custom")
+        thk.GraphEmbedding(g, np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 def test_thickened_mesh_structure():

@@ -181,7 +181,9 @@ def test_zero_set_graph_matches_oracle(name):
         keys = sorted(nodes, key=lambda k: _node_id(mesh, k))
         index = {k: i for i, k in enumerate(keys)}
         graph = nodal.nodal_graph(mesh, field)
-        assert graph.nodes.tolist() == [_node_id(mesh, k) for k in keys]
+        ids, segs = nodal._zero_set(mesh, field[None])
+        assert ids.tolist() == [_node_id(mesh, k) for k in keys]
+        assert np.array_equal(segs, graph.segments)
         assert np.array_equal(graph.positions, np.array([nodes[k] for k in keys]).reshape(-1, 2))
         assert graph.segments.tolist() == sorted(sorted([index[a], index[b]])
                                                  for a, b in segments)
