@@ -3,6 +3,7 @@ and full experiment runs."""
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -12,7 +13,7 @@ from . import fem, geometry, graphs, harness, thickening
 
 def positive_float(text):
     value = float(text)
-    if not value > 0:
+    if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
     return value
 

@@ -482,6 +482,7 @@ def test_cli_rejects_flags_it_does_not_read(argv, capsys):
     ["spectrum", "--mesh", "d.msh", "--tol", "nan"],
     ["run", "--config", "c.json", "--jobs", "0"],
     ["audit", "--config", "c.json", "--jobs", "-2"],
+    ["prescribe", "--targets", "1,2", "--tol", "inf"],
 ])
 def test_cli_rejects_nonpositive_tol(argv, capsys):
     with pytest.raises(SystemExit) as exc:
