@@ -12,12 +12,19 @@ It records, with one BLAS thread:
   whole-solve time on a mesh that has not been solved yet (its edge table
   built, its stiffness matrix not), the median time of a repeated solve of one
   mesh, the ARPACK operator applications of a solve and the LU fill;
+- the two solve paths of ``fem.steklov_spectrum``, each forced through
+  ``fem._DENSE_BOUNDARY``, on the unit disk at h = 0.08, 0.06 and 0.05 (79,
+  105 and 126 boundary vertices) and the 0.5-1 annulus at h = 0.08 (158), 7
+  eigenpairs: the median time of a solve on a mesh that has not been solved
+  yet, the paths alternating after one warm-up round.  These are the figures
+  behind the bound of 100 free boundary vertices;
 - the 90 meshes of a seed-1 nodal audit (disk, annulus and mixed disk at
   h = 0.08, random steklov densities, 7 eigenpairs), built as
   ``harness._audit_point`` builds them: the median over the meshes of each
-  mesh's median solve time over the passes after the first, the median pass
-  time, the operator applications and LU fill, and how many times the
-  stiffness matrix was assembled in the first pass and in each later one;
+  mesh's median solve time over the passes after the first, in all and for
+  the meshes of each solve path, the median pass time, the operator
+  applications and LU fill, and how many times the stiffness matrix was
+  assembled in the first pass and in each later one;
 - the nodal layer of an audit point on the same 90 meshes, each solved once
   with its audit seed: the median over the points of each point's median
   time, over 5 passes after a warm-up, of ``nodal.courant_check`` (20
@@ -44,8 +51,9 @@ It records, with one BLAS thread:
   (``graphs.eigenvalues_and_weight_jacobian`` calls), in all and the most in
   one fit.
 
-An operator application is a one-vector LU solve; the block solve that
-extends the eigenvectors, if any, is counted apart.  The counters wrap
+An operator application is a one-vector LU solve, and a solve on the
+boundary Schur complement makes none; the block solves, which extend the
+eigenvectors or build a mesh's Schur complement, are counted apart.  The counters wrap
 ``fem._factor`` and ``fem.assemble_stiffness`` for the whole run, which adds
 a Python call per LU solve.  The result is merged under ``--label`` into the
 JSON file given by ``--out``, so that runs of two checkouts, each with its own
@@ -94,6 +102,11 @@ POOL_CONFIG = os.path.join(CONFIG_DIR, "08-courant-audit.json")
 POOL_PAIRS = 5
 PRESCRIBER_CONFIG = os.path.join(CONFIG_DIR, "06-prescriber-audit.json")
 PRESCRIBER_RUNS = 5
+PATH_MESHES = (("disk h=0.08", lambda: geometry.make_disk_mesh(1.0, 0.08)),
+               ("disk h=0.06", lambda: geometry.make_disk_mesh(1.0, 0.06)),
+               ("disk h=0.05", lambda: geometry.make_disk_mesh(1.0, 0.05)),
+               ("annulus h=0.08", lambda: geometry.make_annulus_mesh(0.5, 1.0, 0.08)))
+PATH_REPEATS = 7
 
 
 class Counters:
@@ -159,6 +172,40 @@ def bench_disk(counters, h):
             "repeats": DISK_REPEATS[h]}
 
 
+def free_boundary_size(mesh):
+    """The boundary vertices of the mesh that no dirichlet tag pins, as
+    fem.steklov_spectrum counts them to choose its path."""
+    steklov = geometry.tagged_vertices(mesh, geometry.STEKLOV)
+    dirichlet = np.setdiff1d(geometry.tagged_vertices(mesh, geometry.DIRICHLET), steklov)
+    return int(np.setdiff1d(mesh.boundary_edges, dirichlet).size)
+
+
+def bench_solve_paths():
+    """A solve on a new mesh instance by each path, the path forced through
+    the module bound fem._DENSE_BOUNDARY, which is restored afterwards."""
+    bound = fem._DENSE_BOUNDARY
+    out = []
+    try:
+        for name, build in PATH_MESHES:
+            mesh = build()
+            times = {"dense": [], "arpack": []}
+            for r in range(PATH_REPEATS + 1):  # round 0 is a warm-up
+                for path in (("dense", "arpack") if r % 2 == 0 else ("arpack", "dense")):
+                    fem._DENSE_BOUNDARY = mesh.n_vertices if path == "dense" else -1
+                    copy = unsolved_copy(mesh)
+                    t0 = time.perf_counter()
+                    fem.steklov_spectrum(copy, N_EIGS)
+                    if r:
+                        times[path].append(time.perf_counter() - t0)
+            out.append({"mesh": name, "free_boundary": free_boundary_size(mesh),
+                        "dense_ms_median": 1e3 * statistics.median(times["dense"]),
+                        "arpack_ms_median": 1e3 * statistics.median(times["arpack"]),
+                        "repeats": PATH_REPEATS})
+    finally:
+        fem._DENSE_BOUNDARY = bound
+    return out
+
+
 def audit_meshes():
     meshes = []
     for i in range(AUDIT_RUNS):
@@ -181,9 +228,16 @@ def bench_audit(counters):
                 ops.append(op)
                 nnz.append(counters.lu_nnz)
         assemblies.append(counters.assemblies - before)
+    per_mesh = np.median(times[1:], axis=0)
+    dense = np.array([free_boundary_size(m) <= fem._DENSE_BOUNDARY for m in meshes])
     later = times[1:]
     return {"seed": AUDIT_SEED, "meshes": len(meshes), "passes": AUDIT_PASSES,
-            "solve_ms_median": 1e3 * float(np.median(np.median(later, axis=0))),
+            "solve_ms_median": 1e3 * float(np.median(per_mesh)),
+            "solve_ms_median_by_path": {
+                "dense": {"meshes": int(dense.sum()),
+                          "ms": 1e3 * float(np.median(per_mesh[dense]))},
+                "arpack": {"meshes": int((~dense).sum()),
+                           "ms": 1e3 * float(np.median(per_mesh[~dense]))}},
             "pass_ms_median": 1e3 * float(np.median(later.sum(axis=1))),
             "first_pass_ms": 1e3 * float(times[0].sum()),
             "op_applications": {"min": min(ops), "median": statistics.median(ops),
@@ -368,6 +422,7 @@ def main():
     pool = bench_pool()
     prescriber = bench_prescriber()
     nodal_layer = bench_nodal()
+    solve_paths = bench_solve_paths()
     counters = Counters()
     result = {
         "commit": commit,
@@ -375,6 +430,7 @@ def main():
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "machine": platform.machine(),
                         "cpus": os.cpu_count(), "blas_threads": 1},
+        "solve_paths": solve_paths,
         "disk": [bench_disk(counters, h) for h in DISK_H],
         "nodal_audit": bench_audit(counters),
         "nodal": nodal_layer,

@@ -4,20 +4,34 @@ eigenproblems.
 The Dirichlet energy K is assembled over all vertices, once per geometry: the
 meshes that geometry.replace_mesh derives without new triangle weights share
 one read-only K.  Dirichlet vertices are pinned to zero by removing them
-(without them, K itself is used); the pencil
-(K_f, M_Gamma) over the remaining free vertices is solved through one sparse
-factorization of K_f - SHIFT * M_Gamma.
+(without them, K itself is used), and the pencil (K_f, M_Gamma) over the
+remaining free vertices is solved on one of two paths, chosen by the number of
+free boundary vertices (the boundary vertices that no dirichlet tag pins).
 
-The steklov boundary mass is M_Gamma = G^T G, where G holds the 2x2 Cholesky
-factor of each steklov edge's mass block, two rows per edge, with its columns
-renumbered onto the free vertices.  ARPACK runs in standard mode on the symmetric
-operator y -> G (K_f - SHIFT * M_Gamma)^-1 G^T y, whose nonzero eigenvalues
-are theta = 1 / (sigma - SHIFT) and which needs no M_Gamma product (the
-spectral transformation of Ericsson & Ruhe, Math. Comp. 35, 1980).  One block
-solve, x = (K_f - SHIFT * M_Gamma)^-1 G^T Y / theta, turns the eigenvectors Y
-into the discrete harmonic extensions of their steklov traces.  They are
-scaled to unit M_Gamma-norm, and each gets the sign that makes the first
-trace entry of at least half the largest magnitude positive.
+At most _DENSE_BOUNDARY of them: the boundary Schur complement of K,
+S = K_BB - K_BI K_II^-1 K_IB (the discrete Dirichlet-to-Neumann map), and
+K_II^-1 K_IB are built once per geometry and dirichlet set and kept beside K,
+so every density and steklov arc on that geometry reuses them.  A solve
+eliminates the neumann boundary vertices from S, T = S_ss - S_sn S_nn^-1 S_ns,
+takes the n_eigs smallest pairs of the dense pencil (T, M_Gamma) from LAPACK
+and extends them to the neumann boundary and the interior.  The bound is a
+measured one: up to it a first dense solve is no slower than ARPACK, and
+LAPACK gives the same bits with one or two BLAS threads.
+
+Larger boundaries: the pencil is solved through one sparse factorization of
+K_f - SHIFT * M_Gamma.  The steklov boundary mass is M_Gamma = G^T G, where G
+holds the 2x2 Cholesky factor of each steklov edge's mass block, two rows per
+edge, with its columns renumbered onto the free vertices.  ARPACK runs in
+standard mode on the symmetric operator y -> G (K_f - SHIFT * M_Gamma)^-1 G^T y,
+whose nonzero eigenvalues are theta = 1 / (sigma - SHIFT) and which needs no
+M_Gamma product (the spectral transformation of Ericsson & Ruhe, Math. Comp.
+35, 1980).  One block solve, x = (K_f - SHIFT * M_Gamma)^-1 G^T Y / theta,
+turns the eigenvectors Y into the discrete harmonic extensions of their
+steklov traces.
+
+On both paths the eigenvectors are scaled to unit M_Gamma-norm, and each gets
+the sign that makes the first trace entry of at least half the largest
+magnitude positive.
 """
 
 from dataclasses import dataclass
@@ -26,6 +40,7 @@ import hashlib
 import json
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -95,8 +110,8 @@ def _stiffness(mesh):
 @dataclass(frozen=True)
 class BoundaryMass:
     """Consistent 1D P1 mass matrix on a tagged part of the boundary, and its
-    per-edge factor: matrix = factor.T @ factor up to rounding.  The solve
-    reads only the factor, so the matrix is built on first use."""
+    per-edge factor: matrix = factor.T @ factor up to rounding.  The ARPACK
+    path reads only the factor, so the matrix is built on first use."""
 
     factor: sp.csr_matrix      # (2 * n_edges, nb), two rows per tagged edge
     vertices: np.ndarray       # sorted mesh vertex ids carrying the tag
@@ -249,6 +264,96 @@ def _trace_signs(traces):
 # dirichlet boundary
 SHIFT = -0.1
 
+# free boundary vertices up to which a mesh is solved on the boundary Schur
+# complement of K.  A measured bound, not an option: a first dense solve took
+# 9.4 ms against ARPACK's 10.3 ms at 79 vertices and 17.5 against 14.5 ms at
+# 105, and LAPACK gave the same bits with one and two BLAS threads at 79 but
+# not at 158.
+_DENSE_BOUNDARY = 100
+
+
+def _boundary_schur(mesh, K, dirichlet, free, boundary):
+    """(S, X, at_b, at_i) for the free boundary vertices `boundary`: the Schur
+    complement S = K_BB - K_BI K_II^-1 K_IB of K onto them, X = K_II^-1 K_IB
+    over the interior vertices (the free vertices off the boundary), and the
+    positions in `free` of the boundary and of the interior vertices.  They
+    depend on the geometry and the dirichlet set only, so they are kept in
+    mesh.stiffness_cache, keyed by the dirichlet set, and are read-only."""
+    key = ("schur", dirichlet.tobytes())
+    cache = mesh.stiffness_cache
+    if key not in cache:
+        interior = np.setdiff1d(free, boundary)
+        S = K[boundary][:, boundary].toarray()
+        X = np.zeros((0, boundary.size))
+        if interior.size:
+            K_i = K[interior]
+            K_ib = K_i[:, boundary]
+            X = _factor(K_i[:, interior]).solve(K_ib.toarray())
+            S -= K_ib.T @ X
+            S = 0.5 * (S + S.T)
+        at_b, at_i = np.searchsorted(free, boundary), np.searchsorted(free, interior)
+        for arr in (S, X, at_b, at_i):
+            arr.flags.writeable = False
+        cache[key] = S, X, at_b, at_i
+    return cache[key]
+
+
+def _dense_pairs(mesh, K, B, dirichlet, free, boundary, n_eigs):
+    """The n_eigs smallest pairs on the boundary Schur complement: eigenvalues
+    and eigenvectors over the free vertices, one column each."""
+    S, X, at_b, at_i = _boundary_schur(mesh, K, dirichlet, free, boundary)
+    s = np.searchsorted(boundary, B.vertices)
+    n = np.setdiff1d(np.arange(boundary.size), s)
+    T = S[np.ix_(s, s)]
+    if n.size:
+        # the neumann boundary vertices carry no mass: eliminate them
+        S_ns = S[np.ix_(n, s)]
+        try:
+            chol = sla.cho_factor(S[np.ix_(n, n)])
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(f"factorization failed: {exc}") from exc
+        Y = sla.cho_solve(chol, S_ns)
+        T -= S_ns.T @ Y
+    w, v = sla.eigh(T, B.matrix.toarray(), subset_by_index=[0, n_eigs - 1],
+                    overwrite_a=True, overwrite_b=True, check_finite=False)
+    u = np.empty((boundary.size, n_eigs))
+    u[s] = v
+    if n.size:
+        u[n] = -(Y @ v)
+    x = np.empty((free.size, n_eigs))
+    x[at_b] = u
+    x[at_i] = -(X @ u)
+    return w, x
+
+
+def _arpack_pairs(K, B, dirichlet, free, pos, n_eigs):
+    """The n_eigs smallest pairs by shift-invert ARPACK: eigenvalues and
+    eigenvectors over the free vertices, one column each."""
+    K_f = K[free][:, free] if dirichlet.size else K
+    # the factor with its columns renumbered onto the free vertices:
+    # M_Gamma = G^T G, and y -> G (K_f - SHIFT M_Gamma)^-1 G^T y is symmetric
+    # positive semidefinite with eigenvalues 1 / (sigma - SHIFT)
+    F = B.factor
+    G = sp.csr_matrix((F.data, pos[F.indices], F.indptr), shape=(F.shape[0], free.size))
+    lu = _factor(K_f - SHIFT * (G.T @ G))
+    G_T = G.T
+    op = LinearOperator((G.shape[0],) * 2, matvec=lambda y: G @ lu.solve(G_T @ y),
+                        dtype=float)
+    ns = B.vertices.size
+    # two pairs beyond n_eigs so the last wanted one converges like the
+    # others; the operator has rank ns, and a Krylov space wider than ns
+    # breaks down
+    k = min(n_eigs + 2, ns - 1)
+    # a seeded random start: the constant vector is an exact eigenvector of a
+    # pure steklov problem and would end the Krylov space at once.  The same
+    # generator serves any restart vector ARPACK asks for.
+    rng = np.random.default_rng(0)
+    theta, y = eigsh(op, k=k, which="LM", ncv=min(ns, max(2 * k + 1, 20)), tol=1e-10,
+                     v0=rng.standard_normal(G.shape[0]), rng=rng)
+    w = SHIFT + 1.0 / theta
+    order = np.argsort(w, kind="stable")[:n_eigs]
+    return w[order], lu.solve(G_T @ y[:, order]) / theta[order]
+
 
 def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
     """Solve the (mixed) Steklov eigenproblem on a tagged mesh."""
@@ -265,32 +370,13 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
     dirichlet = np.setdiff1d(geometry.tagged_vertices(mesh, DIRICHLET), sk)
     _check_connectivity(mesh, sk, dirichlet)
     free = np.setdiff1d(np.arange(mesh.n_vertices), dirichlet)
-    K_f = K[free][:, free] if dirichlet.size else K
     pos = np.searchsorted(free, sk)
-    # the factor with its columns renumbered onto the free vertices:
-    # M_Gamma = G^T G, and y -> G (K_f - SHIFT M_Gamma)^-1 G^T y is symmetric
-    # positive semidefinite with eigenvalues 1 / (sigma - SHIFT)
-    F = B.factor
-    G = sp.csr_matrix((F.data, pos[F.indices], F.indptr), shape=(F.shape[0], free.size))
-    lu = _factor(K_f - SHIFT * (G.T @ G))
-    G_T = G.T
-    op = LinearOperator((G.shape[0],) * 2, matvec=lambda y: G @ lu.solve(G_T @ y),
-                        dtype=float)
-    # two pairs beyond n_eigs so the last wanted one converges like the
-    # others; the operator has rank ns, and a Krylov space wider than ns
-    # breaks down
-    k = min(n_eigs + 2, ns - 1)
-    # a seeded random start: the constant vector is an exact eigenvector of a
-    # pure steklov problem and would end the Krylov space at once.  The same
-    # generator serves any restart vector ARPACK asks for.
-    rng = np.random.default_rng(0)
-    theta, y = eigsh(op, k=k, which="LM", ncv=min(ns, max(2 * k + 1, 20)), tol=1e-10,
-                     v0=rng.standard_normal(G.shape[0]), rng=rng)
-    w = SHIFT + 1.0 / theta
-    order = np.argsort(w, kind="stable")[:n_eigs]
-    w = w[order]
-    x = lu.solve(G_T @ y[:, order]) / theta[order]
-    x /= np.linalg.norm(G @ x, axis=0)
+    boundary = np.setdiff1d(mesh.boundary_edges, dirichlet)
+    if boundary.size <= _DENSE_BOUNDARY:
+        w, x = _dense_pairs(mesh, K, B, dirichlet, free, boundary, n_eigs)
+    else:
+        w, x = _arpack_pairs(K, B, dirichlet, free, pos, n_eigs)
+    x /= np.linalg.norm(B.factor @ x[pos], axis=0)
     x *= _trace_signs(x[pos])
     extensions = np.zeros((n_eigs, mesh.n_vertices))
     extensions[:, free] = x.T

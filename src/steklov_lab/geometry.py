@@ -77,7 +77,8 @@ class Mesh2D:
     @cached_property
     def stiffness_cache(self):
         """A holder that fem fills with the stiffness matrix, the default
-        cluster tolerance and the connectivity labels of each dirichlet set;
+        cluster tolerance, and the connectivity labels and (on a small
+        boundary) the boundary Schur complement of each dirichlet set;
         replace_mesh hands it on unless the triangle weights change."""
         return {}
 

@@ -65,17 +65,27 @@ def test_stiffness_shared_by_meshes_of_one_geometry():
 
 
 def test_cached_stiffness_gives_the_same_bits():
-    base = geometry.make_disk_mesh(1.0, 0.1)
-    rng = np.random.default_rng(3)
-    mesh = geometry.replace_mesh(base, edge_density=rng.uniform(0.5, 2.0, base.edge_density.size))
-    fem.steklov_spectrum(base, 5)  # fills the stiffness matrix that mesh shares
-    warm = fem.steklov_spectrum(mesh, 5)
-    cold = fem.steklov_spectrum(dataclasses.replace(mesh), 5)  # an unshared copy
-    assert np.array_equal(cold.eigenvalues, warm.eigenvalues)
-    assert np.array_equal(cold.extensions, warm.extensions)
-    f = warm.extensions[3]
-    assert (oracles.rayleigh_quotient(dataclasses.replace(mesh), f)
-            == oracles.rayleigh_quotient(mesh, f))
+    # h = 0.1: 63 boundary vertices, solved on the boundary Schur complement
+    # that the derived meshes share; h = 0.05: 126, solved through ARPACK
+    for h in (0.1, 0.05):
+        base = geometry.make_disk_mesh(1.0, h)
+        rng = np.random.default_rng(3)
+        dens = geometry.replace_mesh(base, edge_density=rng.uniform(0.5, 2.0, base.edge_density.size))
+        arcs = [((0.3, 0.3 + 1.2 * math.pi), STEKLOV),
+                ((0.3 + 1.2 * math.pi, 0.3 + 2 * math.pi), NEUMANN)]
+        mixed = geometry.tag_boundary(dens, arcs, by="angle", center=(0.0, 0.0))
+        fem.steklov_spectrum(base, 5)  # fills what the derived meshes share
+        schur = [key for key in base.stiffness_cache if key[0] == "schur"]
+        assert len(schur) == (h == 0.1)
+        for mesh in (dens, mixed):
+            assert mesh.stiffness_cache is base.stiffness_cache
+            warm = fem.steklov_spectrum(mesh, 5)
+            cold = fem.steklov_spectrum(dataclasses.replace(mesh), 5)  # an unshared copy
+            assert np.array_equal(cold.eigenvalues, warm.eigenvalues)
+            assert np.array_equal(cold.extensions, warm.extensions)
+        f = warm.extensions[3]
+        assert (oracles.rayleigh_quotient(dataclasses.replace(mesh), f)
+                == oracles.rayleigh_quotient(mesh, f))
 
 
 def test_disk_spectrum_oracle():
@@ -236,8 +246,9 @@ def test_connectivity_labels_kept_per_dirichlet_set(monkeypatch):
 
 
 def test_factor_reads_the_shifted_matrix_as_its_own_transpose(monkeypatch):
-    # _factor hands the CSR arrays of K_f - SHIFT M_Gamma to splu as CSC
-    # arrays, which holds only while the matrix is exactly symmetric
+    # _factor hands the CSR arrays of the matrix it factors (K_f - SHIFT
+    # M_Gamma, or the interior block of K for the boundary Schur complement)
+    # to splu as CSC arrays, which holds only while it is exactly symmetric
     seen = []
     factor = fem._factor
 

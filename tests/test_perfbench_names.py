@@ -16,7 +16,7 @@ SPANS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 # listed in spans.py for functions the program has since removed
 ABSENT = {
     "kernels.stiffness_local", "kernels.union_sign_pieces", "kernels.resolve_roots",
-    "fem.dtn_matrix", "fem.eigh", "fem.DtNMatrix.extend",
+    "fem.dtn_matrix", "fem.DtNMatrix.extend",
     "deformations.collar_convergence_run", "thickening.verify_graph_limit",
     "geometry.interior_edges_with_triangles",
 }

@@ -16,7 +16,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from steklov_lab import fem, geometry, graphs, thickening
+from steklov_lab import deformations, fem, geometry, graphs, thickening
 from steklov_lab.geometry import DIRICHLET, NEUMANN, STEKLOV
 
 
@@ -160,3 +160,108 @@ def test_all_but_one_eigenpair():
                   <= 1e-10 * np.maximum(1.0, np.abs(w_ref[:ns - 1])))
     with pytest.raises(ValueError, match="steklov vertices"):
         fem.steklov_spectrum(mesh, ns)
+
+
+# ---------------------------------------------------------------------------
+# the dense path: meshes with at most fem._DENSE_BOUNDARY free boundary
+# vertices are solved on the boundary Schur complement of K; the ARPACK path
+# on the same mesh is its oracle
+# ---------------------------------------------------------------------------
+
+def _annulus_exact(r_inner, n):
+    """The n smallest Steklov eigenvalues of the annulus r_inner < r < 1: a
+    2x2 pencil per angular mode k, on (A, B) of A r^k + B r^-k (A + B log r
+    for k = 0); each mode k >= 1 counts twice."""
+    a = r_inner
+    vals = [0.0, (1.0 + 1.0 / a) / math.log(1.0 / a)]
+    for k in range(1, n):
+        L = np.array([[k, -k], [-k * a ** (k - 1), k * a ** (-k - 1)]])
+        M = np.array([[1.0, 1.0], [a ** k, a ** -k]])
+        vals += 2 * list(np.linalg.eigvals(np.linalg.solve(M, L)).real)
+    return np.sort(vals)[:n]
+
+
+def _dirichlet_strip_exact(length, width, n):
+    # steklov at y = 0, dirichlet at y = width, neumann sides:
+    # cos(mu x) sinh(mu (width - y)) with mu = k pi / length, and width - y
+    mu = math.pi * np.arange(1, n) / length
+    return np.sort(np.r_[1.0 / width, mu / np.tanh(mu * width)])
+
+
+def _fan_polygon():
+    # a regular 12-gon cut into a fan from one corner: no interior vertex
+    t = 2 * math.pi * np.arange(12) / 12
+    tris = np.array([[0, i, i + 1] for i in range(1, 11)], np.int32)
+    return geometry.build_mesh(np.column_stack([np.cos(t), np.sin(t)]), tris)
+
+
+# mesh builder, a number of eigenpairs that ends between two clusters, and
+# the closed-form eigenvalues or None
+DENSE_CASES = {
+    "disk": (lambda: geometry.make_disk_mesh(1.0, 0.1), 9,
+             np.repeat(np.arange(5.0), 2)[1:]),
+    "annulus": (lambda: geometry.make_annulus_mesh(0.5, 1.0, 0.13), 8, _annulus_exact(0.5, 8)),
+    "mixed-disk": (_mixed_disk, 8, None),
+    "dirichlet-strip": (lambda: geometry.make_strip_mesh(2.0, 0.5, 0.05, periodic=False,
+                                                         top_tag=DIRICHLET), 4,
+                        _dirichlet_strip_exact(2.0, 0.5, 4)),
+    "periodic-strip": (lambda: geometry.make_strip_mesh(2 * math.pi, 0.5, 0.13, periodic=True),
+                       9, np.sort(np.r_[0.0, 2 * [deformations.cylinder_formula(float(k * k), 0.5)
+                                                  for k in range(1, 5)]])),
+    "no-interior": (_fan_polygon, 5, None),
+}
+
+
+def _free_boundary(mesh):
+    B = fem.assemble_boundary_mass(mesh, STEKLOV)
+    dirichlet = np.setdiff1d(geometry.tagged_vertices(mesh, DIRICHLET), B.vertices)
+    return np.setdiff1d(mesh.boundary_edges, dirichlet)
+
+
+def _only(monkeypatch, path):
+    """Make the solve path other than `path` ("dense" or "arpack") fail."""
+    other = "_arpack_pairs" if path == "dense" else "_dense_pairs"
+
+    def fail(*args):
+        raise AssertionError(f"{other} was called")
+
+    monkeypatch.setattr(fem, other, fail)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CASES))
+def test_dense_path_matches_arpack(name, monkeypatch):
+    build, n_eigs, exact = DENSE_CASES[name]
+    mesh = build()
+    assert _free_boundary(mesh).size <= fem._DENSE_BOUNDARY
+    with monkeypatch.context() as m:
+        _only(m, "dense")
+        dense = fem.steklov_spectrum(mesh, n_eigs)
+    with monkeypatch.context() as m:
+        m.setattr(fem, "_DENSE_BOUNDARY", 0)
+        _only(m, "arpack")
+        ref = fem.steklov_spectrum(mesh, n_eigs)
+    scale = np.maximum(1.0, np.abs(ref.eigenvalues))
+    assert np.all(np.abs(dense.eigenvalues - ref.eigenvalues) <= 1e-10 * scale)
+    assert dense.clusters == ref.clusters
+    K, M, free = full_pencil(mesh)
+    X = dense.extensions.T
+    MX = M @ X
+    resid = (K @ X - MX * dense.eigenvalues)[free]
+    rel = np.linalg.norm(resid, axis=0) / (np.maximum(1.0, dense.eigenvalues)
+                                           * np.linalg.norm(MX, axis=0))
+    assert np.max(rel) <= 1e-10
+    assert np.all(dense.extensions[:, ~free] == 0.0)
+    if exact is not None:
+        h2 = geometry.max_edge_length(mesh) ** 2
+        assert np.all(np.abs(dense.eigenvalues - exact) <= 3.0 * h2 * np.maximum(1.0, exact))
+    if name == "no-interior":
+        assert mesh.n_vertices == _free_boundary(mesh).size
+
+
+@pytest.mark.parametrize("h, n_boundary, path", [(0.063, 100, "dense"), (0.0625, 101, "arpack")])
+def test_dense_path_threshold(h, n_boundary, path, monkeypatch):
+    mesh = geometry.make_disk_mesh(1.0, h)
+    assert _free_boundary(mesh).size == n_boundary
+    _only(monkeypatch, path)
+    res = fem.steklov_spectrum(mesh, 5)
+    assert np.allclose(res.eigenvalues, [0.0, 1.0, 1.0, 2.0, 2.0], rtol=0.01, atol=1e-10)
