@@ -266,9 +266,10 @@ SHIFT = -0.1
 
 # free boundary vertices up to which a mesh is solved on the boundary Schur
 # complement of K.  A measured bound, not an option: a first dense solve took
-# 9.4 ms against ARPACK's 10.3 ms at 79 vertices and 17.5 against 14.5 ms at
-# 105, and LAPACK gave the same bits with one and two BLAS threads at 79 but
-# not at 158.
+# 6.1 ms against ARPACK's 6.5-6.8 ms at 79 vertices and 10.7-11.2 against
+# 8.9-9.7 ms at 105 (the "solve_paths" runs in BENCH_pipeline.json), and
+# LAPACK gave the same bits with one and two BLAS threads at 79, 105 and 126
+# vertices but not at 158.
 _DENSE_BOUNDARY = 100
 
 

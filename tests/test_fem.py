@@ -70,7 +70,8 @@ def test_cached_stiffness_gives_the_same_bits():
     for h in (0.1, 0.05):
         base = geometry.make_disk_mesh(1.0, h)
         rng = np.random.default_rng(3)
-        dens = geometry.replace_mesh(base, edge_density=rng.uniform(0.5, 2.0, base.edge_density.size))
+        dens = geometry.replace_mesh(
+            base, edge_density=rng.uniform(0.5, 2.0, base.edge_density.size))
         arcs = [((0.3, 0.3 + 1.2 * math.pi), STEKLOV),
                 ((0.3 + 1.2 * math.pi, 0.3 + 2 * math.pi), NEUMANN)]
         mixed = geometry.tag_boundary(dens, arcs, by="angle", center=(0.0, 0.0))

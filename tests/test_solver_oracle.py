@@ -182,8 +182,8 @@ def _annulus_exact(r_inner, n):
 
 
 def _dirichlet_strip_exact(length, width, n):
-    # steklov at y = 0, dirichlet at y = width, neumann sides:
-    # cos(mu x) sinh(mu (width - y)) with mu = k pi / length, and width - y
+    # steklov at y = 0, dirichlet at y = width, neumann sides: the modes are
+    # width - y and cos(mu x) sinh(mu (width - y)) with mu = k pi / length
     mu = math.pi * np.arange(1, n) / length
     return np.sort(np.r_[1.0 / width, mu / np.tanh(mu * width)])
 
