@@ -42,6 +42,7 @@ import json
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from . import geometry
@@ -60,42 +61,104 @@ class EmptyBoundaryError(ValueError):
     pass
 
 
-def _stiffness_local(coords, weights):
-    """Local 3x3 Dirichlet-energy matrices for P1 triangles, vectorized.
+def _local_matrices(coords):
+    """The unweighted local Dirichlet-energy matrices of P1 triangles,
+    b_i b_j + c_i c_j, and their signed doubled areas.
 
-    coords: (nt, 3, 2) triangle vertex coordinates (CCW), weights: (nt,).
-    Returns (nt, 3, 3) local matrices and the signed doubled areas (nt,).
+    coords: (nt, 3, 2) triangle vertex coordinates (CCW).  The matrices are
+    symmetric, so each comes as its entries 00, 11, 22, 01, 12 and 20, one
+    row of the (6, nt) result each; the areas are (nt,).
     """
-    x = coords[:, :, 0]
-    y = coords[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
-    # degenerate triangles are reported by the caller from area2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = weights / (2.0 * area2)
-    local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-    local *= scale[:, None, None]
+    x, y = coords[:, :, 0], coords[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]])
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]])
+    area2 = x[:, 0] * b[0] + x[:, 1] * b[1] + x[:, 2] * b[2]
+    local = np.empty((6, x.shape[0]))
+    for row, (i, j) in zip(local, ((0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0))):
+        np.multiply(b[i], b[j], out=row)
+        row += c[i] * c[j]
     return local, area2
 
 
-def assemble_stiffness(mesh):
-    """Weighted P1 Dirichlet-energy matrix over all mesh vertices (CSR)."""
-    coords = geometry.triangle_coords(mesh)
-    local, area2 = _stiffness_local(coords, np.asarray(mesh.tri_weight, float))
+# the row of _local_matrices holding entry (i, j) of a local matrix, row by row
+_LOCAL_ROW = np.array([0, 3, 5, 3, 1, 4, 5, 4, 2], np.int32)
+
+
+@dataclass(frozen=True)
+class StiffnessPlan:
+    """The terms of K in the order in which scipy's COO to CSR conversion
+    sums them: scipy's summation permutation of the local matrices, and the
+    rows and columns the terms land in, duplicates kept.  An assembly
+    weights the local matrices, takes them in that order and lets scipy's
+    csr_sum_duplicates add up each entry, so K has the bits of the
+    conversion for any triangle weights."""
+
+    local: np.ndarray     # (6, nt) unweighted local matrices, as _local_matrices
+    area2: np.ndarray     # (nt,) doubled triangle areas, all positive
+    term: np.ndarray      # (9 nt,) place in local.ravel() of each term
+    indptr: np.ndarray    # (nv + 1,) start of each row's terms
+    indices: np.ndarray   # (9 nt,) column of each term, sorted within its row
+
+
+def _build_plan(mesh):
+    local, area2 = _local_matrices(geometry.triangle_coords(mesh))
     if np.any(area2 <= 0):
         bad = int(np.argmin(area2))
         raise AssemblyError(f"triangle {bad} is degenerate (doubled area {area2[bad]:.3e})")
-    tris = mesh.triangles
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    n = 9 * nt
+    # the 3x3 local matrices as COO terms, triangle by triangle and row by
+    # row, each carrying its place in local.ravel() as its value: the two
+    # kernels of scipy's conversion, a stable counting sort by row and a sort
+    # of each row by column, leave the places in scipy's summation order
+    tris = mesh.triangles.astype(np.int32, copy=False)
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.n_vertices, mesh.n_vertices))
-    return K.tocsr()
+    places = (_LOCAL_ROW * np.int32(nt) + np.arange(nt, dtype=np.int32)[:, None]).ravel()
+    indptr = np.empty(nv + 1, np.int32)
+    indices = np.empty(n, np.int32)
+    term = np.empty(n, np.int32)
+    _sparsetools.coo_tocsr(nv, nv, n, rows, cols, places, indptr, indices, term)
+    _sparsetools.csr_sort_indices(nv, indptr, indices, term)
+    plan = StiffnessPlan(local=local, area2=area2, term=term, indptr=indptr, indices=indices)
+    for arr in vars(plan).values():
+        arr.flags.writeable = False
+    return plan
+
+
+def stiffness_plan(mesh):
+    """The scatter plan of the mesh's triangulation.  A geometry assembled
+    with one weight vector only (a graph-limit or collar mesh, an audit
+    domain) builds it for each assembly and keeps nothing; once it is
+    assembled with a second weight vector, the plan is kept in
+    mesh.geometry_cache for every later weighting."""
+    held = mesh.geometry_cache
+    if "plan" in held:
+        return held["plan"]
+    plan = _build_plan(mesh)
+    if held.setdefault("assembled_weights", mesh.tri_weight) is not mesh.tri_weight:
+        held["plan"] = plan
+        del held["assembled_weights"]
+    return plan
+
+
+def assemble_stiffness(mesh):
+    """Weighted P1 Dirichlet-energy matrix over all mesh vertices (CSR),
+    summed on the triangulation's scatter plan."""
+    plan = stiffness_plan(mesh)
+    nv = mesh.n_vertices
+    scale = np.asarray(mesh.tri_weight, float) / (2.0 * plan.area2)
+    data = (plan.local * scale).ravel()[plan.term]
+    indptr, indices = plan.indptr.copy(), plan.indices.copy()
+    _sparsetools.csr_sum_duplicates(nv, nv, indptr, indices, data)
+    nnz = indptr[-1]
+    K = sp.csr_matrix((data[:nnz].copy(), indices[:nnz].copy(), indptr), shape=(nv, nv))
+    K.has_canonical_format = True
+    return K
 
 
 def _stiffness(mesh):
-    """The stiffness matrix of the mesh, assembled once per geometry: the
+    """The stiffness matrix of the mesh, assembled once per weighting: the
     meshes that geometry.replace_mesh derives without new triangle weights
     share it, so its arrays are read-only."""
     cache = mesh.stiffness_cache
@@ -160,9 +223,9 @@ def _components(mesh, dirichlet_vertices):
     component of each vertex, and whether an edge to a dirichlet vertex
     anchors the component.  The dirichlet vertices share one extra label,
     anchored.  Both depend on the triangles and the dirichlet set only, so
-    they are kept in mesh.stiffness_cache, keyed by the dirichlet set."""
+    they are kept in mesh.geometry_cache, keyed by the dirichlet set."""
     key = ("components", dirichlet_vertices.tobytes())
-    cache = mesh.stiffness_cache
+    cache = mesh.geometry_cache
     if key not in cache:
         edges = mesh.edge_table.edges
         pinned = np.zeros(mesh.n_vertices, bool)
@@ -241,8 +304,9 @@ def default_cluster_rel_tol(mesh):
     # of sigma_1..sigma_8 on the unit disk measures 1.30 h_max^2 at h = 0.16
     # down to 0.01 (order 2 in h_max, checked in the tests), and twice h_max^2,
     # floored at 1e-3, keeps the copies of one multiple sigma together.
-    # h_max depends on the geometry only, so it is kept beside K.
-    cache = mesh.stiffness_cache
+    # h_max depends on the triangulation only, so it is kept in the
+    # geometry holder.
+    cache = mesh.geometry_cache
     if "cluster_rel_tol" not in cache:
         cache["cluster_rel_tol"] = max(1e-3, 2.0 * geometry.max_edge_length(mesh) ** 2)
     return cache["cluster_rel_tol"]

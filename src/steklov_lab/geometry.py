@@ -75,11 +75,20 @@ class Mesh2D:
         return _edge_table(self.triangles, self.n_vertices)
 
     @cached_property
+    def geometry_cache(self):
+        """A holder for what fem derives from the triangulation alone: the
+        stiffness scatter plan (once the geometry is assembled with a second
+        triangle weight vector), the connectivity labels of each dirichlet
+        set and the default cluster tolerance.  replace_mesh always hands it
+        on, so a re-weighted mesh reuses them."""
+        return {}
+
+    @cached_property
     def stiffness_cache(self):
-        """A holder that fem fills with the stiffness matrix, the default
-        cluster tolerance, and the connectivity labels and (on a small
-        boundary) the boundary Schur complement of each dirichlet set;
-        replace_mesh hands it on unless the triangle weights change."""
+        """A holder that fem fills with what depends on the triangle weights
+        too: the stiffness matrix and (on a small boundary) the boundary Schur
+        complement of each dirichlet set; replace_mesh hands it on unless the
+        triangle weights change."""
         return {}
 
 
@@ -433,12 +442,15 @@ def extract_submesh(mesh, tri_mask):
 
 def replace_mesh(mesh, *, boundary_tags=None, edge_density=None, tri_weight=None):
     """The mesh with the given boundary tags, edge densities or triangle
-    weights in place of its own.  The geometry stays, so the copy keeps the
-    mesh's edge table, and its stiffness holder unless tri_weight is given."""
+    weights in place of its own.  The triangulation stays, so the copy keeps
+    the mesh's edge table and geometry holder, and its stiffness holder unless
+    tri_weight is given: a re-weighted mesh reassembles K on the kept scatter
+    plan and reuses the connectivity labels and the cluster tolerance."""
     changes = {"boundary_tags": boundary_tags, "edge_density": edge_density,
                "tri_weight": tri_weight}
     out = replace(mesh, **{k: v for k, v in changes.items() if v is not None})
     out.__dict__["edge_table"] = mesh.edge_table
+    out.__dict__["geometry_cache"] = mesh.geometry_cache
     if tri_weight is None:
         out.__dict__["stiffness_cache"] = mesh.stiffness_cache
     return out
