@@ -192,6 +192,17 @@ class BoundaryMass:
         nb = self.vertices.size
         return sp.coo_matrix((vals, (rows, cols)), shape=(nb, nb)).tocsr()
 
+    def dense(self):
+        """The matrix as a dense (nb, nb) array, summed straight from the
+        per-edge masses.  An entry has at most two terms, the two edges at a
+        vertex, so this has the bits of matrix.toarray()."""
+        a, b = self.edge_ends.T
+        w = self.edge_mass
+        nb = self.vertices.size
+        flat = np.concatenate([a * nb + a, b * nb + b, a * nb + b, b * nb + a])
+        vals = np.concatenate([w / 3.0, w / 3.0, w / 6.0, w / 6.0])
+        return np.bincount(flat, vals, minlength=nb * nb).reshape(nb, nb)
+
 
 def assemble_boundary_mass(mesh, tag=STEKLOV):
     sel = mesh.boundary_tags == tag
@@ -379,7 +390,7 @@ def _dense_pairs(mesh, K, B, dirichlet, free, boundary, n_eigs):
             raise FactorizationError(f"factorization failed: {exc}") from exc
         Y = sla.cho_solve(chol, S_ns)
         T -= S_ns.T @ Y
-    w, v = sla.eigh(T, B.matrix.toarray(), subset_by_index=[0, n_eigs - 1],
+    w, v = sla.eigh(T, B.dense(), subset_by_index=[0, n_eigs - 1],
                     overwrite_a=True, overwrite_b=True, check_finite=False)
     u = np.empty((boundary.size, n_eigs))
     u[s] = v
