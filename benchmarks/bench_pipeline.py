@@ -18,6 +18,14 @@ It records, with one BLAS thread:
   eigenpairs: the median time of a solve on a mesh that has not been solved
   yet, the paths alternating after one warm-up round.  These are the figures
   behind the bound of 100 free boundary vertices;
+- the re-weighted steps of perfbench's family_sweep, seeded as there
+  (seed 11): a density sweep (7 steps, 6 eigenpairs) and a subdomain sweep
+  (8 steps, 5 eigenpairs) on the unit disk at h = 0.02, each pass building
+  its families anew and solving the limit mesh before the steps, as
+  ``harness._family_sweep`` does: the median over 5 passes of each step's
+  solve time and of the stiffness assembly inside it, the assemblies per
+  pass, and the median first solve (6 eigenpairs, as a graph-limit run
+  solves it) of the thickened 5-cycle of unit edges at eps = 0.005;
 - the 90 meshes of a seed-1 nodal audit (disk, annulus and mixed disk at
   h = 0.08, random steklov densities, 7 eigenpairs), built as
   ``harness._audit_point`` builds them: the median over the meshes of each
@@ -55,7 +63,7 @@ An operator application is a one-vector LU solve, and a solve on the
 boundary Schur complement makes none; the block solves, which extend the
 eigenvectors or build a mesh's Schur complement, are counted apart.  The
 counters wrap ``fem._factor`` and ``fem.assemble_stiffness`` for the whole
-run, which adds a Python call per LU solve.  The result is merged under ``--label`` into the
+run, which adds a Python call per LU solve, and time each assembly.  The result is merged under ``--label`` into the
 JSON file given by ``--out``, so that runs of two checkouts, each with its own
 ``PYTHONPATH``, land side by side.  Each run records the commit of the
 measured package and ``tree_clean``: whether its checkout had no change but
@@ -107,6 +115,9 @@ PATH_MESHES = (("disk h=0.08", lambda: geometry.make_disk_mesh(1.0, 0.08)),
                ("disk h=0.05", lambda: geometry.make_disk_mesh(1.0, 0.05)),
                ("annulus h=0.08", lambda: geometry.make_annulus_mesh(0.5, 1.0, 0.08)))
 PATH_REPEATS = 7
+REWEIGHTED_SEED = 11
+REWEIGHTED_H = 0.02
+REWEIGHTED_PASSES = 5
 
 
 class Counters:
@@ -114,6 +125,7 @@ class Counters:
 
     def __init__(self):
         self.op = self.block = self.assemblies = 0
+        self.assembly_s = 0.0
         self.lu_nnz = 0
         factor, assemble = fem._factor, fem.assemble_stiffness
         counters = self
@@ -132,7 +144,10 @@ class Counters:
 
         def counted_assemble(mesh):
             counters.assemblies += 1
-            return assemble(mesh)
+            t0 = time.perf_counter()
+            K = assemble(mesh)
+            counters.assembly_s += time.perf_counter() - t0
+            return K
 
         fem._factor = lambda A: CountingLU(factor(A))
         fem.assemble_stiffness = counted_assemble
@@ -146,8 +161,10 @@ class Counters:
 
 
 def unsolved_copy(mesh):
-    """The same mesh as a new instance: no stiffness matrix cached, the edge
-    table handed over as geometry.replace_mesh would."""
+    """The same mesh as a new instance that hands over only the edge table,
+    as geometry.replace_mesh would: not the geometry holder (scatter plan,
+    connectivity labels, cluster tolerance) nor the stiffness holder (K, the
+    boundary Schur complement), so a solve of it is a first solve."""
     out = dataclasses.replace(mesh)
     out.__dict__["edge_table"] = mesh.edge_table
     return out
@@ -170,6 +187,65 @@ def bench_disk(counters, h):
             "solve_ms_median": 1e3 * statistics.median(cold),
             "repeat_solve_ms_median": 1e3 * statistics.median(warm),
             "repeats": DISK_REPEATS[h]}
+
+
+def reweighted_steps(seed):
+    """(name, n_eigs, limit, [step meshes]) of the density and subdomain
+    sweeps of perfbench's family_sweep at this seed, built as harness builds
+    them; each call makes new families."""
+    disk = geometry.make_disk_mesh(1.0, REWEIGHTED_H)
+    rho = harness._apply_random_density(disk, np.random.default_rng(seed))[0].edge_density
+    rho_bar = rho / rho.min()
+    density = deformations.DensityFamily(disk, rho_bar, 3)
+    disk = geometry.make_disk_mesh(1.0, REWEIGHTED_H)  # each sweep builds its own disk
+    cen = geometry.triangle_coords(disk).mean(axis=1)
+    subdomain = deformations.SingularWeightFamily(disk, cen[:, 1] > 0.0, 3)
+    return [("density", 6, geometry.replace_mesh(density.mesh, edge_density=rho_bar),
+             [deformations.density_family_at(density, 2.0 ** -j) for j in range(1, 8)]),
+            ("subdomain", 5, deformations.subdomain_limit_mesh(subdomain),
+             [deformations.singular_family_at(subdomain, 2.0 ** -j) for j in range(1, 9)])]
+
+
+def bench_reweighted(counters):
+    sweeps = {}
+    for p in range(REWEIGHTED_PASSES + 1):  # the first pass is a warm-up
+        for name, n_eigs, limit, steps in reweighted_steps(REWEIGHTED_SEED):
+            record = sweeps.setdefault(name, {"solve": [], "assembly": [], "assemblies": []})
+            before = counters.assemblies
+            fem.steklov_spectrum(limit, n_eigs)
+            solve, assembly = [], []
+            for mesh in steps:
+                assembled = counters.assembly_s
+                t0 = time.perf_counter()
+                fem.steklov_spectrum(mesh, n_eigs)
+                solve.append(time.perf_counter() - t0)
+                assembly.append(counters.assembly_s - assembled)
+            if p:
+                record["solve"].append(solve)
+                record["assembly"].append(assembly)
+                record["assemblies"].append(counters.assemblies - before)
+    out = {"seed": REWEIGHTED_SEED, "h": REWEIGHTED_H, "passes": REWEIGHTED_PASSES}
+    for name, record in sweeps.items():
+        solve, assembly = np.array(record["solve"]), np.array(record["assembly"])
+        out[name] = {"step_solve_ms_median": (1e3 * np.median(solve, axis=0)).tolist(),
+                     "step_assembly_ms_median": (1e3 * np.median(assembly, axis=0)).tolist(),
+                     "pass_solve_ms_median": 1e3 * float(np.median(solve.sum(axis=1))),
+                     "assemblies_per_pass": record["assemblies"]}
+    cycle = graphs.MetricGraph(5, [[i, (i + 1) % 5] for i in range(5)], np.ones(5))
+    thick = thickening.build_thickened_mesh(thickening.embed_graph(cycle, "convex-boundary", 2.0),
+                                            ARTIFACT_EPS, 2.0, target_h=0.25 * ARTIFACT_EPS)
+    fem.steklov_spectrum(unsolved_copy(thick), 6)  # warm-up
+    first = []
+    for _ in range(REWEIGHTED_PASSES):
+        copy = unsolved_copy(thick)
+        t0 = time.perf_counter()
+        fem.steklov_spectrum(copy, 6)
+        first.append(time.perf_counter() - t0)
+    out["thickened_first_solve"] = {"eps": ARTIFACT_EPS, "nv": int(thick.n_vertices),
+                                    "triangles": int(thick.n_triangles),
+                                    "solve_ms_median": 1e3 * statistics.median(first),
+                                    "repeats": REWEIGHTED_PASSES}
+    return out
 
 
 def free_boundary_size(mesh):
@@ -430,6 +506,7 @@ def main():
                         "cpus": os.cpu_count(), "blas_threads": 1},
         "solve_paths": solve_paths,
         "disk": [bench_disk(counters, h) for h in DISK_H],
+        "reweighted": bench_reweighted(counters),
         "nodal_audit": bench_audit(counters),
         "nodal": nodal_layer,
         "nearest_edge": bench_nearest_edges(),

@@ -1,17 +1,23 @@
 """P1 finite elements for the Steklov / Steklov-Neumann / Steklov-Dirichlet
 eigenproblems.
 
-The Dirichlet energy K is assembled over all vertices, once per geometry: the
-meshes that geometry.replace_mesh derives without new triangle weights share
-one read-only K.  Dirichlet vertices are pinned to zero by removing them
+The Dirichlet energy K is assembled over all vertices, once per weighting:
+the meshes that geometry.replace_mesh derives without new triangle weights
+share one read-only K.  K is summed on a scatter plan of the triangulation
+(StiffnessPlan), in the order of scipy's COO to CSR conversion, so it has the
+bits of that conversion.  A mesh assembled with one weight vector keeps no
+plan; once a triangulation is assembled with a second one, the plan is kept
+in mesh.geometry_cache, beside the connectivity labels and the default
+cluster tolerance, and every later re-weighting of it reuses the three.
+Dirichlet vertices are pinned to zero by removing them
 (without them, K itself is used), and the pencil (K_f, M_Gamma) over the
 remaining free vertices is solved on one of two paths, chosen by the number of
 free boundary vertices (the boundary vertices that no dirichlet tag pins).
 
 At most _DENSE_BOUNDARY of them: the boundary Schur complement of K,
 S = K_BB - K_BI K_II^-1 K_IB (the discrete Dirichlet-to-Neumann map), and
-K_II^-1 K_IB are built once per geometry and dirichlet set and kept beside K,
-so every density and steklov arc on that geometry reuses them.  A solve
+K_II^-1 K_IB are built once per weighting and dirichlet set and kept beside
+K, so every density and steklov arc on that weighting reuses them.  A solve
 eliminates the neumann boundary vertices from S, T = S_ss - S_sn S_nn^-1 S_ns,
 takes the n_eigs smallest pairs of the dense pencil (T, M_Gamma) from LAPACK
 and extends them to the neumann boundary and the interior.  The bound is a
@@ -42,6 +48,8 @@ import json
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+# the kernels of scipy's COO to CSR conversion, which the stiffness plan
+# runs in two halves to keep its summation order
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -101,6 +109,8 @@ class StiffnessPlan:
 
 
 def _build_plan(mesh):
+    """The StiffnessPlan of the mesh's triangulation; AssemblyError names a
+    degenerate triangle."""
     local, area2 = _local_matrices(geometry.triangle_coords(mesh))
     if np.any(area2 <= 0):
         bad = int(np.argmin(area2))
@@ -126,7 +136,7 @@ def _build_plan(mesh):
     return plan
 
 
-def stiffness_plan(mesh):
+def _stiffness_plan(mesh):
     """The scatter plan of the mesh's triangulation.  A geometry assembled
     with one weight vector only (a graph-limit or collar mesh, an audit
     domain) builds it for each assembly and keeps nothing; once it is
@@ -145,7 +155,7 @@ def stiffness_plan(mesh):
 def assemble_stiffness(mesh):
     """Weighted P1 Dirichlet-energy matrix over all mesh vertices (CSR),
     summed on the triangulation's scatter plan."""
-    plan = stiffness_plan(mesh)
+    plan = _stiffness_plan(mesh)
     nv = mesh.n_vertices
     scale = np.asarray(mesh.tri_weight, float) / (2.0 * plan.area2)
     data = (plan.local * scale).ravel()[plan.term]
@@ -153,7 +163,7 @@ def assemble_stiffness(mesh):
     _sparsetools.csr_sum_duplicates(nv, nv, indptr, indices, data)
     nnz = indptr[-1]
     K = sp.csr_matrix((data[:nnz].copy(), indices[:nnz].copy(), indptr), shape=(nv, nv))
-    K.has_canonical_format = True
+    K.has_canonical_format = True  # sorted and summed, as scipy's conversion leaves it
     return K
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov_lab import deformations, fem, geometry
+from steklov_lab import deformations, fem, geometry, graphs, thickening
 from steklov_lab.geometry import DIRICHLET, NEUMANN, STEKLOV
 
 import oracles
@@ -43,6 +43,18 @@ def test_boundary_mass_total():
                               B.vertices.size)
     assert np.allclose((B.factor.T @ B.factor).toarray(), B.matrix.toarray(),
                        rtol=0.0, atol=1e-15 * B.matrix.max())
+
+
+def test_dense_boundary_mass_has_the_bits_of_the_sparse_one():
+    rng = np.random.default_rng(6)
+    disk = geometry.make_disk_mesh(1.0, 0.08)
+    arcs = [((1.0, 4.0), STEKLOV), ((4.0, 1.0 + 2 * math.pi), NEUMANN)]
+    for mesh in (geometry.replace_mesh(disk, edge_density=rng.uniform(0.3, 3.0, disk.edge_density.size)),
+                 geometry.tag_boundary(disk, arcs, by="angle", center=(0.0, 0.0)),
+                 geometry.make_annulus_mesh(0.5, 1.0, 0.08)):
+        B = fem.assemble_boundary_mass(mesh)
+        dense = B.dense()
+        assert dense.tobytes() == B.matrix.toarray().tobytes()
 
 
 def test_stiffness_shared_by_meshes_of_one_geometry():
@@ -87,6 +99,87 @@ def test_cached_stiffness_gives_the_same_bits():
         f = warm.extensions[3]
         assert (oracles.rayleigh_quotient(dataclasses.replace(mesh), f)
                 == oracles.rayleigh_quotient(mesh, f))
+        # new triangle weights: a K of their own, summed on the plan that the
+        # geometry keeps from its second weight vector on
+        weighted = geometry.replace_mesh(mixed, tri_weight=rng.uniform(0.5, 2.0, base.n_triangles))
+        assert weighted.geometry_cache is base.geometry_cache
+        assert weighted.stiffness_cache is not base.stiffness_cache
+        warm = fem.steklov_spectrum(weighted, 5)
+        assert "plan" in base.geometry_cache
+        cold = fem.steklov_spectrum(dataclasses.replace(weighted), 5)
+        assert np.array_equal(cold.eigenvalues, warm.eigenvalues)
+        assert np.array_equal(cold.extensions, warm.extensions)
+
+
+def _same_bits(A, B):
+    return A.shape == B.shape and all(
+        getattr(A, name).dtype == getattr(B, name).dtype
+        and getattr(A, name).tobytes() == getattr(B, name).tobytes()
+        for name in ("data", "indices", "indptr"))
+
+
+def _weightings(case):
+    """A base mesh, then meshes with three more triangle weight vectors on
+    its triangulation."""
+    rng = np.random.default_rng(8)
+    if case in ("disk-density", "disk-subdomain"):
+        disk = geometry.make_disk_mesh(1.0, 0.1)
+        if case == "disk-density":
+            rho_bar = rng.uniform(1.0, 3.0, disk.boundary_edges.shape[0])
+            family = deformations.DensityFamily(disk, rho_bar, 3)
+            return [disk] + [deformations.density_family_at(family, eps)
+                             for eps in (1.0, 0.25, 0.0625)]
+        family = deformations.SingularWeightFamily(
+            disk, geometry.triangle_coords(disk).mean(axis=1)[:, 1] > 0.0, 3)
+        return [disk] + [deformations.singular_family_at(family, eta) for eta in (0.5, 0.25, 0.125)]
+    if case == "periodic-strip":
+        base = geometry.make_strip_mesh(2 * math.pi, 0.5, 0.1, periodic=True)
+    elif case == "dirichlet-disk":
+        arcs = [((0.0, math.pi), STEKLOV), ((math.pi, 2 * math.pi), DIRICHLET)]
+        base = geometry.tag_boundary(geometry.make_disk_mesh(1.0, 0.1), arcs, by="angle",
+                                     center=(0.0, 0.0))
+    else:
+        cycle = graphs.MetricGraph(5, [[i, (i + 1) % 5] for i in range(5)], np.ones(5))
+        embedding = thickening.embed_graph(cycle, "convex-boundary", 2.0)
+        base = thickening.build_thickened_mesh(embedding, 0.02, 2.0, target_h=0.005)
+    return [base] + [geometry.replace_mesh(base, tri_weight=rng.uniform(0.1, 3.0, base.n_triangles))
+                     for _ in range(3)]
+
+
+@pytest.mark.parametrize("case", ["disk-density", "disk-subdomain", "periodic-strip",
+                                  "dirichlet-disk", "thickened-cycle"])
+def test_planned_stiffness_matches_coo_oracle(case):
+    # the first weighting sums on a plan built for it, the later ones on the
+    # plan the geometry keeps; each K has the bits of scipy's COO to CSR
+    # conversion, the periodic strip's seam triangles and the grid's exact
+    # zeros among them
+    meshes = _weightings(case)
+    for mesh in meshes:
+        assert _same_bits(fem.assemble_stiffness(mesh), oracles.coo_stiffness(mesh))
+    assert "plan" in meshes[0].geometry_cache
+
+
+def test_mesh_assembled_once_keeps_no_plan(monkeypatch):
+    builds = []
+    build = fem._build_plan
+
+    def counted(mesh):
+        builds.append(1)
+        return build(mesh)
+
+    monkeypatch.setattr(fem, "_build_plan", counted)
+    base = geometry.make_disk_mesh(1.0, 0.1)
+    for mesh in (base, geometry.replace_mesh(base, edge_density=2.0 * base.edge_density)):
+        fem.steklov_spectrum(mesh, 4)
+    fem.assemble_stiffness(base)  # the same weights again, as a residual check assembles
+    assert "plan" not in base.geometry_cache
+    assert len(builds) == 2
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        fem.steklov_spectrum(
+            geometry.replace_mesh(base, tri_weight=rng.uniform(0.5, 2.0, base.n_triangles)), 4)
+    assert "plan" in base.geometry_cache
+    assert len(builds) == 3
 
 
 def test_disk_spectrum_oracle():
@@ -225,6 +318,10 @@ def test_connectivity_labels_kept_per_dirichlet_set(monkeypatch):
     for mesh in (base, sibling):
         fem.steklov_spectrum(mesh, 4)
     assert len(calls) == 1
+    # new triangle weights keep the triangulation, and with it the labels
+    fem.steklov_spectrum(
+        geometry.replace_mesh(base, tri_weight=rng.uniform(0.5, 2.0, base.n_triangles)), 4)
+    assert len(calls) == 1
     arcs = [((0.0, math.pi), STEKLOV), ((math.pi, 2 * math.pi), DIRICHLET)]
     mixed = geometry.tag_boundary(base, arcs, by="angle", center=(0.0, 0.0))
     assert mixed.stiffness_cache is base.stiffness_cache
@@ -291,6 +388,20 @@ def test_degenerate_triangle_raises():
         edge_density=np.ones(3), tri_weight=np.ones(1))
     with pytest.raises(fem.AssemblyError):
         fem.assemble_stiffness(mesh)
+
+
+def test_degenerate_triangle_raises_on_a_reweighted_mesh():
+    # a good triangle and a flat one: no weighting gets a plan to assemble on
+    mesh = geometry.Mesh2D(
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [3.0, 0.0]]),
+        triangles=np.array([[0, 1, 2], [1, 3, 4]], np.int32),
+        boundary_edges=np.array([[0, 1], [1, 2], [2, 0], [1, 3], [3, 4], [1, 4]], np.int32),
+        boundary_tags=np.array([STEKLOV] * 6, object),
+        edge_density=np.ones(6), tri_weight=np.ones(2))
+    for weights in ([1.0, 1.0], [2.0, 0.5], [3.0, 3.0]):
+        with pytest.raises(fem.AssemblyError, match="triangle 1 is degenerate"):
+            fem.assemble_stiffness(geometry.replace_mesh(mesh, tri_weight=np.array(weights)))
+    assert "plan" not in mesh.geometry_cache
 
 
 def test_multiplicity_clusters():

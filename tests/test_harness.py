@@ -1,13 +1,16 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 
 from steklov_lab import cli, fem, geometry, graphs, harness, nodal, thickening
 
@@ -95,6 +98,32 @@ def test_report_hash_independent_of_blas_threads():
         one = _report_hash_in_child(path, 1)
         assert len(one) == 64
         assert _report_hash_in_child(path, 2) == one
+
+
+def _check_outputs_module():
+    """benchmarks/check_outputs.py, loaded by path; it pins the BLAS thread
+    count in os.environ on import, which is restored afterwards."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "check_outputs.py")
+    spec = importlib.util.spec_from_file_location("check_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["04-density-family.json", "05-subdomain-family.json"])
+def test_reweighted_configs_match_recorded_outputs(name):
+    # each re-weights one geometry 7-8 times on the ARPACK path, whose bits
+    # do not depend on the BLAS thread count: the report and every written
+    # file must equal the record of benchmarks/outputs.json
+    check = _check_outputs_module()
+    with open(check.OUTPUTS, encoding="ascii") as fh:
+        want = json.load(fh)
+    if (want["numpy"], want["scipy"]) != (np.__version__, scipy.__version__):
+        pytest.skip(f"outputs.json records numpy {want['numpy']} and scipy {want['scipy']}")
+    config = harness.load_config(os.path.join(CONFIG_DIR, name))
+    got = {config.name: check.record(config.name, config)}
+    assert check.differences({config.name: want["runs"][config.name]}, got) == []
 
 
 @pytest.mark.parametrize("kind, params", [
