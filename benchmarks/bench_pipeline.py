@@ -1,6 +1,6 @@
 """Solve-stage benchmark of ``fem.steklov_spectrum``, the nodal layer of an
 audit point, the nearest-edge search of ``deformations.DensityFamily``, the
-artifact writers, the audit process pool and the graph prescriber.
+artifact writers, the shipped configs and the graph prescriber.
 
 Run from the repository root:
 
@@ -49,10 +49,10 @@ It records, with one BLAS thread:
   graph-limit sweep) and on the unit disk at h = 0.01, the figure drawing the
   field x: the median time of a write after one warm-up, and the
   ``tracemalloc`` peak of one more write;
-- ``configs/08-courant-audit.json`` through ``harness.run`` at ``jobs=1`` and
-  ``jobs=2`` (a forked process pool), after one warm-up run of each: the
-  times of 5 pairs of runs, the side that runs first alternating from pair
-  to pair.  These runs come before the counters below are installed;
+- each of the shipped configs in ``configs/`` through ``harness.run``, with
+  no files written: the times of 3 runs after one warm-up, their median and
+  the report hash, and the sum of the medians.  These runs come before the
+  counters below are installed;
 - ``configs/06-prescriber-audit.json`` through ``harness.run``: the median
   of 5 runs after one warm-up, then one more run that counts the
   eigendecompositions of ``graphs.prescribe_spectrum``
@@ -77,6 +77,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
+import glob  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -106,8 +107,7 @@ ARTIFACT_EPS = 0.005
 ARTIFACT_REPEATS = 5
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "configs")
-POOL_CONFIG = os.path.join(CONFIG_DIR, "08-courant-audit.json")
-POOL_PAIRS = 5
+CONFIG_RUNS = 3
 PRESCRIBER_CONFIG = os.path.join(CONFIG_DIR, "06-prescriber-audit.json")
 PRESCRIBER_RUNS = 5
 PATH_MESHES = (("disk h=0.08", lambda: geometry.make_disk_mesh(1.0, 0.08)),
@@ -422,22 +422,20 @@ def bench_artifacts():
                 bench_artifact("disk h=0.01", geometry.make_disk_mesh(1.0, 0.01), out_dir)]
 
 
-def bench_pool():
-    config = harness.load_config(POOL_CONFIG)
-    hashes = {jobs: harness.run(config, jobs=jobs).report_hash() for jobs in (1, 2)}
-    if hashes[1] != hashes[2]:
-        raise RuntimeError("jobs=1 and jobs=2 reported different points")
-    times = {1: [], 2: []}
-    for pair in range(POOL_PAIRS):
-        for jobs in ((1, 2) if pair % 2 == 0 else (2, 1)):
+def bench_configs():
+    rows = []
+    for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
+        config = harness.load_config(path)
+        report_hash = harness.run(config).report_hash()  # warm-up
+        times = []
+        for _ in range(CONFIG_RUNS):
             t0 = time.perf_counter()
-            harness.run(config, jobs=jobs)
-            times[jobs].append(time.perf_counter() - t0)
-    return {"config": os.path.basename(POOL_CONFIG), "runs": config.params["runs"],
-            "pairs": POOL_PAIRS, "jobs1_s": times[1], "jobs2_s": times[2],
-            "jobs1_s_median": statistics.median(times[1]),
-            "jobs2_s_median": statistics.median(times[2]),
-            "pairs_pool_faster": sum(b < a for a, b in zip(times[1], times[2]))}
+            harness.run(config)
+            times.append(time.perf_counter() - t0)
+        rows.append({"config": os.path.basename(path), "run_s": times,
+                     "run_s_median": statistics.median(times), "report_hash": report_hash})
+    return {"runs": CONFIG_RUNS, "configs": rows,
+            "run_s_median_total": sum(row["run_s_median"] for row in rows)}
 
 
 def bench_prescriber():
@@ -493,7 +491,7 @@ def main():
     parser.add_argument("--out", default="BENCH_pipeline.json")
     args = parser.parse_args()
     commit, clean = checkout_state(os.path.dirname(os.path.abspath(fem.__file__)), args.out)
-    pool = bench_pool()
+    configs = bench_configs()
     prescriber = bench_prescriber()
     nodal_layer = bench_nodal()
     solve_paths = bench_solve_paths()
@@ -511,7 +509,7 @@ def main():
         "nodal": nodal_layer,
         "nearest_edge": bench_nearest_edges(),
         "artifacts": bench_artifacts(),
-        "pool": pool,
+        "configs": configs,
         "prescriber": prescriber,
     }
     print(json.dumps(result, indent=2))

@@ -28,7 +28,6 @@ def positive_int(text):
 _FLAGS = {
     "--out": dict(help="output directory (or file for single artifacts)"),
     "--seed": dict(type=int, help="random seed override"),
-    "--jobs": dict(type=positive_int, default=1, help="parallel sweep workers"),
 }
 
 
@@ -93,7 +92,7 @@ def _cmd_run(args):
     if args.command == "audit" and config.kind not in harness.AUDIT_KINDS:
         raise harness.ConfigError(
             f"audit requires a config of kind {' or '.join(harness.AUDIT_KINDS)}")
-    report = harness.run(config, out_dir=args.out, jobs=args.jobs)
+    report = harness.run(config, out_dir=args.out)
     for c in report.checks:
         print(harness.check_line(c))
     print(f"overall: {'PASS' if report.passed else 'FAIL'} "
@@ -150,12 +149,12 @@ def main(argv=None):
     p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("--config", required=True)
     p.add_argument("--print-report", action="store_true")
-    _add_flags(p, "--out", "--seed", "--jobs")
+    _add_flags(p, "--out", "--seed")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("audit", help="run a randomized audit config")
     p.add_argument("--config", required=True)
-    _add_flags(p, "--out", "--seed", "--jobs")
+    _add_flags(p, "--out", "--seed")
     p.set_defaults(func=_cmd_run, print_report=False)
 
     args = parser.parse_args(argv)

@@ -10,7 +10,6 @@ wall-clock are excluded).
 """
 
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 import csv
 import functools
@@ -203,10 +202,10 @@ def _make_domain(params, rng):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: runner(config, p, tol, jobs) -> (points, checks,
-# artifacts); p and tol are the config's params and tolerances with defaults
-# filled in, a runner checks only rules across keys, and only audits use jobs;
-# artifacts maps each path relative to the output directory to its writer(path)
+# experiment runners: runner(config, p, tol) -> (points, checks, artifacts);
+# p and tol are the config's params and tolerances with defaults filled in, a
+# runner checks only rules across keys, and artifacts maps each path relative
+# to the output directory to its writer(path)
 # ---------------------------------------------------------------------------
 
 def _reject_unread(config, where, keys):
@@ -227,7 +226,7 @@ def _reject_unread_dims(config, domains):
     _reject_unread(config, f"on {', '.join(domains)}", unread)
 
 
-def _run_spectrum(config, p, tol, jobs):
+def _run_spectrum(config, p, tol):
     _reject_unread_dims(config, [p["domain"]])
     n_eigs = p["n_eigs"]
     if p["reference"] is not None and len(p["reference"]) >= n_eigs:
@@ -263,7 +262,7 @@ def _sweep_step(param, value, ks, sigma, reference):
     return points, float(rel.max())
 
 
-def _run_collar_sweep(config, p, tol, jobs):
+def _run_collar_sweep(config, p, tol):
     length = p["circle_length"]
     widths = p["widths"]
     one_sided = p["mode"] == "one-sided"
@@ -337,7 +336,7 @@ def _family_sweep(p, tol, param, family_at, limit):
     return points, checks, {}
 
 
-def _run_density_sweep(config, p, tol, jobs):
+def _run_density_sweep(config, p, tol):
     rng = np.random.default_rng(config.seed)
     mesh = geometry.make_disk_mesh(p["radius"], p["target_h"])
     rho = _apply_random_density(mesh, rng)[0].edge_density
@@ -349,7 +348,7 @@ def _run_density_sweep(config, p, tol, jobs):
                          limit)
 
 
-def _run_subdomain_sweep(config, p, tol, jobs):
+def _run_subdomain_sweep(config, p, tol):
     mesh = geometry.make_disk_mesh(p["radius"], p["target_h"])
     cen = geometry.triangle_coords(mesh).mean(axis=1)
     mask = cen[:, 1] > 0.0  # half-disk touching the boundary
@@ -370,7 +369,7 @@ def _load_or_build_graph(config, p):
     return graphs.MetricGraph(p["n_vertices"], p["edges"], p["lengths"])
 
 
-def _run_graph_limit(config, p, tol, jobs):
+def _run_graph_limit(config, p, tol):
     """Thickened-domain spectra against the graph Laplacian spectrum.
 
     For each eps the (|V|+1)-st eigenvalue over the |V|-th is the spectral
@@ -419,7 +418,7 @@ def _run_graph_limit(config, p, tol, jobs):
             lambda path: nodal.save_nodal_svg(mesh, _mode1_field(res), path)}
 
 
-def _run_prescriber_audit(config, p, tol, jobs):
+def _run_prescriber_audit(config, p, tol):
     if len(p["n_range"]) != 2 or p["n_range"][0] > p["n_range"][1]:
         raise ConfigError("n_range must be two sizes [lo, hi] with lo <= hi")
     lo, hi = p["n_range"]
@@ -449,7 +448,7 @@ def _run_prescriber_audit(config, p, tol, jobs):
 
 
 def _audit_point(args):
-    """One randomized audit run; top-level for process-pool dispatch.
+    """One randomized audit run; one argument tuple, as perfbench calls it.
 
     params holds every key of the audit kind's schema.  An exception from
     mesh build, solve or nodal steps is recorded on the point as its type
@@ -497,17 +496,13 @@ def _measure_multiplicity(mesh, res, params, seed):
     return {"bounds": recs, "bounds_ok": all(r["ok"] for r in recs)}
 
 
-def _run_audit(config, p, tol, jobs):
+def _run_audit(config, p, tol):
     if p["domains"]:
         _reject_unread(config, "with domains", ("domain",))
     _reject_unread_dims(config, p["domains"] or [p["domain"]])
     seeds = [config.seed + 1000 * i for i in range(p["runs"])]
     args = [(config.kind, p, tol, s, i) for i, s in enumerate(seeds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_audit_point, args))
-    else:
-        points = [_audit_point(a) for a in args]
+    points = [_audit_point(a) for a in args]
     checks = []
     for flag, name in _REGISTRY[config.kind].flags:
         bad = [pt["run"] for pt in points if not pt.get(flag)]
@@ -521,11 +516,11 @@ def _check(name, passed, observed, required):
     return {"name": name, "passed": bool(passed), "observed": observed, "required": required}
 
 
-def run(config, out_dir=None, jobs=1):
+def run(config, out_dir=None):
     """Execute an experiment and (optionally) persist its artifact tree."""
     start = time.monotonic()
     p, tol = (_filled(config.kind, w, getattr(config, w)) for w in ("params", "tolerances"))
-    points, checks, artifacts = _REGISTRY[config.kind].runner(config, p, tol, jobs)
+    points, checks, artifacts = _REGISTRY[config.kind].runner(config, p, tol)
     report = ExperimentReport(
         config=asdict(config),
         config_hash=config.content_hash(),

@@ -1,22 +1,30 @@
 """Acceptance suite: one test per shipped experiment config.
 
 Each test runs the corresponding named config end to end and prints a single
-pass/fail line with the observed margin at the stated tolerance.
+pass/fail line with the observed margin at the stated tolerance.  Under the
+numpy and scipy versions of ``benchmarks/outputs.json``, each report's hash
+must also equal the one recorded there for its config.
 """
 
 import json
 import os
 
 import numpy as np
+import scipy
 
 from steklov_lab import harness
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+OUTPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "outputs.json")
+
+with open(OUTPUTS, encoding="ascii") as _fh:
+    RECORD = json.load(_fh)
+RECORDED_VERSIONS = (RECORD["numpy"], RECORD["scipy"]) == (np.__version__, scipy.__version__)
 
 
-def run_config(filename, jobs=1):
+def run_config(filename):
     config = harness.load_config(os.path.join(CONFIG_DIR, filename))
-    return config, harness.run(config, jobs=jobs)
+    return config, harness.run(config)
 
 
 def report_line(criterion, report, detail):
@@ -28,6 +36,10 @@ def report_line(criterion, report, detail):
     # the report holds JSON values only: a tuple or a numpy number would not
     # come back as it went in
     assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
+    if RECORDED_VERSIONS:
+        name = report.config["name"]
+        assert report.report_hash() == RECORD["runs"][name]["report_hash"], \
+            f"criterion {criterion}: report_hash differs from benchmarks/outputs.json"
 
 
 def test_criterion_01_disk_spectrum_oracle():
@@ -94,7 +106,7 @@ def test_criterion_07_thickened_graph_limit():
 
 
 def test_criterion_08_courant_audit():
-    config, report = run_config("08-courant-audit.json", jobs=2)
+    config, report = run_config("08-courant-audit.json")
     ok = [c for c in report.checks if c["name"] == "courant-ok"][0]
     report_line(8, report,
                 f"Courant bound k+1 on disk+annulus, k<=6, 20 cluster "
@@ -102,7 +114,7 @@ def test_criterion_08_courant_audit():
 
 
 def test_criterion_09_boundary_touch_audit():
-    config, report = run_config("09-boundary-touch.json", jobs=2)
+    config, report = run_config("09-boundary-touch.json")
     ok = [c for c in report.checks if c["name"] == "touch-ok"][0]
     report_line(9, report,
                 f"every nodal domain touches the steklov arc on mixed disks "
@@ -118,7 +130,7 @@ def test_criterion_10_multiplicity_audits():
 
 
 def test_criterion_11_nodal_graph_structure():
-    config, report = run_config("11-nodal-graph.json", jobs=2)
+    config, report = run_config("11-nodal-graph.json")
     rank = [c for c in report.checks if c["name"] == "cycle-rank-ok"][0]
     parity = [c for c in report.checks if c["name"] == "parity-ok"][0]
     report_line(11, report,
