@@ -53,11 +53,10 @@ It records, with one BLAS thread:
   no files written: the times of 3 runs after one warm-up, their median and
   the report hash, and the sum of the medians.  These runs come before the
   counters below are installed;
-- ``configs/06-prescriber-audit.json`` through ``harness.run``: the median
-  of 5 runs after one warm-up, then one more run that counts the
-  eigendecompositions of ``graphs.prescribe_spectrum``
-  (``graphs.eigenvalues_and_weight_jacobian`` calls), in all and the most in
-  one fit.
+- ``configs/06-prescriber-audit.json`` through ``harness.run``, once more
+  after its timed runs above: the eigendecompositions of
+  ``graphs.prescribe_spectrum`` (``graphs.eigenvalues_and_weight_jacobian``
+  calls), in all and the most in one fit.
 
 An operator application is a one-vector LU solve, and a solve on the
 boundary Schur complement makes none; the block solves, which extend the
@@ -109,7 +108,6 @@ CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file
                           "configs")
 CONFIG_RUNS = 3
 PRESCRIBER_CONFIG = os.path.join(CONFIG_DIR, "06-prescriber-audit.json")
-PRESCRIBER_RUNS = 5
 PATH_MESHES = (("disk h=0.08", lambda: geometry.make_disk_mesh(1.0, 0.08)),
                ("disk h=0.06", lambda: geometry.make_disk_mesh(1.0, 0.06)),
                ("disk h=0.05", lambda: geometry.make_disk_mesh(1.0, 0.05)),
@@ -440,12 +438,6 @@ def bench_configs():
 
 def bench_prescriber():
     config = harness.load_config(PRESCRIBER_CONFIG)
-    harness.run(config)  # warm-up
-    times = []
-    for _ in range(PRESCRIBER_RUNS):
-        t0 = time.perf_counter()
-        harness.run(config)
-        times.append(time.perf_counter() - t0)
     fits = []
     prescribe, evaluate = graphs.prescribe_spectrum, graphs.eigenvalues_and_weight_jacobian
 
@@ -463,9 +455,8 @@ def bench_prescriber():
         report_hash = harness.run(config).report_hash()
     finally:
         graphs.prescribe_spectrum, graphs.eigenvalues_and_weight_jacobian = prescribe, evaluate
-    return {"config": os.path.basename(PRESCRIBER_CONFIG), "runs": PRESCRIBER_RUNS,
-            "run_s": times, "run_s_median": statistics.median(times),
-            "fits": len(fits), "evaluations": sum(fits), "evaluations_max_per_fit": max(fits),
+    return {"config": os.path.basename(PRESCRIBER_CONFIG), "fits": len(fits),
+            "evaluations": sum(fits), "evaluations_max_per_fit": max(fits),
             "report_hash": report_hash}
 
 
