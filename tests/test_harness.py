@@ -513,6 +513,8 @@ def test_cli_rejects_flags_it_does_not_read(argv, capsys):
     ["spectrum", "--mesh", "d.msh", "--tol", "0"],
     ["prescribe", "--targets", "1,2", "--tol", "-1"],
     ["spectrum", "--mesh", "d.msh", "--tol", "nan"],
+    ["prescribe", "--targets", "1,2", "--tol", "0"],
+    ["spectrum", "--mesh", "d.msh", "--tol", "-0.5"],
     ["prescribe", "--targets", "1,2", "--tol", "inf"],
 ])
 def test_cli_rejects_nonpositive_tol(argv, capsys):
