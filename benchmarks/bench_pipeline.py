@@ -50,7 +50,9 @@ It records, with one BLAS thread:
   field x: the median time of a write after one warm-up, and the
   ``tracemalloc`` peak of one more write;
 - each of the shipped configs in ``configs/`` through ``harness.run``, with
-  no files written: the times of 3 runs after one warm-up, their median and
+  no files written: one warm-up round over all configs, then 3 rounds, every
+  other one in reverse order, so that a slow spell of the machine does not
+  fall on every run of one config; each config's times, their median and
   the report hash, and the sum of the medians.  These runs come before the
   counters below are installed;
 - ``configs/06-prescriber-audit.json`` through ``harness.run``, once more
@@ -161,8 +163,8 @@ class Counters:
 def unsolved_copy(mesh):
     """The same mesh as a new instance that hands over only the edge table,
     as geometry.replace_mesh would: not the geometry holder (scatter plan,
-    connectivity labels, cluster tolerance) nor the stiffness holder (K, the
-    boundary Schur complement), so a solve of it is a first solve."""
+    cluster tolerance), the stiffness holder (K, the boundary Schur
+    complement) nor the tag sets, so a solve of it is a first solve."""
     out = dataclasses.replace(mesh)
     out.__dict__["edge_table"] = mesh.edge_table
     return out
@@ -421,17 +423,19 @@ def bench_artifacts():
 
 
 def bench_configs():
-    rows = []
-    for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))):
-        config = harness.load_config(path)
-        report_hash = harness.run(config).report_hash()  # warm-up
-        times = []
-        for _ in range(CONFIG_RUNS):
+    configs = {os.path.basename(path): harness.load_config(path)
+               for path in sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))}
+    hashes = {name: harness.run(config).report_hash()  # the warm-up round
+              for name, config in configs.items()}
+    times = {name: [] for name in configs}
+    order = list(configs.items())
+    for r in range(CONFIG_RUNS):
+        for name, config in (order if r % 2 == 0 else order[::-1]):
             t0 = time.perf_counter()
             harness.run(config)
-            times.append(time.perf_counter() - t0)
-        rows.append({"config": os.path.basename(path), "run_s": times,
-                     "run_s_median": statistics.median(times), "report_hash": report_hash})
+            times[name].append(time.perf_counter() - t0)
+    rows = [{"config": name, "run_s": times[name], "run_s_median": statistics.median(times[name]),
+             "report_hash": hashes[name]} for name in configs]
     return {"runs": CONFIG_RUNS, "configs": rows,
             "run_s_median_total": sum(row["run_s_median"] for row in rows)}
 

@@ -7,8 +7,8 @@ share one read-only K.  K is summed on a scatter plan of the triangulation
 (StiffnessPlan), in the order of scipy's COO to CSR conversion, so it has the
 bits of that conversion.  A mesh assembled with one weight vector keeps no
 plan; once a triangulation is assembled with a second one, the plan is kept
-in mesh.geometry_cache, beside the connectivity labels and the default
-cluster tolerance, and every later re-weighting of it reuses the three.
+in mesh.geometry_cache, beside the default cluster tolerance, and every later
+re-weighting reuses both.  What the boundary tags fix comes from mesh.tag_sets.
 Dirichlet vertices are pinned to zero by removing them
 (without them, K itself is used), and the pencil (K_f, M_Gamma) over the
 remaining free vertices is solved on one of two paths, chosen by the number of
@@ -215,18 +215,15 @@ class BoundaryMass:
 
 
 def assemble_boundary_mass(mesh, tag=STEKLOV):
-    sel = mesh.boundary_tags == tag
-    if not np.any(sel):
+    """The mass of the steklov edges at the mesh's densities, on the vertex
+    sets of mesh.tag_sets; any other tag raises ValueError."""
+    if tag != STEKLOV:
+        raise ValueError(f"the boundary mass is assembled on {STEKLOV!r} edges, not {tag!r}")
+    tags = mesh.tag_sets
+    if not tags.steklov.size:
         raise EmptyBoundaryError(f"no boundary edges tagged {tag!r}")
-    edges = mesh.boundary_edges[sel]
-    dens = mesh.edge_density[sel]
-    lens = geometry.boundary_edge_lengths(mesh)[sel]
-    verts = np.unique(edges)
-    remap = -np.ones(mesh.n_vertices, np.int64)
-    remap[verts] = np.arange(verts.size)
-    a = remap[edges[:, 0]]
-    b = remap[edges[:, 1]]
-    w = dens * lens
+    a, b = tags.edge_ends.T
+    w = mesh.edge_density[tags.steklov_edges] * tags.edge_lengths
     # an edge's block w/6 [[2, 1], [1, 2]] is R^T R for the upper triangular
     # Cholesky factor R = sqrt(w/6) [[sqrt(2), 1/sqrt(2)], [0, sqrt(3/2)]]:
     # per edge, one row with entries at a and b, one with an entry at b
@@ -234,48 +231,8 @@ def assemble_boundary_mass(mesh, tag=STEKLOV):
     G = sp.csr_matrix(
         (np.column_stack([r * np.sqrt(2.0), r / np.sqrt(2.0), r * np.sqrt(1.5)]).ravel(),
          np.column_stack([a, b, b]).ravel(), np.r_[0, np.cumsum(np.tile([2, 1], a.size))]),
-        shape=(2 * a.size, verts.size))
-    return BoundaryMass(factor=G, vertices=verts, edge_ends=np.column_stack([a, b]),
-                        edge_mass=w)
-
-
-def _components(mesh, dirichlet_vertices):
-    """(labels, anchored) of the mesh without its dirichlet vertices: the
-    component of each vertex, and whether an edge to a dirichlet vertex
-    anchors the component.  The dirichlet vertices share one extra label,
-    anchored.  Both depend on the triangles and the dirichlet set only, so
-    they are kept in mesh.geometry_cache, keyed by the dirichlet set."""
-    key = ("components", dirichlet_vertices.tobytes())
-    cache = mesh.geometry_cache
-    if key not in cache:
-        edges = mesh.edge_table.edges
-        pinned = np.zeros(mesh.n_vertices, bool)
-        pinned[dirichlet_vertices] = True
-        ends_pinned = pinned[edges]
-        free = edges[~ends_pinned.any(axis=1)]
-        n_comp, labels = geometry.label_components(mesh.n_vertices, free[:, 0], free[:, 1])
-        anchored = np.zeros(n_comp + 1, bool)
-        # the free end of an edge with one dirichlet end anchors its component
-        touch = edges[ends_pinned.sum(axis=1) == 1]
-        anchored[labels[touch[~pinned[touch]]]] = True
-        anchored[n_comp] = True
-        labels[pinned] = n_comp
-        for arr in (labels, anchored):
-            arr.flags.writeable = False
-        cache[key] = labels, anchored
-    return cache[key]
-
-
-def _check_connectivity(mesh, steklov_vertices, dirichlet_vertices):
-    """Every component of the mesh without its dirichlet vertices must reach
-    the steklov boundary or be adjacent to a dirichlet vertex."""
-    labels, anchored = _components(mesh, dirichlet_vertices)
-    anchored = anchored.copy()
-    anchored[labels[steklov_vertices]] = True
-    if not anchored[labels].all():
-        raise FactorizationError(
-            "mesh has a component disconnected from the steklov/dirichlet boundary; "
-            "its pure-neumann block is singular")
+        shape=(2 * a.size, tags.steklov.size))
+    return BoundaryMass(factor=G, vertices=tags.steklov, edge_ends=tags.edge_ends, edge_mass=w)
 
 
 def _factor(A):
@@ -358,17 +315,15 @@ SHIFT = -0.1
 _DENSE_BOUNDARY = 100
 
 
-def _boundary_schur(mesh, K, dirichlet, free, boundary):
-    """(S, X, at_b, at_i) for the free boundary vertices `boundary`: the Schur
-    complement S = K_BB - K_BI K_II^-1 K_IB of K onto them, X = K_II^-1 K_IB
-    over the interior vertices (the free vertices off the boundary), and the
-    positions in `free` of the boundary and of the interior vertices.  They
-    depend on the geometry and the dirichlet set only, so they are kept in
-    mesh.stiffness_cache, keyed by the dirichlet set, and are read-only."""
-    key = ("schur", dirichlet.tobytes())
+def _boundary_schur(mesh, K, tags):
+    """(S, X): the Schur complement S = K_BB - K_BI K_II^-1 K_IB of K onto the
+    free boundary vertices and X = K_II^-1 K_IB over the interior ones.  They
+    depend on the geometry and the dirichlet set only, so they are kept
+    read-only in mesh.stiffness_cache, keyed by the dirichlet set."""
+    key = ("schur", tags.dirichlet.tobytes())
     cache = mesh.stiffness_cache
     if key not in cache:
-        interior = np.setdiff1d(free, boundary)
+        boundary, interior = tags.free[tags.boundary], tags.free[tags.interior]
         S = K[boundary][:, boundary].toarray()
         X = np.zeros((0, boundary.size))
         if interior.size:
@@ -377,19 +332,17 @@ def _boundary_schur(mesh, K, dirichlet, free, boundary):
             X = _factor(K_i[:, interior]).solve(K_ib.toarray())
             S -= K_ib.T @ X
             S = 0.5 * (S + S.T)
-        at_b, at_i = np.searchsorted(free, boundary), np.searchsorted(free, interior)
-        for arr in (S, X, at_b, at_i):
+        for arr in (S, X):
             arr.flags.writeable = False
-        cache[key] = S, X, at_b, at_i
+        cache[key] = S, X
     return cache[key]
 
 
-def _dense_pairs(mesh, K, B, dirichlet, free, boundary, n_eigs):
+def _dense_pairs(mesh, K, B, tags, n_eigs):
     """The n_eigs smallest pairs on the boundary Schur complement: eigenvalues
     and eigenvectors over the free vertices, one column each."""
-    S, X, at_b, at_i = _boundary_schur(mesh, K, dirichlet, free, boundary)
-    s = np.searchsorted(boundary, B.vertices)
-    n = np.setdiff1d(np.arange(boundary.size), s)
+    S, X = _boundary_schur(mesh, K, tags)
+    s, n = tags.s, tags.n
     T = S[np.ix_(s, s)]
     if n.size:
         # the neumann boundary vertices carry no mass: eliminate them
@@ -402,25 +355,25 @@ def _dense_pairs(mesh, K, B, dirichlet, free, boundary, n_eigs):
         T -= S_ns.T @ Y
     w, v = sla.eigh(T, B.dense(), subset_by_index=[0, n_eigs - 1],
                     overwrite_a=True, overwrite_b=True, check_finite=False)
-    u = np.empty((boundary.size, n_eigs))
+    u = np.empty((tags.boundary.size, n_eigs))
     u[s] = v
     if n.size:
         u[n] = -(Y @ v)
-    x = np.empty((free.size, n_eigs))
-    x[at_b] = u
-    x[at_i] = -(X @ u)
+    x = np.empty((tags.free.size, n_eigs))
+    x[tags.boundary] = u
+    x[tags.interior] = -(X @ u)
     return w, x
 
 
-def _arpack_pairs(K, B, dirichlet, free, pos, n_eigs):
+def _arpack_pairs(K, B, tags, n_eigs):
     """The n_eigs smallest pairs by shift-invert ARPACK: eigenvalues and
     eigenvectors over the free vertices, one column each."""
-    K_f = K[free][:, free] if dirichlet.size else K
+    K_f = K[tags.free][:, tags.free] if tags.dirichlet.size else K
     # the factor with its columns renumbered onto the free vertices:
     # M_Gamma = G^T G, and y -> G (K_f - SHIFT M_Gamma)^-1 G^T y is symmetric
     # positive semidefinite with eigenvalues 1 / (sigma - SHIFT)
     F = B.factor
-    G = sp.csr_matrix((F.data, pos[F.indices], F.indptr), shape=(F.shape[0], free.size))
+    G = sp.csr_matrix((F.data, tags.pos[F.indices], F.indptr), shape=(F.shape[0], tags.free.size))
     lu = _factor(K_f - SHIFT * (G.T @ G))
     G_T = G.T
     op = LinearOperator((G.shape[0],) * 2, matvec=lambda y: G @ lu.solve(G_T @ y),
@@ -448,30 +401,27 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
     if cluster_rel_tol is None:
         cluster_rel_tol = default_cluster_rel_tol(mesh)
     B = assemble_boundary_mass(mesh, STEKLOV)
-    sk = B.vertices
-    ns = sk.size
-    if n_eigs >= ns:
-        raise ValueError(f"n_eigs={n_eigs} must be below the {ns} steklov vertices")
+    tags = mesh.tag_sets
+    if n_eigs >= tags.steklov.size:
+        raise ValueError(f"n_eigs={n_eigs} must be below the {tags.steklov.size} steklov vertices")
     K = _stiffness(mesh)
-    dirichlet = np.setdiff1d(geometry.tagged_vertices(mesh, DIRICHLET), sk)
-    _check_connectivity(mesh, sk, dirichlet)
-    free = np.setdiff1d(np.arange(mesh.n_vertices), dirichlet)
-    pos = np.searchsorted(free, sk)
-    boundary = np.setdiff1d(mesh.boundary_edges, dirichlet)
-    if boundary.size <= _DENSE_BOUNDARY:
-        w, x = _dense_pairs(mesh, K, B, dirichlet, free, boundary, n_eigs)
+    if not tags.connected:
+        raise FactorizationError("mesh has a component disconnected from the steklov/dirichlet "
+                                 "boundary; its pure-neumann block is singular")
+    if tags.boundary.size <= _DENSE_BOUNDARY:
+        w, x = _dense_pairs(mesh, K, B, tags, n_eigs)
     else:
-        w, x = _arpack_pairs(K, B, dirichlet, free, pos, n_eigs)
-    x /= np.linalg.norm(B.factor @ x[pos], axis=0)
-    x *= _trace_signs(x[pos])
+        w, x = _arpack_pairs(K, B, tags, n_eigs)
+    x /= np.linalg.norm(B.factor @ x[tags.pos], axis=0)
+    x *= _trace_signs(x[tags.pos])
     extensions = np.zeros((n_eigs, mesh.n_vertices))
-    extensions[:, free] = x.T
+    extensions[:, tags.free] = x.T
     return SpectralResult(
         eigenvalues=w,
         extensions=extensions,
         clusters=multiplicity_clusters(w, cluster_rel_tol),
         cluster_rel_tol=float(cluster_rel_tol),
-        steklov_vertices=sk,
+        steklov_vertices=tags.steklov,
     )
 
 
@@ -482,12 +432,11 @@ def steklov_spectrum(mesh, n_eigs, cluster_rel_tol=None):
 def save_spectral_result(mesh, result, path):
     """Write the "steklov-spectrum v1" record of a solve on mesh; has_dirichlet
     says whether the solve pinned a vertex: a dirichlet one that is not steklov."""
-    sk = result.steklov_vertices
     problem = {
         "n_eigs": len(result.eigenvalues),
         "n_vertices": mesh.n_vertices,
-        "n_steklov_vertices": sk.size,
-        "has_dirichlet": np.setdiff1d(geometry.tagged_vertices(mesh, DIRICHLET), sk).size > 0,
+        "n_steklov_vertices": result.steklov_vertices.size,
+        "has_dirichlet": mesh.tag_sets.dirichlet.size > 0,
         "mesh_hash": geometry.mesh_hash(mesh),
     }
     record = {

@@ -78,10 +78,14 @@ class Mesh2D:
     def geometry_cache(self):
         """A holder for what fem derives from the triangulation alone: the
         stiffness scatter plan (once the geometry is assembled with a second
-        triangle weight vector), the connectivity labels of each dirichlet
-        set and the default cluster tolerance.  replace_mesh always hands it
-        on, so a re-weighted mesh reuses them."""
+        triangle weight vector) and the default cluster tolerance.
+        replace_mesh always hands it on, so a re-weighted mesh reuses them."""
         return {}
+
+    @cached_property
+    def tag_sets(self):
+        """The mesh's TagSets, built on first use."""
+        return _tag_sets(self)
 
     @cached_property
     def stiffness_cache(self):
@@ -103,6 +107,25 @@ class EdgeTable:
     edges: np.ndarray       # (ne, 2) sorted vertex pairs, lexicographic
     tri_edges: np.ndarray   # (nt, 3) edge ids of local edges 01, 12, 20
     boundary: np.ndarray    # (ne,) bool, edge has a single incident triangle
+
+
+@dataclass(frozen=True)
+class TagSets:
+    """What the boundary tags of a mesh fix for a solve, read-only.  Dirichlet
+    vertices off the steklov edges are pinned to zero; the others are free."""
+
+    steklov_edges: np.ndarray  # (nb,) bool, boundary edge tagged steklov
+    edge_ends: np.ndarray      # (n_edges, 2) positions in steklov of each steklov edge's ends
+    edge_lengths: np.ndarray   # (n_edges,) length of each steklov edge
+    steklov: np.ndarray        # vertices of the steklov edges
+    dirichlet: np.ndarray      # the pinned vertices
+    free: np.ndarray           # the vertices not pinned
+    pos: np.ndarray            # positions in free of steklov
+    boundary: np.ndarray       # positions in free of the free boundary vertices
+    interior: np.ndarray       # positions in free of the other free vertices
+    s: np.ndarray              # positions in boundary of steklov
+    n: np.ndarray              # positions in boundary of the others
+    connected: bool            # each free component has a steklov or pinned-adjacent vertex
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +266,33 @@ def label_components(n, a, b):
     indices = np.asarray(b, np.int32)[np.argsort(a)]
     adj = sp.csr_matrix((np.ones(a.size), indices, indptr), shape=(n, n))
     return connected_components(adj, directed=False)
+
+
+def _tag_sets(mesh):
+    """The TagSets of the mesh, from vertex masks."""
+    nv, edges, sel = mesh.n_vertices, mesh.boundary_edges, mesh.boundary_tags == STEKLOV
+    steklov, pinned, boundary = np.zeros((3, nv), bool)
+    steklov[edges[sel]] = True
+    pinned[edges[mesh.boundary_tags == DIRICHLET]] = True
+    pinned &= ~steklov
+    boundary[edges] = True
+    boundary &= ~pinned
+    free_rank = np.cumsum(~pinned) - 1
+    # every free component holds a steklov vertex or a neighbour of a pinned
+    # one when a vertex nv, joined to each steklov and pinned vertex, connects all
+    table, tied = mesh.edge_table.edges, np.flatnonzero(steklov | pinned)
+    n_comp, _ = label_components(nv + 1, np.concatenate([table[:, 0], tied]),
+                                 np.concatenate([table[:, 1], np.full(tied.size, nv)]))
+    arrays = {"steklov_edges": sel, "edge_ends": (np.cumsum(steklov) - 1)[edges[sel]],
+              "edge_lengths": boundary_edge_lengths(mesh)[sel],
+              "steklov": np.flatnonzero(steklov).astype(edges.dtype),
+              "dirichlet": np.flatnonzero(pinned), "free": np.flatnonzero(~pinned),
+              "pos": free_rank[steklov], "boundary": free_rank[boundary],
+              "interior": free_rank[~(pinned | boundary)],
+              "s": (np.cumsum(boundary) - 1)[steklov], "n": np.flatnonzero(~steklov[boundary])}
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return TagSets(**arrays, connected=n_comp == 1)
 
 
 def validate_mesh(mesh):
@@ -442,10 +492,9 @@ def extract_submesh(mesh, tri_mask):
 
 def replace_mesh(mesh, *, boundary_tags=None, edge_density=None, tri_weight=None):
     """The mesh with the given boundary tags, edge densities or triangle
-    weights in place of its own.  The triangulation stays, so the copy keeps
-    the mesh's edge table and geometry holder, and its stiffness holder unless
-    tri_weight is given: a re-weighted mesh reassembles K on the kept scatter
-    plan and reuses the connectivity labels and the cluster tolerance."""
+    weights in place of its own.  The copy keeps the mesh's edge table and
+    geometry holder, its stiffness holder unless tri_weight is given, and its
+    tag sets, built, unless boundary_tags is given."""
     changes = {"boundary_tags": boundary_tags, "edge_density": edge_density,
                "tri_weight": tri_weight}
     out = replace(mesh, **{k: v for k, v in changes.items() if v is not None})
@@ -453,6 +502,8 @@ def replace_mesh(mesh, *, boundary_tags=None, edge_density=None, tri_weight=None
     out.__dict__["geometry_cache"] = mesh.geometry_cache
     if tri_weight is None:
         out.__dict__["stiffness_cache"] = mesh.stiffness_cache
+    if boundary_tags is None:
+        out.__dict__["tag_sets"] = mesh.tag_sets
     return out
 
 

@@ -150,7 +150,7 @@ def boundary_touch_check(mesh, decomp):
     """Whether every nodal domain reaches the steklov boundary: an (m,) bool
     array, one verdict per row of the NodalDecomposition decomp.  A domain
     reaches it when it holds a vertex of a steklov edge."""
-    domain = decomp.vertex_domain[:, geometry.tagged_vertices(mesh, STEKLOV)]
+    domain = decomp.vertex_domain[:, mesh.tag_sets.steklov]
     # stack-wide ids of the domains that hold a steklov vertex
     hit = (domain + decomp.domain_start[:-1, None])[domain >= 0]
     touched = np.zeros(decomp.domain_start[-1], bool)

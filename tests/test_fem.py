@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov_lab import deformations, fem, geometry, graphs, thickening
+from steklov_lab import deformations, fem, geometry, graphs, harness, thickening
 from steklov_lab.geometry import DIRICHLET, NEUMANN, STEKLOV
 
 import oracles
@@ -303,7 +303,7 @@ def test_dirichlet_edge_anchors_a_second_component():
     assert np.max(np.abs(res.extensions[:, n:])) < 1e-10
 
 
-def test_connectivity_labels_kept_per_dirichlet_set(monkeypatch):
+def test_tag_sets_kept_per_tag_set(monkeypatch):
     calls = []
     label = geometry.label_components
 
@@ -318,10 +318,11 @@ def test_connectivity_labels_kept_per_dirichlet_set(monkeypatch):
     for mesh in (base, sibling):
         fem.steklov_spectrum(mesh, 4)
     assert len(calls) == 1
-    # new triangle weights keep the triangulation, and with it the labels
+    # new triangle weights keep the tags, and with them the record
     fem.steklov_spectrum(
         geometry.replace_mesh(base, tri_weight=rng.uniform(0.5, 2.0, base.n_triangles)), 4)
     assert len(calls) == 1
+    # a dirichlet arc builds a record of its own, which a density sibling shares
     arcs = [((0.0, math.pi), STEKLOV), ((math.pi, 2 * math.pi), DIRICHLET)]
     mixed = geometry.tag_boundary(base, arcs, by="angle", center=(0.0, 0.0))
     assert mixed.stiffness_cache is base.stiffness_cache
@@ -329,8 +330,9 @@ def test_connectivity_labels_kept_per_dirichlet_set(monkeypatch):
         fem.steklov_spectrum(mesh, 4)
     assert len(calls) == 2
 
-    # kept labels, checked against the anchors of each solve: two disjoint
-    # triangles solve while both are steklov and fail once one is neumann
+    # two disjoint triangles solve while both are steklov; retagged with one
+    # of them neumann, they build one more record, whose verdict fails every
+    # solve that reads it
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
                       [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
     pair = geometry.build_mesh(verts, np.array([[0, 1, 2], [3, 4, 5]], np.int32))
@@ -338,9 +340,79 @@ def test_connectivity_labels_kept_per_dirichlet_set(monkeypatch):
     tags = np.where(pair.boundary_edges.min(axis=1) >= 3, NEUMANN, STEKLOV).astype(object)
     retagged = geometry.replace_mesh(pair, boundary_tags=tags)
     assert retagged.stiffness_cache is pair.stiffness_cache
-    with pytest.raises(fem.FactorizationError):
-        fem.steklov_spectrum(retagged, 2)
-    assert len(calls) == 3
+    for mesh in (retagged, geometry.replace_mesh(retagged, edge_density=2.0 * retagged.edge_density)):
+        with pytest.raises(fem.FactorizationError):
+            fem.steklov_spectrum(mesh, 2)
+    assert len(calls) == 4
+
+
+def _tag_set_mesh(case):
+    disk = geometry.make_disk_mesh(1.0, 0.1)
+    if case == "disk":
+        return disk
+    if case == "dirichlet-disk":
+        arcs = [((0.0, math.pi), STEKLOV), ((math.pi, 2 * math.pi), DIRICHLET)]
+        return geometry.tag_boundary(disk, arcs, by="angle", center=(0.0, 0.0))
+    if case == "mixed-disk":
+        arcs = [((0.5, 3.0), STEKLOV), ((3.0, 4.5), DIRICHLET), ((4.5, 0.5 + 2 * math.pi), NEUMANN)]
+        return geometry.tag_boundary(disk, arcs, by="angle", center=(0.0, 0.0))
+    if case == "periodic-strip":
+        return geometry.make_strip_mesh(2 * math.pi, 0.5, 0.1, periodic=True, top_tag=DIRICHLET)
+    if case == "submesh":
+        return geometry.extract_submesh(disk, geometry.triangle_coords(disk).mean(axis=1)[:, 1] > 0)
+    if case == "thickened-cycle":
+        cycle = graphs.MetricGraph(5, [[i, (i + 1) % 5] for i in range(5)], np.ones(5))
+        embedding = thickening.embed_graph(cycle, "convex-boundary", 2.0)
+        return thickening.build_thickened_mesh(embedding, 0.05, 2.0, target_h=0.025)
+    # two disjoint triangles, one of them with neumann edges only
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                      [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
+    pair = geometry.build_mesh(verts, np.array([[0, 1, 2], [3, 4, 5]], np.int32))
+    tags = np.where(pair.boundary_edges.min(axis=1) >= 3, NEUMANN, STEKLOV).astype(object)
+    return geometry.replace_mesh(pair, boundary_tags=tags)
+
+
+@pytest.mark.parametrize("case", ["disk", "dirichlet-disk", "mixed-disk", "periodic-strip",
+                                  "submesh", "thickened-cycle", "unanchored-pair"])
+def test_tag_sets_match_set_formulas(case):
+    mesh = _tag_set_mesh(case)
+    record, want = mesh.tag_sets, oracles.tag_sets(mesh)
+    assert record.connected is want.pop("connected") is (case != "unanchored-pair")
+    for name, value in want.items():
+        got = getattr(record, name)
+        assert np.array_equal(got, value), name
+        assert not got.flags.writeable, name
+    # the steklov vertices are the boundary mass's vertices, in the dtype
+    # np.unique gives them
+    assert record.steklov.dtype == want["steklov"].dtype
+
+
+def test_tag_sets_handed_on_unless_tags_change():
+    mesh = geometry.make_disk_mesh(1.0, 0.2)
+    rng = np.random.default_rng(2)
+    record = mesh.tag_sets
+    assert geometry.replace_mesh(mesh, edge_density=2.0 * mesh.edge_density).tag_sets is record
+    assert geometry.replace_mesh(
+        mesh, tri_weight=rng.uniform(0.5, 2.0, mesh.n_triangles)).tag_sets is record
+    assert geometry.replace_mesh(mesh, boundary_tags=mesh.boundary_tags).tag_sets is not record
+    assert dataclasses.replace(mesh).tag_sets is not record
+    with pytest.raises(ValueError, match="neumann"):
+        fem.assemble_boundary_mass(mesh, NEUMANN)
+
+
+def test_mixed_disk_audit_keeps_nothing_per_point_on_the_base_disk():
+    # each point retags the base disk that harness keeps per process; the
+    # record of its arc lives on its own mesh, not on the shared one
+    def audit(runs):
+        harness.run(harness.ExperimentConfig(
+            kind="nodal-audit", name="mixed", seed=9,
+            params={"domain": "mixed-disk", "target_h": 0.15, "runs": runs, "k_max": 3,
+                    "n_rotations": 2}))
+        base = harness._base_mesh("disk", (1.0,), 0.15)
+        return (sorted(base.__dict__), sorted(base.geometry_cache),
+                sorted(map(str, base.stiffness_cache)))
+
+    assert audit(1) == audit(30)
 
 
 def test_factor_reads_the_shifted_matrix_as_its_own_transpose(monkeypatch):
